@@ -21,14 +21,11 @@ from .seifert import (
     BoundaryRecognition,
     GroupPresentation,
     SeifertPresentation,
-    TorusBasisChange,
     abelian_order_two_fibers,
     euler_number,
     fundamental_group,
-    meridian_coefficients,
     normalize,
     recognize_boundary,
-    sl2_complete,
 )
 from .wcp import (
     QuotientDescriptor,

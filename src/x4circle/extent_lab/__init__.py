@@ -23,10 +23,8 @@ from .cover import (
 )
 from .engine import DistanceEngine
 from .extents import (
-    ExtentComparison,
     ExtentReport,
     SMALL_BOUND,
-    compare_extents,
     extent,
     is_small,
 )
@@ -58,10 +56,8 @@ __all__ = [
     "GraphDisconnectedError",
     "double_branched_cover",
     "DistanceEngine",
-    "ExtentComparison",
     "ExtentReport",
     "SMALL_BOUND",
-    "compare_extents",
     "extent",
     "is_small",
     "read_distance_matrix",

@@ -44,7 +44,7 @@ distances, whose fixed-k stretch noise does not vanish with resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, pi
+from math import pi
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,11 +138,13 @@ def _csr_from_edges(n: int, edges: dict) -> sp.csr_matrix:
 def _azimuth_field(space: SampledMetricSpace, anchor_idx: int):
     """Azimuth of every sample around the anchor, reduced mod 2*pi/isotropy.
 
-    The angle of a point is read off its aligned representative, projected
-    onto an oriented 2-frame orthogonal to the anchor and its orbit
-    direction.  The anchor's stabilizer rotates that normal plane by
-    multiples of 2*pi/isotropy, so the reduced angle does not depend on
-    which minimizing representative the alignment picks.
+    One batched `engine.align` call gives every sample's aligned
+    representative; each is projected onto an oriented 2-frame orthogonal
+    to the anchor and its orbit direction.  The anchor's stabilizer rotates
+    that normal plane by multiples of 2*pi/isotropy, so the reduced angle
+    does not depend on which minimizing representative the alignment picks.
+    Samples whose projection vanishes (the anchor itself, and points at
+    distance pi/2 where every theta is optimal) get azimuth 0.
     """
     engine = DistanceEngine(space.spec.weights, space.spec.gamma)
     iso = {m.index: m.isotropy for m in space.marked}
@@ -164,33 +166,18 @@ def _azimuth_field(space: SampledMetricSpace, anchor_idx: int):
         frame[3] = -frame[3]
     e1, e2 = frame[2], frame[3]
 
-    psi = np.zeros(space.size)
-    for u in range(space.size):
-        if u == anchor_idx:
-            continue
-        _, aligned = engine.align(center, space.points[u])
-        w = aligned - (aligned @ center) * center
-        w -= (w @ orbit) * orbit
-        if np.linalg.norm(w) < 1e-12:
-            psi[u] = 0.0
-        else:
-            psi[u] = atan2(w @ e2, w @ e1) % alpha
+    _, aligned = engine.align(center, space.points)
+    w = aligned - np.outer(aligned @ center, center)
+    w -= np.outer(w @ orbit, orbit)
+    psi = np.arctan2(w @ e2, w @ e1) % alpha
+    psi[np.linalg.norm(w, axis=1) < 1e-12] = 0.0
+    psi[anchor_idx] = 0.0
     return psi, alpha
 
 
 def _shortway(x: np.ndarray, alpha: float) -> np.ndarray:
     """Reduce angle differences to the short way around, in (-alpha/2, alpha/2]."""
     return x - alpha * np.round(x / alpha)
-
-
-def _cached_field(space: SampledMetricSpace, anchor: int):
-    cache = getattr(space, "_azimuth_cache", None)
-    if cache is None:
-        cache = {}
-        space._azimuth_cache = cache
-    if anchor not in cache:
-        cache[anchor] = _azimuth_field(space, anchor)
-    return cache[anchor]
 
 
 def _choose_waypoint(space: SampledMetricSpace, b1: int, b2: int) -> int:
@@ -215,7 +202,12 @@ def _choose_waypoint(space: SampledMetricSpace, b1: int, b2: int) -> int:
 
 
 def _segment_crossings(
-    space: SampledMetricSpace, i: int, j: int, eu: np.ndarray, ev: np.ndarray
+    space: SampledMetricSpace,
+    fields: dict,
+    i: int,
+    j: int,
+    eu: np.ndarray,
+    ev: np.ndarray,
 ) -> np.ndarray:
     """Which edges (eu[k], ev[k]) cross the minimizing segment from node i to j.
 
@@ -223,13 +215,14 @@ def _segment_crossings(
     interval spans the direction of the opposite endpoint (sign test
     within the short-way lens) and the crossing radius interpolated from
     both endpoints stays inside the segment.  Edges touching i or j are
-    never reported as crossing.
+    never reported as crossing.  fields maps i and j to their azimuth
+    fields.
     """
     d = space.dist
     crosses = (eu != i) & (eu != j) & (ev != i) & (ev != j)
     radii = []
     for a, b in ((i, j), (j, i)):
-        psi, alpha = _cached_field(space, a)
+        psi, alpha = fields[a]
         qu = _shortway(psi[eu] - psi[b], alpha)
         qv = _shortway(psi[ev] - psi[b], alpha)
         crosses &= (qu * qv < 0.0) & (np.abs(qu) + np.abs(qv) <= 0.5 * alpha)
@@ -247,14 +240,16 @@ def _cut_crossings(
     """Mod-2 crossing indicator of the branch-to-branch cut for each edge."""
     b1, b2 = branch
     if space.dist[b1, b2] < WAYPOINT_THRESHOLD:
-        return _segment_crossings(space, b1, b2, eu, ev)
+        fields = {b: _azimuth_field(space, b) for b in (b1, b2)}
+        return _segment_crossings(space, fields, b1, b2, eu, ev)
 
     mid = _choose_waypoint(space, b1, b2)
-    crosses = _segment_crossings(space, b1, mid, eu, ev)
-    crosses ^= _segment_crossings(space, mid, b2, eu, ev)
+    fields = {b: _azimuth_field(space, b) for b in (b1, mid, b2)}
+    crosses = _segment_crossings(space, fields, b1, mid, eu, ev)
+    crosses ^= _segment_crossings(space, fields, mid, b2, eu, ev)
     # edges at the waypoint itself carry a side-of-cut bit, so the cut
     # runs through the waypoint node without leaving a gap
-    psi, alpha = _cached_field(space, mid)
+    psi, alpha = fields[mid]
     span = (psi[b2] - psi[b1]) % alpha
     incident = (eu == mid) | (ev == mid)
     other = np.where(eu == mid, ev, eu)

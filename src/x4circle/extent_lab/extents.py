@@ -42,13 +42,6 @@ class ExtentReport:
         return total / pairs if pairs else 0.0
 
 
-@dataclass
-class ExtentComparison:
-    gap: float
-    left: ExtentReport
-    right: ExtentReport
-
-
 def _extent_two(space: SampledMetricSpace) -> ExtentReport:
     d = space.dist
     flat = int(np.argmax(d))
@@ -174,11 +167,3 @@ def is_small(space: SampledMetricSpace, tol: float = 0.02) -> tuple[bool, float]
     margin = SMALL_BOUND - report.value
     return report.value <= SMALL_BOUND + tol, float(margin)
 
-
-def compare_extents(
-    left: SampledMetricSpace, right: SampledMetricSpace, q: int
-) -> ExtentComparison:
-    """xt_q(left) - xt_q(right) with both witness certificates."""
-    a = extent(left, q)
-    b = extent(right, q)
-    return ExtentComparison(gap=float(a.value - b.value), left=a, right=b)

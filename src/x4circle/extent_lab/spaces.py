@@ -17,7 +17,7 @@ from math import pi, tau
 import numpy as np
 
 from .actions import IsometricActionSpec, circle_matrix
-from .engine import DistanceEngine
+from .engine import DistanceEngine, golden_max
 
 
 MERGE_TOL = 1e-6
@@ -126,57 +126,49 @@ def sample_round_two_sphere(samples: int, seed: int = 0) -> SampledMetricSpace:
 # -- singular-orbit discovery ---------------------------------------------
 
 
-def _theta_roots(spec: IsometricActionSpec, gamma: np.ndarray) -> list[np.ndarray]:
+def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     """Unit vectors spanning loci fixed by R(theta) gamma for some theta.
 
-    Scans the smallest singular value of R(theta) gamma - I over theta,
-    polishes each detected valley by golden section, and keeps genuine roots
+    Scans the smallest singular value of R(theta) gamma - I over theta for
+    each gamma, polishes every detected valley at once with the engine's
+    golden-section solver (maximizing -sigma_min), and keeps genuine roots
     whose fixed set is a circle (kernel elements fixing all of S^3 are
-    skipped; they contribute to isotropy normalization instead).
+    skipped; they contribute to isotropy normalization instead).  Roots
+    come in the order of spec.gamma, then of theta.
     """
     p, q = spec.weights
     max_w = max(abs(p), abs(q))
     k_grid = 2048 * max_w
-    thetas = np.arange(k_grid) * (tau / k_grid)
-    rot = np.zeros((k_grid, 4, 4))
-    rot[:, 0, 0] = rot[:, 1, 1] = np.cos(p * thetas)
-    rot[:, 1, 0] = np.sin(p * thetas)
-    rot[:, 0, 1] = -rot[:, 1, 0]
-    rot[:, 2, 2] = rot[:, 3, 3] = np.cos(q * thetas)
-    rot[:, 3, 2] = np.sin(q * thetas)
-    rot[:, 2, 3] = -rot[:, 3, 2]
-    moved = rot @ gamma - np.eye(4)[None, :, :]
-    sigma = np.linalg.svd(moved, compute_uv=False)[:, -1]
-
-    detect = 8.0 * max_w * pi / k_grid + 1e-9
-    valley = (sigma <= np.roll(sigma, 1)) & (sigma <= np.roll(sigma, -1))
-    valley &= sigma < detect
-    reps: list[np.ndarray] = []
     h = tau / k_grid
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
     eye = np.eye(4)
 
-    def smin(theta: float) -> float:
-        mat = circle_matrix(p, q, theta) @ gamma - eye
-        return float(np.linalg.svd(mat, compute_uv=False)[-1])
+    def sigma_min(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        rot = np.zeros((len(theta), 4, 4))
+        rot[:, 0, 0] = rot[:, 1, 1] = np.cos(p * theta)
+        rot[:, 1, 0] = np.sin(p * theta)
+        rot[:, 0, 1] = -rot[:, 1, 0]
+        rot[:, 2, 2] = rot[:, 3, 3] = np.cos(q * theta)
+        rot[:, 3, 2] = np.sin(q * theta)
+        rot[:, 2, 3] = -rot[:, 3, 2]
+        return np.linalg.svd(rot @ gamma - eye, compute_uv=False)[:, -1]
 
-    for t_idx in np.nonzero(valley)[0]:
-        a = float(thetas[t_idx]) - h
-        b = float(thetas[t_idx]) + h
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = smin(c), smin(d)
-        for _ in range(60):
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = smin(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = smin(d)
-        theta_star = c if fc <= fd else d
-        if smin(theta_star) > ROOT_TOL:
+    thetas = np.arange(k_grid) * h
+    detect = 8.0 * max_w * pi / k_grid + 1e-9
+    valleys = []
+    for gamma in spec.gamma:
+        sigma = sigma_min(thetas, gamma)
+        valley = (sigma <= np.roll(sigma, 1)) & (sigma <= np.roll(sigma, -1))
+        valleys.append(valley & (sigma < detect))
+    owner, t_idx = np.nonzero(valleys)
+    gammas = spec.gamma[owner]
+    centers = thetas[t_idx]
+    neg_sigma, roots = golden_max(
+        lambda theta: -sigma_min(theta, gammas), centers - h, centers + h, 60
+    )
+
+    reps: list[np.ndarray] = []
+    for value, theta_star, gamma in zip(neg_sigma, roots, gammas):
+        if -value > ROOT_TOL:
             continue
         fixed = circle_matrix(p, q, theta_star) @ gamma
         if np.max(np.abs(fixed - eye)) < 1e-6:
@@ -243,12 +235,9 @@ def discover_marked(
     joint rotations follow.  Representatives at quotient distance below 1e-6
     are merged, keeping the earliest label.
     """
-    reps = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])]
-    labels = ["z2=0", "z1=0"]
-    for gamma in spec.gamma:
-        for rep in _theta_roots(spec, gamma):
-            reps.append(rep)
-            labels.append("singular")
+    roots = _theta_roots(spec)
+    reps = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])] + roots
+    labels = ["z2=0", "z1=0"] + ["singular"] * len(roots)
     stacked = np.array(reps)
     dist = engine.distance_matrix(stacked)
     keep: list[int] = []

@@ -52,48 +52,6 @@ class SeifertPresentation:
         return f"{{0; {inner}}}"
 
 
-@dataclass(frozen=True)
-class TorusBasisChange:
-    """Section-and-fiber basis change [[alpha, gamma], [-beta, delta]] in SL(2, Z)."""
-
-    alpha: int
-    gamma: int
-    minus_beta: int
-    delta: int
-
-    @property
-    def beta(self) -> int:
-        return -self.minus_beta
-
-    def determinant(self) -> int:
-        return self.alpha * self.delta - self.gamma * self.minus_beta
-
-
-def sl2_complete(alpha: int, beta: int) -> TorusBasisChange:
-    """Complete a coprime pair (alpha, beta) to the canonical SL(2, Z) matrix.
-
-    Returns [[alpha, gamma], [-beta, delta]] with alpha*delta + beta*gamma = 1.
-    For alpha > 1 the representative takes gamma = beta^{-1} mod alpha in
-    [0, alpha); for alpha = 1 it is (gamma, delta) = (0, 1).
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"({alpha}, {beta}) is not coprime")
-    if alpha == 1:
-        return TorusBasisChange(alpha=1, gamma=0, minus_beta=-beta, delta=1)
-    gamma = pow(beta % alpha, -1, alpha)
-    delta = (1 - beta * gamma) // alpha
-    return TorusBasisChange(alpha=alpha, gamma=gamma, minus_beta=-beta, delta=delta)
-
-
-def meridian_coefficients(alpha: int, beta: int) -> tuple[int, int]:
-    """Coefficients of the meridian m = alpha*q + beta*h in the (q, h) basis."""
-    if alpha <= 0 or gcd(alpha, beta) != 1:
-        raise ValueError(f"({alpha}, {beta}) is not a valid fiber pair")
-    return (alpha, beta)
-
-
 def euler_number(p: SeifertPresentation) -> Fraction:
     """Generalized Euler number e = -(sum of b_i / a_i), exact."""
     return -sum((Fraction(b, a) for a, b in p.fibers), Fraction(0))

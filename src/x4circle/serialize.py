@@ -354,7 +354,7 @@ def encode_classification(result) -> dict:
             "kind": "suspension",
             "orders": list(result.orders),
             "presentation": (
-                encode_presentation(result.presentation) if result.presentation else None
+                encode_seifert(result.presentation) if result.presentation else None
             ),
             "boundary": (
                 encode_recognition(result.boundary) if result.boundary else None

@@ -53,6 +53,24 @@ class TestExitCodes:
         assert (result["kind"], result["tag"]) == ("rejected", "fig5-dg")
         assert "fig5-dg" in err
 
+    def test_suspension_with_sections_reports_fibers(self, capsys, monkeypatch):
+        edges = [
+            {"between": [0, 1], "order": 3, "beta": 1},
+            {"between": [0, 1], "order": 2, "beta": 1},
+        ]
+        payload = {"graph": {"vertices": 2, "edges": edges}}
+        code, out, _ = run_cli(capsys, monkeypatch, ["classify"], payload)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["kind"] == "suspension"
+        assert result["presentation"]["fibers"] == [[e["order"], e["beta"]] for e in edges]
+
+        edges[0] = {"between": [0, 1], "order": 2, "beta": -1}
+        code, out, err = run_cli(capsys, monkeypatch, ["classify"], payload)
+        assert code == 2
+        assert json.loads(out)["result"]["tag"] == "s2xs1-inadmissible"
+        assert "s2xs1-inadmissible" in err
+
     def test_schema_rejection_precedes_dispatch(self, capsys, monkeypatch):
         def bomb(payload, opts):
             raise AssertionError("handler must not run on schema-invalid input")

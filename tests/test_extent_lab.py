@@ -11,12 +11,13 @@ from math import gcd, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from x4circle.extent_lab import (
     DistanceEngine,
     IsometricActionSpec,
     SMALL_BOUND,
-    compare_extents,
     extent,
     gamma_binary_dihedral,
     gamma_cyclic,
@@ -31,6 +32,7 @@ from x4circle.extent_lab import (
     validate_metric,
     write_distance_matrix,
 )
+from x4circle.extent_lab.engine import golden_max
 
 
 def hopf_distance(x, y):
@@ -123,15 +125,19 @@ class TestSampling:
 
 class TestEngine:
     def test_alignment_realizes_distance(self):
-        spec = IsometricActionSpec(weights=(1, 3), samples=50, seed=6)
-        engine = DistanceEngine(spec.weights, spec.gamma)
-        sp = sample_quotient(spec)
-        for i, j in ((0, 7), (3, 20), (11, 41)):
-            value, rep = engine.align(sp.points[i], sp.points[j])
-            assert value == pytest.approx(sp.dist[i, j], abs=1e-9)
-            # the aligned representative realizes the quotient distance on S^3
-            chord = float(np.arccos(np.clip(sp.points[i] @ rep, -1.0, 1.0)))
-            assert chord == pytest.approx(value, abs=1e-9)
+        # Hopf/D3* contains -I = R(pi), so every pair has tied minimizers
+        for weights, gamma in (((1, 3), gamma_trivial()), ((1, 1), gamma_binary_dihedral(3))):
+            spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=50, seed=6)
+            engine = DistanceEngine(spec.weights, spec.gamma)
+            sp = sample_quotient(spec)
+            for i in (0, 3, 11, sp.size - 1):
+                dist, reps = engine.align(sp.points[i], sp.points)
+                # the matrix pins its diagonal to 0; arccos resolves ~1e-8 there
+                others = np.arange(sp.size) != i
+                assert np.max(np.abs(dist - sp.dist[i])[others]) <= 1e-12
+                # every aligned representative realizes its distance on S^3
+                chords = np.arccos(np.clip(reps @ sp.points[i], -1.0, 1.0))
+                assert np.max(np.abs(chords - dist)[others]) <= 1e-9
 
     def test_gamma_average_is_metric_quotient(self):
         # adding gamma elements can only shrink distances
@@ -140,6 +146,49 @@ class TestEngine:
             IsometricActionSpec(weights=(1, 1), gamma=gamma_cyclic(3), samples=60, seed=3)
         )
         assert np.all(quot.dist <= base.dist + 1e-9)
+
+
+class TestGoldenMax:
+    @given(
+        coeffs=st.lists(
+            st.floats(min_value=-1.0, max_value=1.0), min_size=7, max_size=7
+        ),
+        degree=st.integers(min_value=0, max_value=3),
+        brackets=st.lists(
+            st.tuples(
+                st.floats(min_value=-4.0, max_value=4.0),
+                st.floats(min_value=1e-6, max_value=3.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        iters=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_returns_best_evaluated_point(self, coeffs, degree, brackets, iters):
+        # the invariant that lets the engine drop a running maximum
+        c0, *cs = coeffs
+        seen_x, seen_f = [], []
+
+        def f(theta):
+            out = np.full_like(theta, c0)
+            for k in range(1, degree + 1):
+                out += cs[2 * k - 2] * np.cos(k * theta) + cs[2 * k - 1] * np.sin(k * theta)
+            seen_x.append(theta.copy())
+            seen_f.append(out.copy())
+            return out
+
+        a = np.array([lo for lo, _ in brackets])
+        b = a + np.array([width for _, width in brackets])
+        value, arg = golden_max(f, a, b, iters)
+        xs, fs = np.array(seen_x), np.array(seen_f)
+        assert len(fs) == iters + 2
+        assert np.array_equal(value, fs.max(axis=0))
+        for k in range(len(a)):
+            hits = xs[:, k] == arg[k]
+            assert hits.any()
+            assert np.all(fs[hits, k] == value[k])
+            assert a[k] <= arg[k] <= b[k]
 
 
 class TestExtents:
@@ -180,12 +229,6 @@ class TestExtents:
         small, margin = is_small(sp)
         assert small
         assert margin == pytest.approx(SMALL_BOUND - extent(sp, 3).value, abs=1e-12)
-
-    def test_compare_extents(self):
-        left = sample_round_two_sphere(100, seed=1)
-        right = sample_quotient(IsometricActionSpec(weights=(1, 1), samples=100, seed=1))
-        cmp = compare_extents(left, right, 3)
-        assert cmp.gap == pytest.approx(cmp.left.value - cmp.right.value, abs=1e-15)
 
 
 class TestMatrixIO:

@@ -1,4 +1,4 @@
-"""Seifert presentations: basis completion, normalization, groups, recognition."""
+"""Seifert presentations: normalization, groups, recognition."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -15,10 +15,8 @@ from x4circle.seifert import (
     abelian_order_two_fibers,
     euler_number,
     fundamental_group,
-    meridian_coefficients,
     normalize,
     recognize_boundary,
-    sl2_complete,
 )
 
 
@@ -51,48 +49,6 @@ class TestConstruction:
             SeifertPresentation(0, [])
         p = SeifertPresentation(0, [], trivial_fibration=True)
         assert p.fibers == ()
-
-
-class TestSl2Complete:
-    def test_frozen_examples(self):
-        m = sl2_complete(2, 1)
-        assert (m.gamma, m.delta) == (1, 0)
-        m = sl2_complete(5, 3)
-        assert (m.gamma, m.delta) == (2, -1)
-        m = sl2_complete(1, 0)
-        assert (m.gamma, m.delta) == (0, 1)
-
-    def test_alpha_one_any_beta(self):
-        for b in range(-5, 6):
-            m = sl2_complete(1, b)
-            assert (m.gamma, m.delta) == (0, 1)
-            assert m.determinant() == 1
-
-    @given(coprime_pairs)
-    @settings(max_examples=300)
-    def test_determinant_one_and_range(self, ab):
-        a, b = ab
-        m = sl2_complete(a, b)
-        assert m.alpha * m.delta + b * m.gamma == 1
-        assert m.determinant() == 1
-        assert m.minus_beta == -b
-        if a > 1:
-            assert 0 <= m.gamma < a
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            sl2_complete(4, 2)
-        with pytest.raises(ValueError):
-            sl2_complete(0, 1)
-
-
-class TestMeridian:
-    def test_passthrough(self):
-        assert meridian_coefficients(3, 2) == (3, 2)
-
-    def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            meridian_coefficients(6, 4)
 
 
 class TestEulerAndNormalize:
