@@ -23,7 +23,6 @@ import pathlib
 from x4circle.extent_lab import (
     IsometricActionSpec,
     double_branched_cover,
-    extent,
     gamma_binary_dihedral,
     sample_quotient,
     write_distance_matrix,
@@ -55,7 +54,7 @@ def main() -> None:
         base = sample_quotient(spec)
         cover = double_branched_cover(base, branch_pair(base), tol=args.tol)
         cert = cover.certificate
-        xt3 = extent(cover, 3).value
+        xt3 = cert.xt3_high
         print(
             f"{n:>6d} {cover.diameter():>9.5f} {xt3:>9.5f} "
             f"{cert.drift:>9.6f} {'ok' if cert.passed else 'FAIL':>6}"

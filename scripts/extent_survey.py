@@ -14,10 +14,10 @@ from math import pi
 
 from x4circle.extent_lab import (
     IsometricActionSpec,
-    SMALL_BOUND,
     extent,
     gamma_binary_dihedral,
     gamma_cyclic,
+    is_small,
     sample_quotient,
 )
 
@@ -53,7 +53,7 @@ def main() -> None:
         xt2 = extent(space, 2).value
         xt3 = extent(space, 3).value
         cones = len(space.finite_isotropy_marks())
-        margin = SMALL_BOUND - xt3
+        _, margin = is_small(xt3)
         print(
             f"{name:<16} {cones:>5d} {xt2:>9.5f} {xt3:>9.5f} "
             f"{space.diameter():>9.5f} {margin:>+9.5f}"

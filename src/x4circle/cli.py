@@ -243,7 +243,7 @@ def _run_extent(payload, opts):
     if method is not None:
         normalized["method"] = method
 
-    from .extent_lab import SMALL_BOUND, extent, sample_quotient
+    from .extent_lab import SMALL_BOUND, extent, is_small, sample_quotient
 
     space = sample_quotient(serialize.decode_action(action))
     report = extent(space, q, method=method)
@@ -252,11 +252,12 @@ def _run_extent(payload, opts):
         "extent": serialize.encode_extent_report(report, space),
     }
     if q == 3:
+        small, margin = is_small(report.value, opts.tol)
         result["small"] = {
             "bound": SMALL_BOUND,
             "tol": opts.tol,
-            "is_small": report.value <= SMALL_BOUND + opts.tol,
-            "margin": SMALL_BOUND - report.value,
+            "is_small": small,
+            "margin": margin,
         }
     return 0, normalized, result
 
@@ -294,6 +295,11 @@ def _exception_code(exc: Exception) -> int | None:
     if isinstance(exc, ValueError):
         return 1
     return None
+
+
+def _is_integer(value) -> bool:
+    """An int that is not a bool (JSON true/false decode to the int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def main(argv=None) -> int:
@@ -334,10 +340,10 @@ def main(argv=None) -> int:
         tol=pick(args.tol, "tol", DEFAULT_TOL),
         format=pick(args.format, "format", DEFAULT_FORMAT),
     )
-    if not (isinstance(opts.seed, int) and 0 <= opts.seed < 2**64):
+    if not (_is_integer(opts.seed) and 0 <= opts.seed < 2**64):
         sys.stderr.write("seed must be an unsigned 64-bit integer\n")
         return 1
-    if not (isinstance(opts.samples, int) and opts.samples >= 50):
+    if not (_is_integer(opts.samples) and opts.samples >= 50):
         sys.stderr.write("samples must be an integer >= 50\n")
         return 1
     if not (isinstance(opts.tol, (int, float)) and 0 < opts.tol < 1):

@@ -52,7 +52,7 @@ def check_condition_qprime(
         space = target
     report = ConditionQPrimeReport(tol=tol)
 
-    small, margin = is_small(space, tol)
+    small, margin = is_small(extent(space, 3).value, tol)
     report.checks.append(
         CheckItem(
             name="quotient-small",
@@ -72,7 +72,7 @@ def check_condition_qprime(
         cover = double_branched_cover(
             space, (a.index, b.index), tol=tol, high_base=high_base
         )
-        c_small, c_margin = is_small(cover, tol)
+        c_small, c_margin = is_small(cover.certificate.xt3_high, tol)
         report.checks.append(
             CheckItem(
                 name=f"cover-small:{a.label}|{b.label}",
@@ -86,16 +86,15 @@ def check_condition_qprime(
             )
         )
 
-    xt2 = extent(space, 2)
-    report.diameter = xt2.value
+    report.diameter = space.diameter()
     three = len(finite) == 3
     report.checks.append(
         CheckItem(
             name="three-cone-diameter",
             applicable=three,
-            passed=(xt2.value <= pi / 4.0 + tol) if three else True,
-            margin=pi / 4.0 - xt2.value,
-            details=f"diameter = {xt2.value:.6f}",
+            passed=(report.diameter <= pi / 4.0 + tol) if three else True,
+            margin=pi / 4.0 - report.diameter,
+            details=f"diameter = {report.diameter:.6f}",
         )
     )
     return report

@@ -31,6 +31,10 @@ agreement from both endpoints is what stops a far cone point, where one
 field alone wraps incoherently, from being glued like an extra branch
 point.
 
+Every edge list is an integer index array: the neighbor graph is an (m, 2)
+array of base index pairs u < v, the cut test reads its columns, and each
+sparse graph is assembled from such arrays in one call.
+
 Cover distances are all-pairs shortest paths.  Every reported cover is
 recomputed at twice the sampling resolution; the drift of its extremal
 statistics (the maximum distance and the third extent, which downstream
@@ -104,35 +108,18 @@ class CoverCertificate:
         return self.drift <= 2.0 * self.tol
 
 
-def _knn_edges(dist: np.ndarray, k: int = K_NEIGHBORS) -> dict:
-    """k-nearest-neighbor edges densified by a local connection radius."""
+def _knn_edges(dist: np.ndarray, k: int = K_NEIGHBORS) -> np.ndarray:
+    """k-nearest-neighbor edges densified by a local connection radius.
+
+    Returns an (m, 2) array of index pairs u < v in lexicographic order.
+    """
     n = len(dist)
-    edges: dict[tuple[int, int], float] = {}
     take = min(k + 1, n)
-    kth = np.empty(n)
-    for u in range(n):
-        nearest = np.argpartition(dist[u], take - 1)[:take]
-        kth[u] = dist[u][nearest].max()
-        for v in nearest:
-            v = int(v)
-            if v == u:
-                continue
-            key = (u, v) if u < v else (v, u)
-            edges[key] = float(dist[key[0], key[1]])
-    radius = RADIUS_FACTOR * float(np.median(kth))
-    for u, v in np.argwhere(np.triu(dist <= radius, 1)):
-        edges[(int(u), int(v))] = float(dist[u, v])
-    return edges
-
-
-def _csr_from_edges(n: int, edges: dict) -> sp.csr_matrix:
-    if not edges:
-        return sp.csr_matrix((n, n))
-    keys = list(edges.keys())
-    ii = [k[0] for k in keys] + [k[1] for k in keys]
-    jj = [k[1] for k in keys] + [k[0] for k in keys]
-    ww = [edges[k] for k in keys] * 2
-    return sp.csr_matrix((ww, (ii, jj)), shape=(n, n))
+    nearest = np.argpartition(dist, take - 1, axis=1)[:, :take]
+    kth = np.take_along_axis(dist, nearest, axis=1).max(axis=1)
+    adjacent = dist <= RADIUS_FACTOR * float(np.median(kth))
+    adjacent[np.arange(n).repeat(take), nearest.ravel()] = True
+    return np.argwhere(np.triu(adjacent | adjacent.T, 1))
 
 
 def _azimuth_field(space: SampledMetricSpace, anchor_idx: int):
@@ -262,91 +249,57 @@ def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
     """One-resolution cover graph; returns (cover space, node map).
 
     node map is an (n, 2) array sending (base index, sheet) to the cover
-    row; branch points map both sheets to their single row.
+    row; branch points map both sheets to their single row.  Sheet 0 keeps
+    the base indices and sheet 1 follows in base order.
     """
     if space.spec is None:
         raise ValueError("branched covers need a quotient with an action spec")
     d = space.dist
     n = space.size
     b1, b2 = branch
-    branch_set = {b1, b2}
 
     knn = _knn_edges(d)
-    n_comp, _ = connected_components(_csr_from_edges(n, knn), directed=False)
+    adjacency = sp.coo_matrix((np.ones(len(knn)), knn.T), shape=(n, n))
+    n_comp, _ = connected_components(adjacency, directed=False)
     if n_comp != 1:
         raise GraphDisconnectedError("neighbor graph is disconnected")
 
-    plain = [
-        (u, v, w)
-        for (u, v), w in knn.items()
-        if u not in branch_set and v not in branch_set
-    ]
-    eu = np.array([e[0] for e in plain], dtype=int)
-    ev = np.array([e[1] for e in plain], dtype=int)
-    crossings = _cut_crossings(space, (b1, b2), eu, ev)
+    doubled = np.setdiff1d(np.arange(n), branch)
+    node_map = np.column_stack([np.arange(n), np.arange(n)])
+    node_map[doubled, 1] = n + np.arange(len(doubled))
+    size = n + len(doubled)
 
-    cover_edges: dict[tuple[int, int], float] = {}
-
-    def add(i: int, j: int, w: float) -> None:
-        if i == j:
-            return
-        key = (i, j) if i < j else (j, i)
-        cur = cover_edges.get(key)
-        if cur is None or w < cur:
-            cover_edges[key] = w
-
-    def lift(u: int, sheet: int) -> int:
-        if u in branch_set:
-            return u
-        return u + sheet * n
-
-    # branch-incident knn edges are superseded by the exact stars below
-    for (u, v, w), crosses in zip(plain, crossings):
-        if crosses:
-            add(lift(u, 0), lift(v, 1), w)
-            add(lift(u, 1), lift(v, 0), w)
-        else:
-            add(lift(u, 0), lift(v, 0), w)
-            add(lift(u, 1), lift(v, 1), w)
-    for b in (b1, b2):
-        for x in range(n):
-            if x == b:
-                continue
-            w = float(d[b, x])
-            if x in branch_set:
-                add(b, x, w)
-            else:
-                add(b, lift(x, 0), w)
-                add(b, lift(x, 1), w)
-
-    active = list(range(n)) + [u + n for u in range(n) if u not in branch_set]
-    position = {node: row for row, node in enumerate(active)}
-    graph = _csr_from_edges(2 * n, cover_edges)
-    dist_rows = dijkstra(graph, directed=False, indices=np.array(active))
-    cover_dist = dist_rows[:, active]
+    # sheet edges stay on their sheet unless they cross the cut; the
+    # branch-incident knn edges are superseded by the exact stars, which join
+    # each branch point to both lifts of every doubled node and to each other
+    eu, ev = knn[~np.isin(knn, branch).any(axis=1)].T
+    flip = _cut_crossings(space, (b1, b2), eu, ev).astype(int)
+    hub = np.repeat(branch, len(doubled))
+    leaf = np.tile(doubled, 2)
+    head = np.concatenate([node_map[eu, 0], node_map[eu, 1], hub, hub, [b1]])
+    tail = np.concatenate(
+        [node_map[ev, flip], node_map[ev, 1 - flip], node_map[leaf, 0], node_map[leaf, 1], [b2]]
+    )
+    weight = np.concatenate([d[eu, ev], d[eu, ev], d[hub, leaf], d[hub, leaf], [d[b1, b2]]])
+    graph = sp.csr_matrix(
+        (np.tile(weight, 2), (np.r_[head, tail], np.r_[tail, head])), shape=(size, size)
+    )
+    cover_dist = dijkstra(graph, directed=False, indices=np.arange(size))
     if not np.all(np.isfinite(cover_dist)):
         raise GraphDisconnectedError("cover graph is disconnected")
     cover_dist = np.minimum(cover_dist, cover_dist.T)
     np.fill_diagonal(cover_dist, 0.0)
 
-    cover_points = space.points[[node % n for node in active]]
     cover_marked = []
     for m in space.marked:
-        cover_marked.append(
-            MarkedPoint(position[m.index], f"{m.label}+0", m.isotropy)
-        )
-        if m.index not in branch_set:
+        cover_marked.append(MarkedPoint(m.index, f"{m.label}+0", m.isotropy))
+        if m.index not in branch:
             cover_marked.append(
-                MarkedPoint(position[m.index + n], f"{m.label}+1", m.isotropy)
+                MarkedPoint(int(node_map[m.index, 1]), f"{m.label}+1", m.isotropy)
             )
 
-    node_map = np.empty((n, 2), dtype=int)
-    for u in range(n):
-        node_map[u, 0] = position[u]
-        node_map[u, 1] = position[u] if u in branch_set else position[u + n]
-
     cover = SampledMetricSpace(
-        points=cover_points,
+        points=space.points[np.concatenate([np.arange(n), doubled])],
         dist=cover_dist,
         marked=cover_marked,
         kind="double-cover",

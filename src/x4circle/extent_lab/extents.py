@@ -161,9 +161,6 @@ def extent(
     return _extent_heuristic(space, q, restarts, seed)
 
 
-def is_small(space: SampledMetricSpace, tol: float = 0.02) -> tuple[bool, float]:
+def is_small(xt3: float, tol: float = 0.02) -> tuple[bool, float]:
     """Whether xt_3 <= pi/3 + tol, together with the margin pi/3 - xt_3."""
-    report = extent(space, 3)
-    margin = SMALL_BOUND - report.value
-    return report.value <= SMALL_BOUND + tol, float(margin)
-
+    return xt3 <= SMALL_BOUND + tol, float(SMALL_BOUND - xt3)

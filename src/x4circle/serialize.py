@@ -413,20 +413,6 @@ def encode_extent_report(report, space) -> dict:
     }
 
 
-def encode_certificate(cert) -> dict:
-    return {
-        "samples_low": cert.samples_low,
-        "samples_high": cert.samples_high,
-        "diameter_low": cert.diameter_low,
-        "diameter_high": cert.diameter_high,
-        "xt3_low": cert.xt3_low,
-        "xt3_high": cert.xt3_high,
-        "drift": cert.drift,
-        "tol": cert.tol,
-        "passed": cert.passed,
-    }
-
-
 def encode_check_item(item) -> dict:
     return {
         "name": item.name,

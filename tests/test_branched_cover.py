@@ -14,6 +14,8 @@ from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from x4circle.extent_lab import (
     ConvergenceError,
@@ -23,8 +25,16 @@ from x4circle.extent_lab import (
     gamma_binary_dihedral,
     regenerate,
     sample_quotient,
+    sample_round_two_sphere,
 )
-from x4circle.extent_lab.cover import _build_cover
+from x4circle.extent_lab import cover as cover_module
+from x4circle.extent_lab.cover import (
+    K_NEIGHBORS,
+    RADIUS_FACTOR,
+    _build_cover,
+    _cut_crossings,
+    _knn_edges,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +65,118 @@ def hopf_space():
 @pytest.fixture(scope="module")
 def hopf_high_base(hopf_space):
     return regenerate(hopf_space, 500)
+
+
+def knn_oracle(dist: np.ndarray, k: int = K_NEIGHBORS) -> np.ndarray:
+    """Neighbor graph built one row at a time: each node's k + 1 nearest
+    (itself included) plus every pair within RADIUS_FACTOR times the
+    median k-th neighbor distance, as sorted pairs u < v."""
+    n = len(dist)
+    pairs = set()
+    kth = []
+    for u in range(n):
+        order = np.argsort(dist[u])
+        kth.append(dist[u, order[k]])
+        pairs.update((min(u, v), max(u, v)) for v in order[: k + 1] if v != u)
+    radius = RADIUS_FACTOR * float(np.median(kth))
+    for u in range(n):
+        pairs.update((u, v) for v in range(u + 1, n) if dist[u, v] <= radius)
+    return np.array(sorted(pairs))
+
+
+def sphere_distances(samples: int, seed: int, squeeze: float) -> np.ndarray:
+    """Great-circle distances of random points on S^2, crowded toward the
+    north pole by mapping the polar angle t to pi * (t / pi) ** squeeze.
+    Uneven density leaves sparse nodes that only their k nearest reach."""
+    pts = sample_round_two_sphere(samples, seed=seed).points[:, :3]
+    polar = pi * (np.arccos(np.clip(pts[:, 2], -1.0, 1.0)) / pi) ** squeeze
+    azimuth = np.arctan2(pts[:, 1], pts[:, 0])
+    xyz = np.column_stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
+    )
+    gram = xyz @ xyz.T
+    dist = np.arccos(np.clip((gram + gram.T) / 2.0, -1.0, 1.0))
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+class TestNeighborGraph:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(50, 200),
+        squeeze=st.sampled_from([1.0, 2.0, 4.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_by_row_oracle(self, seed, samples, squeeze):
+        dist = sphere_distances(samples, seed, squeeze)
+        ordered = np.sort(dist, axis=1)
+        # the k + 1 nearest are unique only without a tie at the k-th place
+        assume(np.all(ordered[:, K_NEIGHBORS] < ordered[:, K_NEIGHBORS + 1]))
+        edges = _knn_edges(dist)
+        assert edges.ndim == 2 and edges.shape[1] == 2
+        assert np.all(edges[:, 0] < edges[:, 1])
+        assert len(np.unique(edges, axis=0)) == len(edges)
+        assert np.array_equal(edges, knn_oracle(dist))
+
+
+def cover_graph_oracle(space, branch) -> dict:
+    """Cover edges built one at a time, as {frozenset of cover rows: weight}.
+
+    Sheet 0 keeps the base rows, sheet 1 follows in base order, and the
+    branch points stay single; an edge switches sheets when it crosses the
+    cut, and each branch point is joined to every other node by its exact
+    base distance."""
+    d, n = space.dist, space.size
+    rows = list(range(n)) + [u for u in range(n) if u not in branch]
+    lift = {(u, int(row >= n)): row for row, u in enumerate(rows)}
+    lift.update({(b, 1): b for b in branch})
+    plain = [(u, v) for u, v in _knn_edges(d) if u not in branch and v not in branch]
+    eu = np.array([u for u, _ in plain])
+    ev = np.array([v for _, v in plain])
+    edges = {}
+    for (u, v), crosses in zip(plain, _cut_crossings(space, branch, eu, ev)):
+        for sheet in (0, 1):
+            edges[frozenset((lift[u, sheet], lift[v, sheet ^ int(crosses)]))] = d[u, v]
+    for b in branch:
+        for x in range(n):
+            if x != b:
+                for sheet in (0, 1):
+                    edges[frozenset((b, lift[x, sheet]))] = d[b, x]
+    return edges
+
+
+class TestCoverGraph:
+    @pytest.mark.parametrize("fixture, labels", [
+        ("dihedral_space", ("singular:0", "singular:1")),
+        ("hopf_space", ("z2=0", "z1=0")),  # antipodal: the cut uses a waypoint
+    ])
+    def test_matches_edge_by_edge_oracle(self, request, monkeypatch, fixture, labels):
+        space = request.getfixturevalue(fixture)
+        marks = {m.label: m.index for m in space.marked}
+        branch = (marks[labels[0]], marks[labels[1]])
+        graphs = []
+
+        def recording_dijkstra(csgraph, **kwargs):
+            graphs.append(csgraph)
+            return dijkstra(csgraph, **kwargs)
+
+        dijkstra = cover_module.dijkstra
+        monkeypatch.setattr(cover_module, "dijkstra", recording_dijkstra)
+        _build_cover(space, branch)
+        expected = cover_graph_oracle(space, branch)
+
+        (graph,) = graphs
+        assert graph.shape == (2 * space.size - 2,) * 2
+        # every edge is stored once in each direction, the b1-b2 edge included
+        assert graph.nnz == 2 * len(expected)
+        assert abs(graph - graph.T).max() == 0
+        coo = graph.tocoo()
+        found = {
+            frozenset((int(i), int(j))): w
+            for i, j, w in zip(coo.row, coo.col, coo.data)
+            if i < j
+        }
+        assert found == expected
 
 
 class TestSheetGluing:

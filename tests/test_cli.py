@@ -183,6 +183,25 @@ class TestReportEnvelope:
         assert code == 1
         assert "embeds command" in err
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("canon", {"invariants": ["0", "1/2"]}),
+            ("extent", {"action": {"weights": [1, 1]}, "q": 2}),
+        ],
+    )
+    @pytest.mark.parametrize("key", ["seed", "samples"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_envelope_boolean_options_rejected(
+        self, capsys, monkeypatch, command, payload, key, flag
+    ):
+        options = {"seed": 0, "samples": 50, key: flag}
+        envelope = {"command": command, "options": options, "payload": payload}
+        code, out, err = run_cli(capsys, monkeypatch, [command], envelope)
+        assert code == 1
+        assert out == ""
+        assert f"{key} must be" in err
+
     def test_payload_normalization(self, capsys, monkeypatch):
         _, out, _ = run_cli(
             capsys, monkeypatch, ["euler"], {"invariants": ["2/4", "-2/2"]}
