@@ -1,9 +1,10 @@
 """Survey extents across a family of circle-action quotients.
 
-Prints one row per action: the two-point and three-point extents, the
-diameter, and the margin against the pi/3 smallness bound.  The row set
-covers the weighted footballs, a few cyclic refinements, and the binary
-dihedral quotients whose covers the smallness battery exercises.
+Prints one row per action: the number of cone points, the three-point
+extent, the diameter (which is also the two-point extent), and the margin
+against the pi/3 smallness bound.  The row set covers the weighted
+footballs, a few cyclic refinements, and the binary dihedral quotients
+whose covers the smallness battery exercises.
 
 Usage:
     python3 scripts/extent_survey.py [--samples 400] [--seed 0]
@@ -40,7 +41,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    header = f"{'action':<16} {'cones':>5} {'xt2':>9} {'xt3':>9} {'diam':>9} {'margin':>9}"
+    header = f"{'action':<16} {'cones':>5} {'xt3':>9} {'diam':>9} {'margin':>9}"
     print(header)
     print("-" * len(header))
     for name, weights, gamma in SURVEY:
@@ -50,12 +51,11 @@ def main() -> None:
                 weights=weights, samples=args.samples, seed=args.seed, **kwargs
             )
         )
-        xt2 = extent(space, 2).value
         xt3 = extent(space, 3).value
         cones = len(space.finite_isotropy_marks())
         _, margin = is_small(xt3)
         print(
-            f"{name:<16} {cones:>5d} {xt2:>9.5f} {xt3:>9.5f} "
+            f"{name:<16} {cones:>5d} {xt3:>9.5f} "
             f"{space.diameter():>9.5f} {margin:>+9.5f}"
         )
     print(f"\nsmallness bound pi/3 = {pi / 3:.5f}; positive margin means small")

@@ -6,17 +6,26 @@ The quotient distance between samples x, y is
 
 so for each gamma we maximize f(theta) = Re(A e^{i p theta} + B e^{i q theta})
 with A = conj(u1) v1, B = conj(u2) v2 built from the complex coordinates of x
-and gamma y.  The maximum is located on a 256 * max(|p|, |q|) point grid and
-then polished by golden-section search to 1e-10 in theta.  Because f is a
-trigonometric polynomial of degree max(|p|, |q|) and |A| + |B| <= 1, the grid
-peak of any competing bump is within pi^2/(2*256^2) < 1e-4 of its true peak;
-refining every grid-local maximum within 5e-3 of the per-pair best therefore
-never misses the global optimum.
+and gamma y.
 
-One solver serves every caller: `golden_max` polishes whole arrays of
-brackets and returns the maximizing argument with its value, so the
-distance matrix, the aligned representatives of `align`, and the
-fixed-locus search in `spaces` all run the same loop.
+For unit weights (p, q in {1, -1}) the circle acts by one complex scalar,
+up to conjugating a coordinate, so f(theta) = Re(S e^{i theta}) with
+S = A' + B', where A' is A for p = 1 and conj(A) for p = -1 (B' likewise
+from B and q).  The maximum is |S| at theta = -arg S: the Fubini-Study
+distance on S^3/S^1 = S^2(1/2), computed in closed form.
+
+For every other pair of weights the maximum is located on a
+256 * max(|p|, |q|) point grid and then polished by golden-section search
+to 1e-10 in theta.  Because f is a trigonometric polynomial of degree
+max(|p|, |q|) and |A| + |B| <= 1, the grid peak of any competing bump is
+within pi^2/(2*256^2) < 1e-4 of its true peak; refining every grid-local
+maximum within 5e-3 of the per-pair best therefore never misses the global
+optimum.
+
+One golden-section solver serves every general-weight caller: `golden_max`
+polishes whole arrays of brackets and returns the maximizing argument with
+its value, so the distance matrix, the aligned representatives of `align`,
+and the fixed-locus search in `spaces` all run the same loop.
 
 All reductions are elementwise max/min, so results are bit-identical no
 matter how BLAS threads split the work.
@@ -108,9 +117,37 @@ class DistanceEngine:
         u1, u2 hold the complex coordinates of the rows; v1, v2 those of
         gamma_g applied to the columns, shape (|Gamma|, columns).  Returns
         the maximal <x, R(theta) gamma y> of each pair with the winning
-        gamma index and theta.  The winner is the best polished candidate;
-        the value also admits the grid maximum, whose cell is always among
-        the candidates.
+        gamma index and theta.
+        """
+        if self.max_weight == 1:
+            return self._closed_form_alignments(u1, u2, v1, v2)
+        return self._grid_alignments(u1, u2, v1, v2)
+
+    def _closed_form_alignments(self, u1, u2, v1, v2):
+        """Exact `_best_alignments` for unit weights: |S| at theta = -arg S."""
+        a1 = u1.conj()[:, None]
+        a2 = u2.conj()[:, None]
+        flat = len(u1) * v1.shape[1]
+        win_val = np.full(flat, -np.inf)
+        win_gamma = np.zeros(flat, dtype=int)
+        win_s = np.zeros(flat, dtype=complex)
+        for gi in range(len(self.gammas)):
+            av = (a1 * v1[gi][None, :]).reshape(flat)
+            bv = (a2 * v2[gi][None, :]).reshape(flat)
+            s = (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
+            value = np.abs(s)
+            # earlier gammas keep exact ties
+            wins = value > win_val
+            win_val[wins] = value[wins]
+            win_gamma[wins] = gi
+            win_s[wins] = s[wins]
+        return win_val, win_gamma, np.mod(-np.angle(win_s), 2.0 * pi)
+
+    def _grid_alignments(self, u1, u2, v1, v2):
+        """`_best_alignments` for any weights, by grid scan and golden polish.
+
+        The winner is the best polished candidate; the value also admits
+        the grid maximum, whose cell is always among the candidates.
         """
         a1 = u1.conj()[:, None]
         a2 = u2.conj()[:, None]

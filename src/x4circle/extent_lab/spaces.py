@@ -274,8 +274,20 @@ def sample_quotient(spec: IsometricActionSpec) -> SampledMetricSpace:
     a metric space before it is returned.
     """
     engine = DistanceEngine(spec.weights, spec.gamma)
-    random_points = _sphere_points(spec.samples, spec.seed)
     marked_reps, labels, isotropies = discover_marked(spec, engine)
+    return _quotient_space(spec, engine, marked_reps, labels, isotropies)
+
+
+def _quotient_space(
+    spec: IsometricActionSpec,
+    engine: DistanceEngine,
+    marked_reps: np.ndarray,
+    labels: list[str],
+    isotropies: list[int],
+) -> SampledMetricSpace:
+    """The validated quotient sample of spec with the given singular orbits
+    appended after its random points."""
+    random_points = _sphere_points(spec.samples, spec.seed)
     points = np.vstack([random_points, marked_reps])
     dist = engine.distance_matrix(points)
     marked = [
@@ -299,12 +311,21 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
     """Rebuild the same space at a different sampling resolution.
 
     The random draw extends the original Gaussian stream, so the first
-    min(N, N') random points of the two spaces agree exactly.
+    min(N, N') random points of the two spaces agree exactly.  A quotient
+    keeps the marked singular orbits of space: they depend only on the
+    action, not on the sampling, so they are not searched for again.
     """
     if space.kind == "quotient":
         if space.spec is None:
             raise ValueError("space carries no action spec to regenerate from")
-        return sample_quotient(space.spec.with_samples(samples))
+        spec = space.spec.with_samples(samples)
+        return _quotient_space(
+            spec,
+            DistanceEngine(spec.weights, spec.gamma),
+            space.points[[m.index for m in space.marked]],
+            [m.label for m in space.marked],
+            [m.isotropy for m in space.marked],
+        )
     if space.kind == "round-s2":
         return sample_round_two_sphere(samples, seed=space.seed)
     raise ValueError(f"cannot regenerate a space of kind {space.kind!r}")

@@ -2,9 +2,11 @@
 
 The free-action quotient of the unit 3-sphere by the diagonal circle is a
 round 2-sphere of radius 1/2, whose distances have the closed form
-arccos |<x, y>| in the complex inner product.  That formula is used here
-as an oracle only; the engine under test always takes the generic
-orbit-alignment scan path.
+arccos |<x, y>| in the complex inner product.  The engine computes unit
+weights in that closed form and every other weight pair by a grid scan
+with golden-section polish; the tests check each path against the other,
+against an independent theta scan built from the circle matrices, and
+against arccos |<x, y>| written out here.
 """
 
 from math import gcd, pi
@@ -18,6 +20,7 @@ from x4circle.extent_lab import (
     DistanceEngine,
     IsometricActionSpec,
     SMALL_BOUND,
+    check_condition_qprime,
     extent,
     gamma_binary_dihedral,
     gamma_cyclic,
@@ -32,6 +35,8 @@ from x4circle.extent_lab import (
     validate_metric,
     write_distance_matrix,
 )
+from x4circle.extent_lab import spaces
+from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.engine import golden_max
 
 
@@ -115,6 +120,35 @@ class TestSampling:
         assert np.array_equal(high.points[:60], low.points[:60])
         assert [m.label for m in high.marked] == [m.label for m in low.marked]
 
+    @pytest.mark.parametrize(
+        "weights, gamma",
+        [((1, 1), gamma_binary_dihedral(3)), ((1, 2), gamma_cyclic(3))],
+    )
+    def test_regenerate_equals_fresh_sample(self, weights, gamma):
+        spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=60, seed=5)
+        high = regenerate(sample_quotient(spec), 120)
+        fresh = sample_quotient(spec.with_samples(120))
+        assert np.array_equal(high.points, fresh.points)
+        assert np.array_equal(high.dist, fresh.dist)
+        assert high.marked == fresh.marked
+
+    def test_check_q_discovers_marks_once(self, monkeypatch):
+        # the singular orbits depend on the action only, so the 2N base
+        # reuses the marks of the N base
+        calls = []
+        original = spaces.discover_marked
+
+        def counting(spec, engine):
+            calls.append(spec.samples)
+            return original(spec, engine)
+
+        monkeypatch.setattr(spaces, "discover_marked", counting)
+        spec = IsometricActionSpec(
+            weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50, seed=0
+        )
+        check_condition_qprime(spec)
+        assert calls == [50]
+
     def test_quotient_distances_never_exceed_base(self):
         # projections are 1-Lipschitz: quotient distance <= spherical distance
         sp = sample_quotient(IsometricActionSpec(weights=(2, 3), samples=60, seed=4))
@@ -126,7 +160,11 @@ class TestSampling:
 class TestEngine:
     def test_alignment_realizes_distance(self):
         # Hopf/D3* contains -I = R(pi), so every pair has tied minimizers
-        for weights, gamma in (((1, 3), gamma_trivial()), ((1, 1), gamma_binary_dihedral(3))):
+        for weights, gamma in (
+            ((1, 3), gamma_trivial()),
+            ((1, 1), gamma_binary_dihedral(3)),
+            ((1, -1), gamma_cyclic(3)),
+        ):
             spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=50, seed=6)
             engine = DistanceEngine(spec.weights, spec.gamma)
             sp = sample_quotient(spec)
@@ -146,6 +184,73 @@ class TestEngine:
             IsometricActionSpec(weights=(1, 1), gamma=gamma_cyclic(3), samples=60, seed=3)
         )
         assert np.all(quot.dist <= base.dist + 1e-9)
+
+
+UNIT_WEIGHTS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+UNIT_GROUPS = {
+    "trivial": gamma_trivial(),
+    "cyclic:3": gamma_cyclic(3),
+    "binary-dihedral:2": gamma_binary_dihedral(2),
+    "binary-dihedral:3": gamma_binary_dihedral(3),
+}
+
+
+def unit_weight_inputs(weights, group, seed):
+    """An engine for the action and the complex parts of 30 random points,
+    as rows and as gamma-moved columns."""
+    engine = DistanceEngine(weights, UNIT_GROUPS[group])
+    pts = np.random.default_rng(seed).standard_normal((30, 4))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    u1, u2 = engine._complex_parts(pts)
+    v1, v2 = engine._transformed_parts(pts)
+    return engine, pts, (u1, u2, v1, v2)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_matches_grid_solver(self, weights, group):
+        engine, pts, parts = unit_weight_inputs(weights, group, seed=21)
+        closed, _, _ = engine._closed_form_alignments(*parts)
+        grid, _, _ = engine._grid_alignments(*parts)
+        others = ~np.eye(len(pts), dtype=bool).reshape(-1)
+        gap = np.arccos(np.clip(closed, -1, 1)) - np.arccos(np.clip(grid, -1, 1))
+        assert np.max(np.abs(gap[others])) <= 1e-12
+
+    @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_theta_scan_never_beats_it(self, weights, group):
+        engine, pts, parts = unit_weight_inputs(weights, group, seed=22)
+        value, gamma_idx, theta = engine._best_alignments(*parts)
+        value = value.reshape(len(pts), len(pts))
+        gamma_idx = gamma_idx.reshape(value.shape)
+        theta = theta.reshape(value.shape)
+        gammas = engine.gammas
+        rows = pts[:6]
+        scan = np.full((len(rows), len(pts)), -np.inf)
+        for t in np.linspace(0.0, 2.0 * pi, 1024, endpoint=False):
+            moved = np.einsum("gab,jb->gja", circle_matrix(*weights, t) @ gammas, pts)
+            scan = np.maximum(scan, np.einsum("ia,gja->gij", rows, moved).max(axis=0))
+        assert np.max(scan - value[: len(rows)]) <= 1e-15
+        for i, x in enumerate(rows):
+            for j, y in enumerate(pts):
+                move = circle_matrix(*weights, theta[i, j]) @ gammas[gamma_idx[i, j]]
+                assert x @ move @ y == pytest.approx(value[i, j], abs=1e-14)
+
+    def test_unit_weights_never_refine(self, monkeypatch):
+        def refuse(self, g0, g1, g2, g3, t_idx):
+            raise AssertionError("unit weights reached the grid solver")
+
+        monkeypatch.setattr(DistanceEngine, "_refine", refuse)
+        pts = np.random.default_rng(23).standard_normal((40, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        hopf = DistanceEngine((1, 1), gamma_binary_dihedral(3))
+        dist = hopf.distance_matrix(pts)
+        row, _ = hopf.align(pts[0], pts)
+        assert np.max(np.abs(row - dist[0])[1:]) <= 1e-12
+        # the patch is live: general weights still refine
+        with pytest.raises(AssertionError, match="grid solver"):
+            DistanceEngine((2, 3), gamma_trivial()).distance_matrix(pts)
 
 
 class TestGoldenMax:

@@ -37,7 +37,7 @@ def test_extent_survey(monkeypatch, capsys):
     rows = [line.split() for line in lines[2:] if line.strip()][: len(module.SURVEY)]
     assert [row[0] for row in rows] == [name for name, _, _ in module.SURVEY]
     for row in rows:
-        xt3, margin = float(row[3]), float(row[5])
+        xt3, margin = float(row[2]), float(row[4])
         assert margin == pytest.approx(SMALL_BOUND - xt3, abs=2e-5)
     assert lines[-1].startswith("smallness bound pi/3")
 
