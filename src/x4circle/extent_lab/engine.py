@@ -22,10 +22,12 @@ within pi^2/(2*256^2) < 1e-4 of its true peak; refining every grid-local
 maximum within 5e-3 of the per-pair best therefore never misses the global
 optimum.
 
-One golden-section solver serves every general-weight caller: `golden_max`
-polishes whole arrays of brackets and returns the maximizing argument with
-its value, so the distance matrix, the aligned representatives of `align`,
-and the fixed-locus search in `spaces` all run the same loop.
+One golden-section solver serves every caller: `golden_max` polishes whole
+arrays of brackets and returns the maximizing argument with its value, so
+the general-weight distance matrix, the aligned representatives of `align`,
+and the zeros of the fixed-locus function in `spaces` (maximizing -|g|) all
+run the same loop.  A flat pair, A = B = 0, makes f constant; it is answered
+from its grid value without refinement.
 
 All reductions are elementwise max/min, so results are bit-identical no
 matter how BLAS threads split the work.
@@ -33,6 +35,7 @@ matter how BLAS threads split the work.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import pi, sqrt
 
 import numpy as np
@@ -80,6 +83,16 @@ class DistanceEngine:
         self.trig[1] = np.sin(self.p * theta)
         self.trig[2] = np.cos(self.q * theta)
         self.trig[3] = np.sin(self.q * theta)
+
+    @cached_property
+    def _flat_theta(self) -> float:
+        """Where golden-section search on a constant f ends from the last
+        grid cell: the theta a flat pair's refined candidates tie on last."""
+        center = np.array([(self.grid_size - 1) * self.step])
+        _, theta = golden_max(
+            np.zeros_like, center - self.step, center + self.step, GOLDEN_ITERS
+        )
+        return float(theta[0])
 
     # -- helpers ---------------------------------------------------------
 
@@ -184,6 +197,10 @@ class DistanceEngine:
             g0, g1 = av.real, -av.imag
             g2, g3 = bv.real, -bv.imag
             g_rows = np.stack([g0, g1, g2, g3])
+            # a flat pair (A = B = 0) has f == 0 at every theta: instead of
+            # refining all its cells, it takes its grid value, 0, at the theta
+            # where polishing its last cell ends
+            constant = (av == 0) & (bv == 0)
             cand_t = []
             cand_f = []
             for t0 in range(0, m_grid, 64):
@@ -195,18 +212,24 @@ class DistanceEngine:
                     (mid >= f_block[:-2])
                     & (mid >= f_block[2:])
                     & (mid >= thresh[None, :])
+                    & ~constant[None, :]
                 )
                 tt, ff = np.nonzero(local)
                 if len(tt):
                     cand_t.append(tt + t0)
                     cand_f.append(ff)
-            if not cand_t:
+            flat_f = np.nonzero(constant & (thresh <= 0.0))[0]
+            f_idx = np.concatenate(cand_f + [flat_f])
+            if not len(f_idx):
                 continue
-            t_idx = np.concatenate(cand_t)
-            f_idx = np.concatenate(cand_f)
-            refined, theta = self._refine(
-                g0[f_idx], g1[f_idx], g2[f_idx], g3[f_idx], t_idx
-            )
+            refined = np.zeros(len(f_idx))
+            theta = np.full(len(f_idx), self._flat_theta)
+            if cand_t:
+                t_idx = np.concatenate(cand_t)
+                live = f_idx[: len(t_idx)]
+                refined[: len(t_idx)], theta[: len(t_idx)] = self._refine(
+                    g0[live], g1[live], g2[live], g3[live], t_idx
+                )
             top = np.full(flat, -np.inf)
             np.maximum.at(top, f_idx, refined)
             # earlier gammas keep exact ties

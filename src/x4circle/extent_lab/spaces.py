@@ -2,11 +2,11 @@
 
 sample_quotient draws N quasi-uniform seeded points on S^3, appends exact
 representatives of the singular orbits (the coordinate circles z2 = 0 and
-z1 = 0, plus every locus fixed by some R(theta) gamma), and evaluates the
-full quotient distance matrix with the orbit-distance engine.  Sampling at
-2N reuses the same Gaussian stream, so the first N random points of the
-finer space coincide with the coarser ones; the branched-cover certificate
-relies on that prefix property.
+z1 = 0, plus every isolated circle fixed by some R(theta) gamma), and
+evaluates the full quotient distance matrix with the orbit-distance
+engine.  Sampling at 2N reuses the same Gaussian stream, so the first N
+random points of the finer space coincide with the coarser ones; the
+branched-cover certificate relies on that prefix property.
 """
 
 from __future__ import annotations
@@ -126,15 +126,66 @@ def sample_round_two_sphere(samples: int, seed: int = 0) -> SampledMetricSpace:
 # -- singular-orbit discovery ---------------------------------------------
 
 
+def _hamilton(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Quaternion product xy in the basis (1, i, j, k)."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return np.array(
+        [
+            x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
+            x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2,
+            x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1,
+            x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0,
+        ]
+    )
+
+
+def _pair_basis() -> np.ndarray:
+    """basis[m, n] is the matrix of x -> e_m x conj(e_n), where a point
+    (z1, z2) is the quaternion z1 + z2 j and e = (1, i, j, k)."""
+    e = np.eye(4)
+    conj = np.array([1.0, -1.0, -1.0, -1.0])
+    basis = np.empty((4, 4, 4, 4))
+    for m in range(4):
+        for n in range(4):
+            for c in range(4):
+                basis[m, n, :, c] = _hamilton(_hamilton(e[m], e[c]), conj * e[n])
+    return basis
+
+
+_PAIR_BASIS = _pair_basis()
+
+
+def _quaternion_pair(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit quaternions (a, b) with gamma x = a x conj(b) for every gamma.
+
+    The 16 matrices of x -> e_m x conj(e_n) are orthogonal with squared
+    Frobenius norm 4, so the coefficients <gamma, .>/4 form the rank-one
+    matrix a b^T; a is its largest column normalized, and b = (a b^T)^T a.
+    The pair is unique up to a joint sign.
+    """
+    coef = np.einsum("mnab,gab->gmn", _PAIR_BASIS, gammas) / 4.0
+    col = np.argmax(np.linalg.norm(coef, axis=1), axis=1)
+    a = coef[np.arange(len(coef)), :, col]
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    return a, np.einsum("gmn,gm->gn", coef, a)
+
+
 def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     """Unit vectors spanning loci fixed by R(theta) gamma for some theta.
 
-    Scans the smallest singular value of R(theta) gamma - I over theta for
-    each gamma, polishes every detected valley at once with the engine's
-    golden-section solver (maximizing -sigma_min), and keeps genuine roots
-    whose fixed set is a circle (kernel elements fixing all of S^3 are
-    skipped; they contribute to isotropy normalization instead).  Roots
-    come in the order of spec.gamma, then of theta.
+    Writing gamma x = a x conj(b) for unit quaternions (a, b), R(theta) is
+    x -> e^{i psi} x e^{i chi} with psi = (p + q) theta / 2 and
+    chi = (p - q) theta / 2, so R(theta) gamma fixes a 2-plane exactly when
+    g(theta) = Re(e^{i psi} a) - Re(e^{-i chi} b) vanishes.  Away from
+    kernel elements its zeros are simple, so |g| has V-shaped valleys: it is
+    scanned over theta for each gamma and every detected valley is polished
+    at once with the engine's golden-section solver (maximizing -|g|).  Genuine roots whose fixed set is a circle are kept
+    (kernel elements fixing all of S^3 are skipped; they contribute to
+    isotropy normalization instead).  A mirror gamma, for which g vanishes
+    at every theta, fixes a 2-plane along the whole circle; it marks a
+    mirror curve rather than isolated orbits and is skipped.  Roots come in
+    the order of spec.gamma, then of theta.
     """
     p, q = spec.weights
     max_w = max(abs(p), abs(q))
@@ -142,38 +193,39 @@ def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     h = tau / k_grid
     eye = np.eye(4)
 
-    def sigma_min(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        rot = np.zeros((len(theta), 4, 4))
-        rot[:, 0, 0] = rot[:, 1, 1] = np.cos(p * theta)
-        rot[:, 1, 0] = np.sin(p * theta)
-        rot[:, 0, 1] = -rot[:, 1, 0]
-        rot[:, 2, 2] = rot[:, 3, 3] = np.cos(q * theta)
-        rot[:, 3, 2] = np.sin(q * theta)
-        rot[:, 2, 3] = -rot[:, 3, 2]
-        return np.linalg.svd(rot @ gamma - eye, compute_uv=False)[:, -1]
+    a, b = _quaternion_pair(spec.gamma)
+    coef = np.column_stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1]])
+    # sin(psi) vanishes when p + q = 0, and sin(chi) when p = q
+    live = np.array([True, p + q != 0, True, p != q])
+    mirror = np.all(np.abs(coef[:, live]) <= ROOT_TOL, axis=1)
+
+    def trig(theta: np.ndarray) -> np.ndarray:
+        psi = (p + q) * theta / 2
+        chi = (p - q) * theta / 2
+        return np.stack([np.cos(psi), -np.sin(psi), -np.cos(chi), -np.sin(chi)])
 
     thetas = np.arange(k_grid) * h
     detect = 8.0 * max_w * pi / k_grid + 1e-9
-    valleys = []
-    for gamma in spec.gamma:
-        sigma = sigma_min(thetas, gamma)
-        valley = (sigma <= np.roll(sigma, 1)) & (sigma <= np.roll(sigma, -1))
-        valleys.append(valley & (sigma < detect))
+    gap = np.abs(coef @ trig(thetas))
+    valleys = (gap <= np.roll(gap, 1, axis=1)) & (gap <= np.roll(gap, -1, axis=1))
+    valleys &= (gap < detect) & ~mirror[:, None]
     owner, t_idx = np.nonzero(valleys)
-    gammas = spec.gamma[owner]
     centers = thetas[t_idx]
-    neg_sigma, roots = golden_max(
-        lambda theta: -sigma_min(theta, gammas), centers - h, centers + h, 60
+    _, roots = golden_max(
+        lambda theta: -np.abs(np.einsum("kc,ck->k", coef[owner], trig(theta))),
+        centers - h,
+        centers + h,
+        60,
     )
 
     reps: list[np.ndarray] = []
-    for value, theta_star, gamma in zip(neg_sigma, roots, gammas):
-        if -value > ROOT_TOL:
-            continue
+    for theta_star, gamma in zip(roots, spec.gamma[owner]):
         fixed = circle_matrix(p, q, theta_star) @ gamma
         if np.max(np.abs(fixed - eye)) < 1e-6:
             continue  # kernel element: fixes everything
         _, svals, vt = np.linalg.svd(fixed - eye)
+        if svals[-1] > ROOT_TOL:
+            continue  # a shallow valley of |g|, not a zero
         if svals[-2] > 1e-5:
             continue  # isolated +1 eigenvector cannot happen in SO(4)
         rep = vt[-1]
@@ -232,8 +284,13 @@ def discover_marked(
     """Representatives, labels, and isotropy orders of the singular orbits.
 
     The coordinate circles are always marked first; loci fixed by nontrivial
-    joint rotations follow.  Representatives at quotient distance below 1e-6
-    are merged, keeping the earliest label.
+    joint rotations follow, found by `_theta_roots` from the quaternion pair
+    of each gamma.  Representatives at quotient distance below 1e-6 are
+    merged, keeping the earliest label.  A mirror element (gamma J gamma^T
+    = -J with R(theta) gamma fixing a 2-plane at every theta, such as
+    diag(1, -1, 1, -1)) contributes no root: its fixed loci sweep a mirror
+    curve of the quotient, not isolated singular orbits.  It still counts
+    in the isotropy orders of the marked points.
     """
     roots = _theta_roots(spec)
     reps = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])] + roots

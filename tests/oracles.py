@@ -1,16 +1,25 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own shortcuts: equivalence of
-invariant tuples is decided by a word search over the move generators, and
+invariant tuples is decided by a word search over the move generators,
 group orders come from Smith normal form of freshly assembled relation
-matrices rather than closed formulas.
+matrices rather than closed formulas, the singular orbits come from a
+smallest-singular-value scan rather than the quaternion pair of each group
+element, and quaternion products are written in the complex coordinates
+(z1, z2) <-> z1 + z2 j rather than through the basis (1, i, j, k).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import pi, tau
 
+import numpy as np
+
+from x4circle.extent_lab.actions import circle_matrix
+from x4circle.extent_lab.engine import golden_max
+from x4circle.extent_lab.spaces import ROOT_TOL
 from x4circle.invariants import InvariantTuple
 
 
@@ -72,3 +81,80 @@ def random_move_image(rng, t: InvariantTuple) -> InvariantTuple:
         else:
             out = apply_move(out, Translation(int(rng.integers(-3, 4))))
     return out
+
+
+def svd_theta_roots(spec) -> list[np.ndarray]:
+    """Fixed-locus representatives by a smallest-singular-value scan.
+
+    Scans sigma_min(R(theta) gamma - I) with a 4x4 SVD at 2048 * max|w|
+    values of theta for each gamma, polishes every valley with golden-section
+    search on -sigma_min, and keeps the roots whose fixed set is a circle,
+    in the order of spec.gamma, then of theta.  Mirror elements, fixing a
+    2-plane at every theta, would flood it with valleys; never pass one.
+    """
+    p, q = spec.weights
+    max_w = max(abs(p), abs(q))
+    k_grid = 2048 * max_w
+    h = tau / k_grid
+    eye = np.eye(4)
+
+    def sigma_min(theta, gamma):
+        rot = np.zeros((len(theta), 4, 4))
+        rot[:, 0, 0] = rot[:, 1, 1] = np.cos(p * theta)
+        rot[:, 1, 0] = np.sin(p * theta)
+        rot[:, 0, 1] = -rot[:, 1, 0]
+        rot[:, 2, 2] = rot[:, 3, 3] = np.cos(q * theta)
+        rot[:, 3, 2] = np.sin(q * theta)
+        rot[:, 2, 3] = -rot[:, 3, 2]
+        return np.linalg.svd(rot @ gamma - eye, compute_uv=False)[:, -1]
+
+    thetas = np.arange(k_grid) * h
+    detect = 8.0 * max_w * pi / k_grid + 1e-9
+    valleys = []
+    for gamma in spec.gamma:
+        sigma = sigma_min(thetas, gamma)
+        valley = (sigma <= np.roll(sigma, 1)) & (sigma <= np.roll(sigma, -1))
+        valleys.append(valley & (sigma < detect))
+    owner, t_idx = np.nonzero(valleys)
+    gammas = spec.gamma[owner]
+    centers = thetas[t_idx]
+    neg_sigma, roots = golden_max(
+        lambda theta: -sigma_min(theta, gammas), centers - h, centers + h, 60
+    )
+
+    reps = []
+    for value, theta_star, gamma in zip(neg_sigma, roots, gammas):
+        if -value > ROOT_TOL:
+            continue
+        fixed = circle_matrix(p, q, theta_star) @ gamma
+        if np.max(np.abs(fixed - eye)) < 1e-6:
+            continue
+        _, svals, vt = np.linalg.svd(fixed - eye)
+        if svals[-2] > 1e-5:
+            continue
+        rep = vt[-1]
+        lead = np.nonzero(np.abs(rep) > 1e-8)[0][0]
+        if rep[lead] < 0:
+            rep = -rep
+        reps.append(rep / np.linalg.norm(rep))
+    return reps
+
+
+def _complex_pair(x):
+    return complex(x[0], x[1]), complex(x[2], x[3])
+
+
+def quaternion_product(x, y) -> np.ndarray:
+    """xy for x = z1 + z2 j, y = w1 + w2 j, using j w = conj(w) j."""
+    z1, z2 = _complex_pair(x)
+    w1, w2 = _complex_pair(y)
+    u1 = z1 * w1 - z2 * w2.conjugate()
+    u2 = z1 * w2 + z2 * w1.conjugate()
+    return np.array([u1.real, u1.imag, u2.real, u2.imag])
+
+
+def two_sided_matrix(a, b) -> np.ndarray:
+    """The 4x4 matrix of x -> a x conj(b), column by column."""
+    b_bar = np.array([b[0], -b[1], -b[2], -b[3]])
+    columns = [quaternion_product(quaternion_product(a, e), b_bar) for e in np.eye(4)]
+    return np.column_stack(columns)

@@ -6,9 +6,14 @@ arccos |<x, y>| in the complex inner product.  The engine computes unit
 weights in that closed form and every other weight pair by a grid scan
 with golden-section polish; the tests check each path against the other,
 against an independent theta scan built from the circle matrices, and
-against arccos |<x, y>| written out here.
+against arccos |<x, y>| written out here.  The singular orbits found from
+the quaternion pair of each group element are checked against the
+smallest-singular-value scan in tests/oracles.py.
 """
 
+import io
+import json
+import sys
 from math import gcd, pi
 
 import numpy as np
@@ -16,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from x4circle import cli
 from x4circle.extent_lab import (
     DistanceEngine,
     IsometricActionSpec,
@@ -38,6 +44,8 @@ from x4circle.extent_lab import (
 from x4circle.extent_lab import spaces
 from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.engine import golden_max
+
+from oracles import svd_theta_roots, two_sided_matrix
 
 
 def hopf_distance(x, y):
@@ -186,6 +194,36 @@ class TestEngine:
         assert np.all(quot.dist <= base.dist + 1e-9)
 
 
+class TestFlatPairs:
+    # the coordinate circles z2 = 0 and z1 = 0 make a flat pair: A = B = 0,
+    # so f == 0 at every theta and every grid cell ties
+    def test_answered_as_refining_every_cell_would(self):
+        engine = DistanceEngine((2, 3), gamma_trivial())
+        zeros = np.zeros(engine.grid_size)
+        _, theta = engine._refine(zeros, zeros, zeros, zeros, np.arange(engine.grid_size))
+        x, y = np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0, 0.0]])
+        parts = engine._complex_parts(x) + engine._transformed_parts(y)
+        value, _, won = engine._grid_alignments(*parts)
+        # refining every cell ties them all, and the last candidate is kept
+        assert value[0] == 0.0 and won[0] == theta[-1]
+
+    def test_discover_marked_refines_no_flat_pair(self, monkeypatch):
+        candidates = []
+        refine = DistanceEngine._refine
+
+        def counting(self, g0, g1, g2, g3, t_idx):
+            candidates.append(len(t_idx))
+            return refine(self, g0, g1, g2, g3, t_idx)
+
+        monkeypatch.setattr(DistanceEngine, "_refine", counting)
+        spec = IsometricActionSpec(weights=(2, 3), samples=50)
+        reps, _, _ = spaces.discover_marked(spec, DistanceEngine(spec.weights, spec.gamma))
+        assert len(reps) == 2
+        # the 5 x 5 matrix of the coordinate circles and 3 roots held 9251
+        # candidates, 9216 of them from its 12 flat ordered pairs x 768 cells
+        assert sum(candidates) == 9251 - 9216
+
+
 UNIT_WEIGHTS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 UNIT_GROUPS = {
     "trivial": gamma_trivial(),
@@ -251,6 +289,122 @@ class TestClosedForm:
         # the patch is live: general weights still refine
         with pytest.raises(AssertionError, match="grid solver"):
             DistanceEngine((2, 3), gamma_trivial()).distance_matrix(pts)
+
+
+def lens_group(m, k):
+    """Z_m acting by (zeta z1, zeta^k z2).  Unlike the presets, its quaternion
+    pairs have a_1 != 0 and b_1 != 0, so both sine terms of g are exercised."""
+    out = np.zeros((m, 4, 4))
+    for j in range(m):
+        out[j] = circle_matrix(1, k, 2 * pi * j / m)
+    return out
+
+
+ORACLE_SPECS = {
+    f"{w}/{g}": (w, parse_gamma(g))
+    for w, g in [
+        ((1, 1), "trivial"),
+        ((1, 1), "cyclic:3"),
+        ((1, 1), "cyclic:4"),
+        ((1, 1), "binary-dihedral:2"),
+        ((1, 1), "binary-dihedral:3"),
+        ((1, 1), "binary-dihedral:5"),
+        ((1, -1), "cyclic:3"),
+        ((1, -1), "binary-dihedral:2"),
+        ((-1, 1), "cyclic:3"),
+        ((2, 3), "trivial"),
+        ((1, 2), "trivial"),
+        ((1, 2), "cyclic:3"),
+        ((1, 3), "trivial"),
+        ((3, 5), "cyclic:2"),
+        ((2, -3), "cyclic:5"),
+    ]
+}
+ORACLE_SPECS["(2, 3)/lens(5,2)"] = ((2, 3), lens_group(5, 2))
+ORACLE_SPECS["(1, 2)/lens(3,1)"] = ((1, 2), lens_group(3, 1))
+
+
+# conjugates both coordinates: det +1 and gamma J gamma^T = -J, so
+# R(theta) c fixes a 2-plane at every theta
+MIRROR = np.diag([1.0, -1.0, 1.0, -1.0])
+
+
+def random_rotation(seed):
+    """A random element of SO(4): QR of a seeded Gaussian, det fixed to +1."""
+    q_mat, r_mat = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+    q_mat = q_mat * np.sign(np.diag(r_mat))
+    if np.linalg.det(q_mat) < 0:
+        q_mat[:, 0] = -q_mat[:, 0]
+    return q_mat
+
+
+class TestSingularOrbits:
+    @pytest.mark.parametrize("name", ORACLE_SPECS)
+    def test_matches_svd_oracle(self, name, monkeypatch):
+        weights, gammas = ORACLE_SPECS[name]
+        spec = IsometricActionSpec(weights=weights, gamma=gammas, samples=50)
+        engine = DistanceEngine(spec.weights, spec.gamma)
+        roots = spaces._theta_roots(spec)
+        oracle = svd_theta_roots(spec)
+        assert len(roots) == len(oracle)
+        if roots:
+            # the fixed circles are orbits, so each root lies on its oracle's
+            dist = engine.distance_matrix(np.vstack([roots, oracle]))
+            assert np.max(np.diag(dist[: len(roots), len(roots) :])) <= 1e-12
+        reps, labels, isotropies = spaces.discover_marked(spec, engine)
+        monkeypatch.setattr(spaces, "_theta_roots", svd_theta_roots)
+        oracle_reps, oracle_labels, oracle_isotropies = spaces.discover_marked(spec, engine)
+        assert (labels, isotropies) == (oracle_labels, oracle_isotropies)
+        dist = engine.distance_matrix(np.vstack([reps, oracle_reps]))
+        assert np.max(np.diag(dist[: len(reps), len(reps) :])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "gammas",
+        [gamma_cyclic(m) for m in range(1, 7)]
+        + [gamma_binary_dihedral(m) for m in range(1, 6)],
+    )
+    def test_quaternion_pair_of_presets(self, gammas):
+        a, b = spaces._quaternion_pair(gammas)
+        for gamma, left, right in zip(gammas, a, b):
+            assert np.max(np.abs(two_sided_matrix(left, right) - gamma)) <= 1e-12
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_quaternion_pair_of_random_rotations(self, seed):
+        gamma = random_rotation(seed)
+        a, b = spaces._quaternion_pair(gamma[None])
+        assert np.max(np.abs(two_sided_matrix(a[0], b[0]) - gamma)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "weights, roots, isotropies",
+        [((1, 1), 0, [2, 2]), ((1, -1), 0, [2, 2]), ((2, 3), 3, [4, 6])],
+    )
+    def test_mirror_element_is_skipped(self, weights, roots, isotropies, capsys, monkeypatch):
+        gammas = [np.eye(4).tolist(), MIRROR.tolist()]
+        action = {"weights": list(weights), "gamma": {"matrices": gammas}}
+        spec = IsometricActionSpec(weights=weights, gamma=parse_gamma(action["gamma"]), samples=50)
+        # the roots of gamma = I only: the coordinate circles of R(theta)
+        assert len(spaces._theta_roots(spec)) == roots
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"action": action, "q": 3})))
+        assert cli.main(["extent", "--samples", "50"]) == 0
+        marked = json.loads(capsys.readouterr().out)["result"]["space"]["marked"]
+        assert [(m["label"], m["isotropy"]) for m in marked] == [
+            ("z2=0", isotropies[0]),
+            ("z1=0", isotropies[1]),
+        ]
+
+    def test_no_svd_over_the_theta_grid(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(spaces.np.linalg, "svd", recording)
+        spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
+        assert len(spaces._theta_roots(spec)) == 20
+        assert shapes and set(shapes) == {(4, 4)}
 
 
 class TestGoldenMax:
