@@ -30,8 +30,6 @@ from .seifert import (
 from .wcp import (
     QuotientDescriptor,
     WeightTriple,
-    sign_representatives,
-    sign_representatives_by_orientation,
     verify_kernel,
     weights_from_invariants,
 )

@@ -114,12 +114,16 @@ def parse_gamma(value) -> np.ndarray:
 def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     """Reject element lists that do not define a group extending the action.
 
-    Checks, in order: shape, orthogonality (1e-12), orientation preservation,
-    presence of the identity, distinctness, closure under composition, and
-    normalization of the circle (gamma J gamma^T = +-J).
+    Checks, in order: shape, finite entries, orthogonality (1e-12),
+    orientation preservation, presence of the identity, distinctness,
+    closure under composition, and normalization of the circle
+    (gamma J gamma^T = +-J).
     """
     if gammas.ndim != 3 or gammas.shape[1:] != (4, 4):
         raise ValueError("gamma must have shape (count, 4, 4)")
+    # NaN fails every comparison below, so it must be refused first
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError("gamma entries must be finite")
     g = len(gammas)
     if g == 0:
         raise ValueError("gamma must contain at least the identity")

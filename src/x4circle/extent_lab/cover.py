@@ -108,13 +108,14 @@ class CoverCertificate:
         return self.drift <= 2.0 * self.tol
 
 
-def _knn_edges(dist: np.ndarray, k: int = K_NEIGHBORS) -> np.ndarray:
-    """k-nearest-neighbor edges densified by a local connection radius.
+def _knn_edges(dist: np.ndarray) -> np.ndarray:
+    """K_NEIGHBORS-nearest-neighbor edges densified by a local connection
+    radius.
 
     Returns an (m, 2) array of index pairs u < v in lexicographic order.
     """
     n = len(dist)
-    take = min(k + 1, n)
+    take = min(K_NEIGHBORS + 1, n)
     nearest = np.argpartition(dist, take - 1, axis=1)[:, :take]
     kth = np.take_along_axis(dist, nearest, axis=1).max(axis=1)
     adjacent = dist <= RADIUS_FACTOR * float(np.median(kth))

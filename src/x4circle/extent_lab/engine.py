@@ -20,7 +20,8 @@ to 1e-10 in theta.  Because f is a trigonometric polynomial of degree
 max(|p|, |q|) and |A| + |B| <= 1, the grid peak of any competing bump is
 within pi^2/(2*256^2) < 1e-4 of its true peak; refining every grid-local
 maximum within 5e-3 of the per-pair best therefore never misses the global
-optimum.
+optimum.  The grid is scanned once: the same block products give the
+per-pair best and the grid-local maxima near it.
 
 One golden-section solver serves every caller: `golden_max` polishes whole
 arrays of brackets and returns the maximizing argument with its value, so
@@ -44,6 +45,7 @@ import numpy as np
 GRID_PER_WEIGHT = 256
 CANDIDATE_MARGIN = 5e-3
 GOLDEN_ITERS = 48
+ROW_CHUNK = 64  # distance-matrix rows aligned per batch
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
@@ -157,78 +159,69 @@ class DistanceEngine:
         return win_val, win_gamma, np.mod(-np.angle(win_s), 2.0 * pi)
 
     def _grid_alignments(self, u1, u2, v1, v2):
-        """`_best_alignments` for any weights, by grid scan and golden polish.
+        """`_best_alignments` for any weights, by one grid scan and golden polish.
 
-        The winner is the best polished candidate; the value also admits
-        the grid maximum, whose cell is always among the candidates.
+        Each product of a gamma's coefficients with a 64-cell block of the
+        grid (plus its two wrap-around neighbours) raises the per-pair grid
+        peak and yields the block's grid-local maxima within CANDIDATE_MARGIN
+        of the peak so far.  The peak only grows, so those cover every
+        candidate of the final margin, which is applied after the last gamma.
+        The winner is the best polished candidate; the value also admits the
+        grid maximum, whose cell is always among the candidates.
         """
         a1 = u1.conj()[:, None]
         a2 = u2.conj()[:, None]
         flat = len(u1) * v1.shape[1]
-        g_count = len(self.gammas)
         m_grid = self.grid_size
+        best = np.full(flat, -np.inf)
+        scans = []
 
-        coarse = np.empty((g_count, flat))
-        for gi in range(g_count):
+        for gi in range(len(self.gammas)):
             av = (a1 * v1[gi][None, :]).reshape(flat)
             bv = (a2 * v2[gi][None, :]).reshape(flat)
-            g_rows = np.empty((4, flat))
-            g_rows[0] = av.real
-            g_rows[1] = -av.imag
-            g_rows[2] = bv.real
-            g_rows[3] = -bv.imag
-            peak = np.full(flat, -np.inf)
+            g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
+            # a flat pair (A = B = 0) has f == 0 at every theta: instead of
+            # refining all its cells, it takes its grid value, 0, at the theta
+            # where polishing its last cell ends
+            constant = (av == 0) & (bv == 0)
+            cand_t, cand_f, cand_v = [], [], []
             for t0 in range(0, m_grid, 64):
-                f_block = self.trig[:, t0 : t0 + 64].T @ g_rows
-                np.maximum(peak, f_block.max(axis=0), out=peak)
-            coarse[gi] = peak
+                idx = np.arange(t0 - 1, t0 + 65) % m_grid
+                f_block = self.trig[:, idx].T @ g_rows
+                mid = f_block[1:-1]
+                np.maximum(best, mid.max(axis=0), out=best)
+                local = (
+                    (mid >= f_block[:-2])
+                    & (mid >= f_block[2:])
+                    & (mid >= best - CANDIDATE_MARGIN)
+                    & ~constant
+                )
+                tt, ff = np.nonzero(local)
+                cand_t.append(tt + t0)
+                cand_f.append(ff)
+                cand_v.append(mid[tt, ff])
+            f_idx = np.concatenate(cand_f)
+            scans.append((
+                np.concatenate(cand_t), f_idx, np.concatenate(cand_v),
+                g_rows[:, f_idx], np.nonzero(constant)[0],
+            ))
 
-        best = coarse.max(axis=0)
         thresh = best - CANDIDATE_MARGIN
         win_val = np.full(flat, -np.inf)
         win_gamma = np.zeros(flat, dtype=int)
         win_theta = np.zeros(flat)
 
-        for gi in range(g_count):
-            if not np.any(coarse[gi] >= thresh):
-                continue
-            av = (a1 * v1[gi][None, :]).reshape(flat)
-            bv = (a2 * v2[gi][None, :]).reshape(flat)
-            g0, g1 = av.real, -av.imag
-            g2, g3 = bv.real, -bv.imag
-            g_rows = np.stack([g0, g1, g2, g3])
-            # a flat pair (A = B = 0) has f == 0 at every theta: instead of
-            # refining all its cells, it takes its grid value, 0, at the theta
-            # where polishing its last cell ends
-            constant = (av == 0) & (bv == 0)
-            cand_t = []
-            cand_f = []
-            for t0 in range(0, m_grid, 64):
-                span = min(64, m_grid - t0)
-                idx = np.arange(t0 - 1, t0 + span + 1) % m_grid
-                f_block = self.trig[:, idx].T @ g_rows
-                mid = f_block[1:-1]
-                local = (
-                    (mid >= f_block[:-2])
-                    & (mid >= f_block[2:])
-                    & (mid >= thresh[None, :])
-                    & ~constant[None, :]
-                )
-                tt, ff = np.nonzero(local)
-                if len(tt):
-                    cand_t.append(tt + t0)
-                    cand_f.append(ff)
-            flat_f = np.nonzero(constant & (thresh <= 0.0))[0]
-            f_idx = np.concatenate(cand_f + [flat_f])
+        for gi, (t_idx, f_idx, grid_f, g_cand, flat_f) in enumerate(scans):
+            keep = grid_f >= thresh[f_idx]
+            t_idx = t_idx[keep]
+            f_idx = np.concatenate([f_idx[keep], flat_f[thresh[flat_f] <= 0.0]])
             if not len(f_idx):
                 continue
             refined = np.zeros(len(f_idx))
             theta = np.full(len(f_idx), self._flat_theta)
-            if cand_t:
-                t_idx = np.concatenate(cand_t)
-                live = f_idx[: len(t_idx)]
+            if len(t_idx):
                 refined[: len(t_idx)], theta[: len(t_idx)] = self._refine(
-                    g0[live], g1[live], g2[live], g3[live], t_idx
+                    *g_cand[:, keep], t_idx
                 )
             top = np.full(flat, -np.inf)
             np.maximum.at(top, f_idx, refined)
@@ -244,7 +237,7 @@ class DistanceEngine:
 
     # -- distance matrix --------------------------------------------------
 
-    def distance_matrix(self, points: np.ndarray, chunk: int = 64) -> np.ndarray:
+    def distance_matrix(self, points: np.ndarray) -> np.ndarray:
         """Symmetric quotient distance matrix over the given unit 4-vectors."""
         pts = np.asarray(points, dtype=float)
         n = len(pts)
@@ -252,8 +245,8 @@ class DistanceEngine:
         v1, v2 = self._transformed_parts(pts)
         out = np.empty((n, n))
 
-        for r0 in range(0, n, chunk):
-            r1 = min(r0 + chunk, n)
+        for r0 in range(0, n, ROW_CHUNK):
+            r1 = min(r0 + ROW_CHUNK, n)
             best, _, _ = self._best_alignments(
                 u1[r0:r1], u2[r0:r1], v1[:, r0:], v2[:, r0:]
             )

@@ -1,7 +1,7 @@
 """q-extents of sampled metric spaces.
 
 The q-extent is the maximum, over q-tuples of points (repetition allowed),
-of the average pairwise distance.  xt_2 is half-exact trivially (maximum
+of the average pairwise distance.  xt_2 is exact trivially (maximum
 entry); xt_3 is enumerated exactly up to 300 points and otherwise estimated
 by seeded exchange ascent from 64 random starts.  Everything is a
 deterministic function of the space and its seed.
@@ -10,6 +10,7 @@ deterministic function of the space and its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import pi
 
 import numpy as np
@@ -22,6 +23,14 @@ EXACT_LIMIT = 300
 RESTARTS = 64
 
 
+def _pairwise_mean(d: np.ndarray, idx) -> float:
+    """Mean of d over the pairs a < b of the index tuple, summed in order."""
+    pairs = list(combinations(idx, 2))
+    if not pairs:
+        return 0.0
+    return sum((d[a, b] for a, b in pairs), 0.0) / len(pairs)
+
+
 @dataclass
 class ExtentReport:
     q: int
@@ -32,14 +41,7 @@ class ExtentReport:
     sample_size: int
 
     def witness_average(self, space: SampledMetricSpace) -> float:
-        idx = self.witness
-        total = 0.0
-        pairs = 0
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                total += space.dist[idx[a], idx[b]]
-                pairs += 1
-        return total / pairs if pairs else 0.0
+        return _pairwise_mean(space.dist, self.witness)
 
 
 def _extent_two(space: SampledMetricSpace) -> ExtentReport:
@@ -97,22 +99,16 @@ def _ascend(d: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
                 if best != idx[pos]:
                     idx[pos] = best
                     improved = True
-    total = 0.0
-    for a in range(q):
-        for b in range(a + 1, q):
-            total += d[idx[a], idx[b]]
-    return total / (q * (q - 1) / 2), idx
+    return _pairwise_mean(d, idx), idx
 
 
-def _extent_heuristic(
-    space: SampledMetricSpace, q: int, restarts: int, seed: int
-) -> ExtentReport:
+def _extent_heuristic(space: SampledMetricSpace, q: int) -> ExtentReport:
     d = space.dist
     n = len(d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(space.seed + 7919 * q)
     best_val = -1.0
     best_idx = np.zeros(q, dtype=int)
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         start = rng.integers(0, n, size=q)
         val, idx = _ascend(d, start)
         if val > best_val + 1e-15:
@@ -124,32 +120,24 @@ def _extent_heuristic(
         value=float(best_val),
         witness=witness,
         method="heuristic",
-        restarts=restarts,
+        restarts=RESTARTS,
         sample_size=n,
     )
 
 
-def extent(
-    space: SampledMetricSpace,
-    q: int,
-    seed: int | None = None,
-    restarts: int = RESTARTS,
-    method: str | None = None,
-) -> ExtentReport:
+def extent(space: SampledMetricSpace, q: int, method: str | None = None) -> ExtentReport:
     """q-extent of a sampled space.
 
     q = 2 is the exact maximum distance.  q = 3 is enumerated exactly for up
-    to 300 points and estimated by seeded exchange ascent beyond; pass
-    method="heuristic" to force the ascent (used to certify it against the
-    exact value), or method="exact" to force enumeration.  q >= 4 always
-    uses the ascent.
+    to 300 points and estimated beyond by exchange ascent seeded from the
+    space's seed and q; pass method="heuristic" to force the ascent (used
+    to certify it against the exact value), or method="exact" to force
+    enumeration.  q >= 4 always uses the ascent.
     """
     if q < 2:
         raise ValueError("extent order q must be at least 2")
     if space.size == 0:
         raise ValueError("empty space")
-    if seed is None:
-        seed = space.seed + 7919 * q
     if q == 2 and method != "heuristic":
         return _extent_two(space)
     if q == 3 and method != "heuristic" and (
@@ -158,7 +146,7 @@ def extent(
         return _extent_three_exact(space)
     if method == "exact":
         raise ValueError("exact enumeration is only available for q in {2, 3}")
-    return _extent_heuristic(space, q, restarts, seed)
+    return _extent_heuristic(space, q)
 
 
 def is_small(xt3: float, tol: float = 0.02) -> tuple[bool, float]:

@@ -64,19 +64,22 @@ class SampledMetricSpace:
         return float(self.dist.max())
 
 
-def validate_metric(space: SampledMetricSpace, max_entry: float = pi) -> None:
-    """Enforce the metric invariants: symmetry, zero diagonal, entry range,
-    and the triangle inequality (full scan up to 300 points, a million
-    seeded random triples beyond)."""
+def validate_metric(space: SampledMetricSpace) -> None:
+    """Enforce the metric invariants: finite entries, symmetry, zero
+    diagonal, entries in [0, pi], and the triangle inequality (full scan up
+    to 300 points, a million seeded random triples beyond)."""
     d = space.dist
     n = len(d)
     if d.shape != (n, n) or n != len(space.points):
         raise MetricValidationError("distance matrix shape mismatch")
+    # NaN fails every comparison below, so it must be refused first
+    if not np.all(np.isfinite(d)):
+        raise MetricValidationError("distance matrix has non-finite entries")
     if np.max(np.abs(d - d.T)) > 0:
         raise MetricValidationError("distance matrix is not symmetric")
     if np.max(np.abs(np.diag(d))) > 0:
         raise MetricValidationError("distance matrix has a nonzero diagonal")
-    if d.min() < 0 or d.max() > max_entry + 1e-9:
+    if d.min() < 0 or d.max() > pi + 1e-9:
         raise MetricValidationError("distance entries out of range")
     if n <= FULL_CHECK_LIMIT:
         for i in range(n):
@@ -372,17 +375,16 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
     keeps the marked singular orbits of space: they depend only on the
     action, not on the sampling, so they are not searched for again.
     """
-    if space.kind == "quotient":
-        if space.spec is None:
-            raise ValueError("space carries no action spec to regenerate from")
-        spec = space.spec.with_samples(samples)
-        return _quotient_space(
-            spec,
-            DistanceEngine(spec.weights, spec.gamma),
-            space.points[[m.index for m in space.marked]],
-            [m.label for m in space.marked],
-            [m.isotropy for m in space.marked],
-        )
-    if space.kind == "round-s2":
-        return sample_round_two_sphere(samples, seed=space.seed)
-    raise ValueError(f"cannot regenerate a space of kind {space.kind!r}")
+    # a cover carries its base's spec, so the kind is checked first
+    if space.kind != "quotient":
+        raise ValueError(f"cannot regenerate a space of kind {space.kind!r}")
+    if space.spec is None:
+        raise ValueError("space carries no action spec to regenerate from")
+    spec = space.spec.with_samples(samples)
+    return _quotient_space(
+        spec,
+        DistanceEngine(spec.weights, spec.gamma),
+        space.points[[m.index for m in space.marked]],
+        [m.label for m in space.marked],
+        [m.isotropy for m in space.marked],
+    )

@@ -98,34 +98,3 @@ def verify_kernel(weights: WeightTriple, t: InvariantTuple) -> bool:
         sum(a * x for a, x in zip(alphas, w)) == 0
         and sum(b * x for b, x in zip(betas, w)) == 0
     )
-
-
-def sign_representatives(w: WeightTriple) -> frozenset[WeightTriple]:
-    """All eight sign-flip images {(+-a, +-b, +-c)} of a weight vector."""
-    out = set()
-    for sa in (1, -1):
-        for sb in (1, -1):
-            for sc in (1, -1):
-                out.add(WeightTriple(sa * w.a, sb * w.b, sc * w.c))
-    return frozenset(out)
-
-
-def sign_representatives_by_orientation(
-    w: WeightTriple,
-) -> tuple[frozenset[WeightTriple], frozenset[WeightTriple]]:
-    """The eight sign images split into orientation classes.
-
-    Flipping one weight is realized by conjugating one coordinate, which
-    reverses the induced orientation; so the class of an image is the parity
-    of the number of flipped signs.  The first set (even parity, including w
-    itself) carries the orientation of w, the second the reverse.  A global
-    flip has odd parity: (-a, -b, -c) represents the reversed orientation.
-    """
-    same, opposite = set(), set()
-    for sa in (1, -1):
-        for sb in (1, -1):
-            for sc in (1, -1):
-                image = WeightTriple(sa * w.a, sb * w.b, sc * w.c)
-                flips = (sa < 0) + (sb < 0) + (sc < 0)
-                (same if flips % 2 == 0 else opposite).add(image)
-    return frozenset(same), frozenset(opposite)

@@ -189,6 +189,15 @@ class TestSheetGluing:
         assert node_map[b1, 0] == node_map[b1, 1]
         assert node_map[b2, 0] == node_map[b2, 1]
 
+    def test_only_quotients_regenerate(self, dihedral_low_cover):
+        cover, _ = dihedral_low_cover
+        # the cover carries its base's spec, yet is no quotient to resample
+        assert cover.spec is not None
+        with pytest.raises(ValueError, match="double-cover"):
+            regenerate(cover, 600)
+        with pytest.raises(ValueError, match="round-s2"):
+            regenerate(sample_round_two_sphere(60, seed=1), 120)
+
     def test_branch_marks_stay_single(self, dihedral_low_cover):
         cover, _ = dihedral_low_cover
         labels = [m.label for m in cover.marked]

@@ -124,6 +124,18 @@ class TestExitCodes:
         assert out == ""
         assert "ConvergenceError" in err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("weights", [[1, 1], [2, 3]])
+    def test_non_finite_gamma_exits_one(self, capsys, monkeypatch, weights, bad):
+        eye = [[float(i == j) for j in range(4)] for i in range(4)]
+        spoiled = [row[:] for row in eye]
+        spoiled[3][3] = bad
+        payload = {"action": {"weights": weights, "gamma": {"matrices": [eye, spoiled]}}, "q": 3}
+        code, out, err = run_cli(capsys, monkeypatch, ["extent", "--samples", "50"], payload)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err and "Traceback" not in err
+
     def test_exception_mapping(self):
         from x4circle.extent_lab import ConvergenceError, GraphDisconnectedError
 

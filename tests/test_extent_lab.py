@@ -88,6 +88,14 @@ class TestActionSpec:
         with pytest.raises(ValueError):
             validate_gamma(gamma_cyclic(3)[:2], 1, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gamma_validation_rejects_non_finite(self, bad):
+        # NaN fails every tolerance comparison, so it needs its own check
+        gammas = np.stack([np.eye(4), np.eye(4)])
+        gammas[1, 3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            validate_gamma(gammas, 2, 3)
+
 
 class TestSampling:
     def test_round_sphere_metric(self):
@@ -95,6 +103,13 @@ class TestSampling:
         assert sp.size == 120
         assert sp.diameter() <= pi + 1e-12
         validate_metric(sp)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_metric_validation_rejects_non_finite(self, bad):
+        sp = sample_round_two_sphere(60, seed=1)
+        sp.dist[3, 7] = sp.dist[7, 3] = bad
+        with pytest.raises(spaces.MetricValidationError, match="finite"):
+            validate_metric(sp)
 
     def test_hopf_quotient_against_closed_form(self):
         sp = sample_quotient(IsometricActionSpec(weights=(1, 1), samples=60, seed=11))
@@ -233,10 +248,28 @@ UNIT_GROUPS = {
 }
 
 
-def unit_weight_inputs(weights, group, seed):
+def check_against_theta_scan(engine, pts, alignments, steps, tol, value_tol):
+    """No theta of an independent scan over circle_matrix beats the
+    alignments of the first 6 rows by more than tol, and each returned
+    (gamma, theta) realizes its value to value_tol."""
+    value, gamma_idx, theta = (a.reshape(len(pts), len(pts)) for a in alignments)
+    weights, gammas = (engine.p, engine.q), engine.gammas
+    rows = pts[:6]
+    scan = np.full((len(rows), len(pts)), -np.inf)
+    for t in np.linspace(0.0, 2.0 * pi, steps, endpoint=False):
+        moved = np.einsum("gab,jb->gja", circle_matrix(*weights, t) @ gammas, pts)
+        scan = np.maximum(scan, np.einsum("ia,gja->gij", rows, moved).max(axis=0))
+    assert np.max(scan - value[: len(rows)]) <= tol
+    for i, x in enumerate(rows):
+        for j, y in enumerate(pts):
+            move = circle_matrix(*weights, theta[i, j]) @ gammas[gamma_idx[i, j]]
+            assert x @ move @ y == pytest.approx(value[i, j], abs=value_tol)
+
+
+def engine_inputs(weights, gammas, seed):
     """An engine for the action and the complex parts of 30 random points,
     as rows and as gamma-moved columns."""
-    engine = DistanceEngine(weights, UNIT_GROUPS[group])
+    engine = DistanceEngine(weights, gammas)
     pts = np.random.default_rng(seed).standard_normal((30, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     u1, u2 = engine._complex_parts(pts)
@@ -248,7 +281,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
     def test_matches_grid_solver(self, weights, group):
-        engine, pts, parts = unit_weight_inputs(weights, group, seed=21)
+        engine, pts, parts = engine_inputs(weights, UNIT_GROUPS[group], seed=21)
         closed, _, _ = engine._closed_form_alignments(*parts)
         grid, _, _ = engine._grid_alignments(*parts)
         others = ~np.eye(len(pts), dtype=bool).reshape(-1)
@@ -258,22 +291,10 @@ class TestClosedForm:
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
     def test_theta_scan_never_beats_it(self, weights, group):
-        engine, pts, parts = unit_weight_inputs(weights, group, seed=22)
-        value, gamma_idx, theta = engine._best_alignments(*parts)
-        value = value.reshape(len(pts), len(pts))
-        gamma_idx = gamma_idx.reshape(value.shape)
-        theta = theta.reshape(value.shape)
-        gammas = engine.gammas
-        rows = pts[:6]
-        scan = np.full((len(rows), len(pts)), -np.inf)
-        for t in np.linspace(0.0, 2.0 * pi, 1024, endpoint=False):
-            moved = np.einsum("gab,jb->gja", circle_matrix(*weights, t) @ gammas, pts)
-            scan = np.maximum(scan, np.einsum("ia,gja->gij", rows, moved).max(axis=0))
-        assert np.max(scan - value[: len(rows)]) <= 1e-15
-        for i, x in enumerate(rows):
-            for j, y in enumerate(pts):
-                move = circle_matrix(*weights, theta[i, j]) @ gammas[gamma_idx[i, j]]
-                assert x @ move @ y == pytest.approx(value[i, j], abs=1e-14)
+        engine, pts, parts = engine_inputs(weights, UNIT_GROUPS[group], seed=22)
+        check_against_theta_scan(
+            engine, pts, engine._best_alignments(*parts), 1024, tol=1e-15, value_tol=1e-14
+        )
 
     def test_unit_weights_never_refine(self, monkeypatch):
         def refuse(self, g0, g1, g2, g3, t_idx):
@@ -322,6 +343,25 @@ ORACLE_SPECS = {
 }
 ORACLE_SPECS["(2, 3)/lens(5,2)"] = ((2, 3), lens_group(5, 2))
 ORACLE_SPECS["(1, 2)/lens(3,1)"] = ((1, 2), lens_group(3, 1))
+
+
+class TestGridSolver:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "(2, 3)/trivial",
+            "(1, 2)/cyclic:3",
+            "(3, 5)/cyclic:2",
+            "(2, -3)/cyclic:5",
+            "(2, 3)/lens(5,2)",
+            "(1, 2)/lens(3,1)",
+        ],
+    )
+    def test_theta_scan_never_beats_it(self, name):
+        engine, pts, parts = engine_inputs(*ORACLE_SPECS[name], seed=24)
+        check_against_theta_scan(
+            engine, pts, engine._grid_alignments(*parts), 4096, tol=1e-12, value_tol=1e-12
+        )
 
 
 # conjugates both coordinates: det +1 and gamma J gamma^T = -J, so

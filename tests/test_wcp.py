@@ -12,8 +12,6 @@ from x4circle.invariants import InvariantTuple
 from x4circle.wcp import (
     QuotientDescriptor,
     WeightTriple,
-    sign_representatives,
-    sign_representatives_by_orientation,
     verify_kernel,
     weights_from_invariants,
 )
@@ -96,21 +94,3 @@ class TestWeights:
     def test_verify_kernel_rejects_wrong_vector(self):
         t = InvariantTuple(["0", "-1/2", "1/2"])
         assert not verify_kernel(WeightTriple(4, -1, 1), t)
-
-
-class TestSignRepresentatives:
-    def test_eight_images(self):
-        reps = sign_representatives(WeightTriple(4, -1, -1))
-        assert len(reps) == 8
-        assert WeightTriple(4, -1, -1) in reps
-        assert WeightTriple(-4, 1, 1) in reps
-
-    def test_orientation_split(self):
-        w = WeightTriple(4, -1, -1)
-        same, opposite = sign_representatives_by_orientation(w)
-        assert len(same) == 4 and len(opposite) == 4
-        assert same | opposite == sign_representatives(w)
-        assert not same & opposite
-        assert w in same
-        assert WeightTriple(-4, 1, 1) in opposite  # global flip reverses orientation
-        assert WeightTriple(4, 1, 1) in same  # two flips preserve it
