@@ -5,8 +5,10 @@ invariant tuples is decided by a word search over the move generators,
 group orders come from Smith normal form of freshly assembled relation
 matrices rather than closed formulas, the singular orbits come from a
 smallest-singular-value scan rather than the quaternion pair of each group
-element, and quaternion products are written in the complex coordinates
-(z1, z2) <-> z1 + z2 j rather than through the basis (1, i, j, k).
+element, quaternion products are written in the complex coordinates
+(z1, z2) <-> z1 + z2 j rather than through the basis (1, i, j, k), and the
+exact three-point extent is a row-by-row brute force rather than a
+branch-and-bound search over cells.
 """
 
 from __future__ import annotations
@@ -158,3 +160,27 @@ def two_sided_matrix(a, b) -> np.ndarray:
     b_bar = np.array([b[0], -b[1], -b[2], -b[3]])
     columns = [quaternion_product(quaternion_product(a, e), b_bar) for e in np.eye(4)]
     return np.column_stack(columns)
+
+
+def brute_force_extent_three(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """Exact xt_3 of a distance matrix by n passes over an n x n array.
+
+    Row i averages ((d[i, j] + d[i, k]) + d[j, k]) / 3 over j, k >= i and
+    takes the first maximum in row-major order, and a later row wins only
+    when strictly larger: the witness is the lexicographically smallest
+    sorted triple of the largest value.
+    """
+    n = len(d)
+    best_val = -1.0
+    best = (0, 0, 0)
+    for i in range(n):
+        row = d[i]
+        avg = (row[:, None] + row[None, :] + d) / 3.0
+        sub = avg[i:, i:]
+        flat = int(np.argmax(np.triu(sub)))
+        j_off, k_off = divmod(flat, len(sub))
+        val = float(sub[j_off, k_off])
+        if val > best_val:
+            best_val = val
+            best = (i, i + j_off, i + k_off)
+    return best_val, best

@@ -8,7 +8,8 @@ with golden-section polish; the tests check each path against the other,
 against an independent theta scan built from the circle matrices, and
 against arccos |<x, y>| written out here.  The singular orbits found from
 the quaternion pair of each group element are checked against the
-smallest-singular-value scan in tests/oracles.py.
+smallest-singular-value scan in tests/oracles.py, and the exact
+three-point extent against the brute force there.
 """
 
 import io
@@ -18,7 +19,7 @@ from math import gcd, pi
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from x4circle import cli
@@ -41,11 +42,12 @@ from x4circle.extent_lab import (
     validate_metric,
     write_distance_matrix,
 )
-from x4circle.extent_lab import spaces
+from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.engine import golden_max
+from x4circle.extent_lab.spaces import SampledMetricSpace
 
-from oracles import svd_theta_roots, two_sided_matrix
+from oracles import brute_force_extent_three, svd_theta_roots, two_sided_matrix
 
 
 def hopf_distance(x, y):
@@ -523,6 +525,30 @@ class TestExtents:
         assert a.method == "heuristic"
         assert a.value == b.value and a.witness == b.witness
 
+    @pytest.mark.parametrize("q, method", [(3, "exacct"), (2, "bogus"), (4, "nonsense")])
+    def test_unknown_method_rejected(self, q, method):
+        sp = sample_round_two_sphere(60, seed=1)
+        with pytest.raises(ValueError, match="unknown extent method"):
+            extent(sp, q, method=method)
+
+    # the three of 24 heuristic reports (seeds 0-11) whose ascent-order sum
+    # differed from the witness average in the last ulp
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sample_round_two_sphere(320, seed=2),
+            lambda: sample_round_two_sphere(320, seed=10),
+            lambda: sample_quotient(IsometricActionSpec(weights=(1, 2), samples=310, seed=1)),
+        ],
+        ids=["round-s2-seed2", "round-s2-seed10", "weights12-seed1"],
+    )
+    def test_heuristic_value_is_witness_average(self, build):
+        sp = build()
+        report = extent(sp, 3)
+        assert report.method == "heuristic"
+        assert report.value == report.witness_average(sp)
+        assert type(report.value) is float
+
     def test_hopf_is_small(self):
         sp = sample_quotient(IsometricActionSpec(weights=(1, 1), samples=150, seed=1))
         xt3 = extent(sp, 3).value
@@ -532,6 +558,114 @@ class TestExtents:
         # the verdict allows xt3 up to pi/3 + tol, the margin does not
         assert is_small(SMALL_BOUND + 0.05, tol=0.05)[0]
         assert not is_small(SMALL_BOUND + 0.0501, tol=0.05)[0]
+
+
+def matrix_space(d) -> SampledMetricSpace:
+    d = np.asarray(d, dtype=float)
+    return SampledMetricSpace(points=np.zeros((len(d), 4)), dist=d, marked=[])
+
+
+def symmetric_from(upper, n):
+    """Symmetric n x n matrix with zero diagonal from n(n-1)/2 entries."""
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    return d + d.T
+
+
+@st.composite
+def distance_matrices(draw):
+    """Metric, symmetric non-metric, and tie-heavy matrices.
+
+    Tie-heavy matrices repeat points of a smaller base matrix at distance 0,
+    so the farthest-point traversal can run out of points before it has
+    made all its cells.  Their entries are
+    integers, whose sums are exact, or tenths, whose sums round differently
+    in different orders ((0.1 + 0.2) + 0.3 != (0.1 + 0.3) + 0.2): a block
+    that sums a triple in another order than the brute force can rank two
+    triples the other way round.
+    """
+    kind = draw(st.sampled_from(["metric", "symmetric", "integer", "tenths"]))
+    n = draw(st.integers(1, 36))
+    if kind == "metric":
+        coords = draw(st.lists(st.floats(-4, 4), min_size=2 * n, max_size=2 * n))
+        x = np.reshape(coords, (n, 2))
+        return np.linalg.norm(x[:, None] - x[None, :], axis=2)
+    if kind == "symmetric":
+        size = n * (n - 1) // 2
+        return symmetric_from(draw(st.lists(st.floats(0, 3), min_size=size, max_size=size)), n)
+    values = [0, 1, 2, 3] if kind == "integer" else [0.1, 0.2, 0.3]
+    base_n = draw(st.integers(1, n))
+    size = base_n * (base_n - 1) // 2
+    base = symmetric_from(
+        draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)), base_n
+    )
+    idx = draw(st.lists(st.integers(0, base_n - 1), min_size=n, max_size=n))
+    return base[np.ix_(idx, idx)]
+
+
+class TestExactExtent:
+    """The cell branch-and-bound xt_3 against the brute force in oracles.py."""
+
+    # without the rounding slack, the search ranks (1, 2, 3) above the
+    # brute force's (1, 1, 2) here: both average 0.19999999999999998
+    @settings(max_examples=400, deadline=None)
+    @given(distance_matrices())
+    @example(symmetric_from([0.1, 0.1, 0.1, 0.3, 0.2, 0.1], 4))
+    def test_matches_brute_force(self, d):
+        report = extent(matrix_space(d), 3, method="exact")
+        assert (report.value, report.witness) == brute_force_extent_three(d)
+        assert report.witness == tuple(sorted(report.witness))
+
+    @pytest.mark.parametrize(
+        "d, witness",
+        [
+            ([[0.0]], (0, 0, 0)),
+            ([[0.0, 1.0], [1.0, 0.0]], (0, 0, 1)),
+            ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], (0, 0, 2)),
+        ],
+    )
+    def test_tiny_spaces_repeat_an_index(self, d, witness):
+        report = extent(matrix_space(d), 3)
+        assert report.witness == witness
+        assert (report.value, report.witness) == brute_force_extent_three(np.array(d))
+
+    @staticmethod
+    def count_blocks(monkeypatch):
+        """Count the point triples summed, and the largest broadcast block."""
+        stats = {"triples": 0, "largest": 0}
+        block_sums = extents._block_sums
+
+        def counting(d, i, j, k):
+            size = len(i) * len(j) * len(k)
+            stats["triples"] += size
+            stats["largest"] = max(stats["largest"], size)
+            return block_sums(d, i, j, k)
+
+        monkeypatch.setattr(extents, "_block_sums", counting)
+        return stats
+
+    def test_prunes_hopf_base(self, monkeypatch):
+        sp = sample_quotient(
+            IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=200, seed=0)
+        )
+        stats = self.count_blocks(monkeypatch)
+        report = extent(sp, 3)
+        n = sp.size
+        assert report.method == "exact"
+        assert 0 < stats["triples"] < 0.01 * n * (n + 1) * (n + 2) / 6
+
+    def test_forced_exact_above_limit(self, monkeypatch):
+        sp = sample_quotient(
+            IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=800, seed=0)
+        )
+        assert sp.size > extents.EXACT_LIMIT
+        heuristic = extent(sp, 3)
+        stats = self.count_blocks(monkeypatch)
+        exact = extent(sp, 3, method="exact")
+        assert heuristic.method == "heuristic" and exact.method == "exact"
+        assert exact.value == heuristic.value
+        assert 0 < stats["largest"] <= extents.BLOCK
+        assert stats["triples"] < 0.01 * sp.size ** 3 / 6
 
 
 class TestMatrixIO:
