@@ -5,7 +5,8 @@ counts, takes the double cover branched over two of its cone points at
 each rung, and reports how the certified statistics (diameter and
 three-point extent of the cover) drift between consecutive rungs.  The
 drift column is the evidence that the glued metric is converging rather
-than depending on the mesh.
+than depending on the mesh.  A rung whose drift exceeds 2 * tol prints its
+failed certificate as a FAIL row, and the script then exits 1.
 
 With --export DIR the cover distance matrix at each rung is written in
 the binary matrix format next to a small JSON sidecar with the
@@ -21,6 +22,7 @@ import json
 import pathlib
 
 from x4circle.extent_lab import (
+    ConvergenceError,
     IsometricActionSpec,
     double_branched_cover,
     gamma_binary_dihedral,
@@ -34,7 +36,7 @@ def branch_pair(space, labels=("singular:0", "singular:1")):
     return marks[labels[0]], marks[labels[1]]
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ladder", default="150,300,600")
     parser.add_argument("--seed", type=int, default=42)
@@ -49,17 +51,20 @@ def main() -> None:
     header = f"{'N':>6} {'diam':>9} {'xt3':>9} {'drift':>9} {'cert':>6}"
     print(header)
     print("-" * len(header))
+    failures = 0
     for n in ladder:
         spec = IsometricActionSpec(weights=(1, 1), gamma=gamma, samples=n, seed=args.seed)
         base = sample_quotient(spec)
-        cover = double_branched_cover(base, branch_pair(base), tol=args.tol)
-        cert = cover.certificate
-        xt3 = cert.xt3_high
+        try:
+            cover, cert = double_branched_cover(base, branch_pair(base), tol=args.tol)
+        except ConvergenceError as exc:
+            cover, cert = None, exc.certificate
+            failures += 1
         print(
-            f"{n:>6d} {cover.diameter():>9.5f} {xt3:>9.5f} "
+            f"{n:>6d} {cert.diameter_high:>9.5f} {cert.xt3_high:>9.5f} "
             f"{cert.drift:>9.6f} {'ok' if cert.passed else 'FAIL':>6}"
         )
-        if args.export is not None:
+        if args.export is not None and cover is not None:
             args.export.mkdir(parents=True, exist_ok=True)
             stem = args.export / f"cover_m{args.m}_n{n}_s{args.seed}"
             write_distance_matrix(stem.with_suffix(".x4ext1"), cover.dist)
@@ -69,12 +74,13 @@ def main() -> None:
                 "m": args.m,
                 "drift": cert.drift,
                 "passed": cert.passed,
-                "diameter": cover.diameter(),
-                "xt3": xt3,
+                "diameter": cert.diameter_high,
+                "xt3": cert.xt3_high,
             }
             stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
             print(f"       wrote {stem}.x4ext1")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -5,6 +5,9 @@ and diameter, checks three-point extents of the quotient and of every
 double branched cover over a pair of cone points, and prints a verdict
 line.  With --json each full report is dumped as one JSON object per
 line, suitable for jq or for archiving alongside the sampled matrices.
+An action whose cover certificate fails (drift above 2 * tol) gets a FAIL
+line with the drift, or an object with an "error" string under --json, and
+the battery goes on with the next action; any failure makes the exit code 1.
 
 Usage:
     python3 scripts/qprime_battery.py [--samples 220] [--seed 5] [--tol 0.02] [--json]
@@ -15,6 +18,7 @@ import json
 import sys
 
 from x4circle.extent_lab import (
+    ConvergenceError,
     IsometricActionSpec,
     check_condition_qprime,
     gamma_binary_dihedral,
@@ -46,7 +50,15 @@ def main() -> int:
         spec = IsometricActionSpec(
             weights=weights, samples=args.samples, seed=args.seed, **kwargs
         )
-        report = check_condition_qprime(spec, tol=args.tol)
+        try:
+            report = check_condition_qprime(spec, tol=args.tol)
+        except ConvergenceError as exc:
+            failures += 1
+            if args.json:
+                sys.stdout.write(dumps_canonical({"name": name, "error": str(exc)}))
+            else:
+                print(f"{name:<12} cover drift={exc.certificate.drift:.6f} FAIL")
+            continue
         if args.json:
             payload = {"name": name, "report": encode_qprime_report(report)}
             sys.stdout.write(dumps_canonical(payload))

@@ -4,7 +4,6 @@ orbit-graph classification, and a sampled-quotient extent laboratory."""
 from .invariants import (
     EquivalenceMove,
     InvariantTuple,
-    Rational,
     Reversal,
     Rotation,
     Translation,

@@ -18,7 +18,14 @@ from math import gcd
 from typing import Optional, Union
 
 from .invariants import InvariantTuple, is_realizable
-from .seifert import BoundaryLabel, BoundaryRecognition, GroupPresentation, SeifertPresentation, recognize_boundary
+from .seifert import (
+    BoundaryLabel,
+    BoundaryRecognition,
+    GroupPresentation,
+    SeifertPresentation,
+    check_word_letters,
+    recognize_boundary,
+)
 from .wcp import QuotientDescriptor, weights_from_invariants
 
 
@@ -277,6 +284,7 @@ class LoopSpurGroup:
 
 def _loop_spur_presentation(k: int, beta: int) -> GroupPresentation:
     """Presentation of the orbifold group: < q1, h | [h, q1], q1^k h^-1, h^beta >."""
+    check_word_letters(4 + (k + 1) + abs(beta))
     h_word = (2,) * beta if beta >= 0 else (-2,) * (-beta)
     return GroupPresentation(
         generators=("q1", "h"),

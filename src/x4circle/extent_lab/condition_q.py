@@ -10,7 +10,7 @@ visible in the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import pi
 
@@ -31,10 +31,10 @@ class CheckItem:
 
 @dataclass
 class ConditionQPrimeReport:
-    checks: list[CheckItem] = field(default_factory=list)
-    cone_points: int = 0
-    diameter: float = 0.0
-    tol: float = 0.02
+    checks: list[CheckItem]
+    cone_points: int
+    diameter: float
+    tol: float
 
     @property
     def all_passed(self) -> bool:
@@ -45,15 +45,19 @@ def check_condition_qprime(
     target: IsometricActionSpec | SampledMetricSpace,
     tol: float = 0.02,
 ) -> ConditionQPrimeReport:
-    """Run the full smallness battery on an action spec or a sampled space."""
+    """Run the full smallness battery on an action spec or a sampled space.
+
+    Covers need the quotient's action spec to resample at twice the
+    resolution, so any other space with two or more cone points raises
+    ValueError.
+    """
     if isinstance(target, IsometricActionSpec):
         space = sample_quotient(target)
     else:
         space = target
-    report = ConditionQPrimeReport(tol=tol)
 
     small, margin = is_small(extent(space, 3).value, tol)
-    report.checks.append(
+    checks = [
         CheckItem(
             name="quotient-small",
             applicable=True,
@@ -61,19 +65,18 @@ def check_condition_qprime(
             margin=margin,
             details=f"xt3 = {SMALL_BOUND - margin:.6f}",
         )
-    )
+    ]
 
     finite = space.finite_isotropy_marks()
-    report.cone_points = len(finite)
     high_base = None
-    if len(finite) >= 2 and space.kind == "quotient":
+    if len(finite) >= 2:
         high_base = regenerate(space, 2 * space.requested_samples)
     for a, b in combinations(finite, 2):
-        cover = double_branched_cover(
+        _, certificate = double_branched_cover(
             space, (a.index, b.index), tol=tol, high_base=high_base
         )
-        c_small, c_margin = is_small(cover.certificate.xt3_high, tol)
-        report.checks.append(
+        c_small, c_margin = is_small(certificate.xt3_high, tol)
+        checks.append(
             CheckItem(
                 name=f"cover-small:{a.label}|{b.label}",
                 applicable=True,
@@ -81,20 +84,22 @@ def check_condition_qprime(
                 margin=c_margin,
                 details=(
                     f"xt3 = {SMALL_BOUND - c_margin:.6f}, drift = "
-                    f"{cover.certificate.drift:.6f}"
+                    f"{certificate.drift:.6f}"
                 ),
             )
         )
 
-    report.diameter = space.diameter()
+    diameter = space.diameter()
     three = len(finite) == 3
-    report.checks.append(
+    checks.append(
         CheckItem(
             name="three-cone-diameter",
             applicable=three,
-            passed=(report.diameter <= pi / 4.0 + tol) if three else True,
-            margin=pi / 4.0 - report.diameter,
-            details=f"diameter = {report.diameter:.6f}",
+            passed=(diameter <= pi / 4.0 + tol) if three else True,
+            margin=pi / 4.0 - diameter,
+            details=f"diameter = {diameter:.6f}",
         )
     )
-    return report
+    return ConditionQPrimeReport(
+        checks=checks, cone_points=len(finite), diameter=diameter, tol=tol
+    )

@@ -82,10 +82,6 @@ class GraphDisconnectedError(ValueError):
     """The neighbor graph does not connect the sampled quotient."""
 
 
-class ConvergenceError(RuntimeError):
-    """The two-resolution cover certificate failed."""
-
-
 @dataclass
 class CoverCertificate:
     samples_low: int
@@ -106,6 +102,18 @@ class CoverCertificate:
     @property
     def passed(self) -> bool:
         return self.drift <= 2.0 * self.tol
+
+
+class ConvergenceError(RuntimeError):
+    """The two-resolution cover certificate failed; `certificate` holds it."""
+
+    def __init__(self, certificate: CoverCertificate):
+        super().__init__(
+            f"cover drift {certificate.drift:.6f} exceeds 2*tol = "
+            f"{2 * certificate.tol:.6f} between resolutions {certificate.samples_low} "
+            f"and {certificate.samples_high}"
+        )
+        self.certificate = certificate
 
 
 def _knn_edges(dist: np.ndarray) -> np.ndarray:
@@ -306,7 +314,6 @@ def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
         kind="double-cover",
         seed=space.seed,
         requested_samples=space.requested_samples,
-        spec=space.spec,
     )
     validate_metric(cover)
     return cover, node_map
@@ -317,13 +324,14 @@ def double_branched_cover(
     branch: tuple[int, int],
     tol: float = 0.02,
     high_base: SampledMetricSpace | None = None,
-) -> SampledMetricSpace:
+) -> tuple[SampledMetricSpace, CoverCertificate]:
     """Double cover of the sampled quotient branched over two marked points.
 
-    Returns the cover rebuilt at twice the requested resolution, carrying a
-    CoverCertificate with the observed drift between the two resolutions.
-    Raises ConvergenceError when the drift exceeds 2 * tol, and ValueError
-    when the branch indices are not distinct marked points.
+    Returns (cover, certificate): the cover rebuilt at twice the requested
+    resolution, and the CoverCertificate with the observed drift between the
+    two resolutions.  Raises ConvergenceError, carrying the failed
+    certificate, when the drift exceeds 2 * tol, and ValueError when the
+    branch indices are not distinct marked points.
     """
     marked_indices = [m.index for m in space.marked]
     b1, b2 = int(branch[0]), int(branch[1])
@@ -353,10 +361,5 @@ def double_branched_cover(
         tol=tol,
     )
     if not certificate.passed:
-        raise ConvergenceError(
-            f"cover drift {certificate.drift:.6f} exceeds 2*tol = "
-            f"{2 * tol:.6f} between resolutions {certificate.samples_low} "
-            f"and {certificate.samples_high}"
-        )
-    high_cover.certificate = certificate
-    return high_cover
+        raise ConvergenceError(certificate)
+    return high_cover, certificate

@@ -51,7 +51,6 @@ class SampledMetricSpace:
     seed: int = 0
     requested_samples: int = 0
     spec: IsometricActionSpec | None = None
-    certificate: object | None = None
 
     @property
     def size(self) -> int:
@@ -374,12 +373,12 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
     min(N, N') random points of the two spaces agree exactly.  A quotient
     keeps the marked singular orbits of space: they depend only on the
     action, not on the sampling, so they are not searched for again.
+    Only quotients carry an action spec; any other space raises ValueError.
     """
-    # a cover carries its base's spec, so the kind is checked first
-    if space.kind != "quotient":
-        raise ValueError(f"cannot regenerate a space of kind {space.kind!r}")
     if space.spec is None:
-        raise ValueError("space carries no action spec to regenerate from")
+        raise ValueError(
+            f"cannot regenerate a space of kind {space.kind!r} without an action spec"
+        )
     spec = space.spec.with_samples(samples)
     return _quotient_space(
         spec,

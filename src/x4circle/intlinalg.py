@@ -1,10 +1,12 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Provides the Smith normal form with unimodular transform matrices, integer
-kernels, and abelian-group invariants of integer relation matrices.  All
-arithmetic uses Python ints, so there is no overflow at any matrix size
-used here (the matrices are tiny: relation matrices of small group
-presentations and 2x3 weight matrices).
+Provides the invariant factors of an integer matrix (the diagonal of its
+Smith normal form, without the unimodular transforms) and the
+abelian-group invariants of integer relation matrices.  All arithmetic
+uses Python ints, so nothing overflows.  The reduction runs modulo a
+nonzero minor of maximal order, found by fraction-free elimination, so
+every entry stays below that minor; the matrices are small (relation
+matrices of group presentations and 2x3 weight matrices).
 """
 
 from __future__ import annotations
@@ -16,186 +18,101 @@ from math import gcd
 Matrix = list[list[int]]
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _rank_and_minor(rows: Matrix, cols: int) -> tuple[int, int]:
+    """Rank r of the matrix and |det| of one nonsingular r x r submatrix.
 
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            if ai[k]:
-                bk = b[k]
-                oi = out[i]
-                f = ai[k]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
-    return out
-
-
-def det(a: Matrix) -> int:
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """D = U @ A @ V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0."""
-
-    diag: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
-
-
-def smith_normal_form(a: Matrix) -> SmithForm:
-    """Smith normal form with transforms.
-
-    Row and column operations are accumulated into unimodular U (rows) and
-    V (columns) so that U A V is diagonal with each diagonal entry dividing
-    the next.  Diagonal entries are normalized nonnegative.
+    Fraction-free (Bareiss) elimination: every intermediate entry is a
+    minor of the input, so no entry outgrows the Hadamard bound.  The
+    empty or zero matrix has rank 0 and minor 1.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [row[:] for row in a]
-    u = identity(rows)
-    v = identity(cols)
+    m = [row[:] for row in rows]
+    rank, prev = 0, 1
+    for c in range(cols):
+        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        pivot = m[rank]
+        for i in range(rank + 1, len(m)):
+            row = m[i]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * pivot[c] - row[c] * pivot[j]) // prev
+            row[c] = 0
+        prev = pivot[c]
+        rank += 1
+    return rank, abs(prev)
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+
+def smith_normal_form(a: Matrix) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form: d1 | d2 | ... >= 0.
+
+    Returns the min(rows, cols) invariant factors of the matrix, nonzero
+    ones first.  With r the rank and N a nonzero r x r minor, every
+    nonzero factor divides N, so the row lattice L may be enlarged to
+    L + N Z^cols: its quotient is the sum of Z/d_k (k <= r) and cols - r
+    copies of Z/N, from which the d_k are read off.  That lets the row
+    and column reduction run modulo N, so no entry grows past N; reducing
+    over the integers instead lets entries grow doubly exponentially in
+    the number of pivot changes (thousands of digits on 7 x 4 inputs).
+    """
+    cols = len(a[0]) if a else 0
+    nonzero = [row for row in a if any(row)]
+    rank, modulus = _rank_and_minor(nonzero, cols)
+    m = [[x % modulus for x in row] for row in nonzero]
+    rows = len(m)
 
     def swap_cols(i, j):
         for row in m:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, f):
         # dst += f * src
-        m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
+        m[dst] = [(x + f * y) % modulus for x, y in zip(m[dst], m[src])]
 
     def add_col(src, dst, f):
         for row in m:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
+            row[dst] = (row[dst] + f * row[src]) % modulus
 
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
     limit = min(rows, cols)
-    while t < limit:
-        # find pivot with minimal nonzero absolute value in the remaining block
+    factors = [modulus] * cols
+    for t in range(limit):
+        # pivot with minimal nonzero residue in the remaining block
         pivot = None
         for i in range(t, rows):
             for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                if m[i][j] and (pivot is None or m[i][j] < m[pivot[0]][pivot[1]]):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        m[t], m[pivot[0]] = m[pivot[0]], m[t]
         swap_cols(t, pivot[1])
-        # clear the pivot row and column; restart if a remainder shrinks the pivot
+        # clear the pivot column, then the pivot row; a nonzero remainder
+        # (smaller than the pivot) becomes the pivot and restarts the sweep
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    add_row(t, i, -q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
+                if m[i][t]:
+                    add_row(t, i, -(m[i][t] // m[t][t]))
+                    if m[i][t]:
+                        m[t], m[i] = m[i], m[t]
                         dirty = True
+            if dirty:
+                continue
             for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    add_col(t, j, -q)
-                    if m[t][j] != 0:
+                if m[t][j]:
+                    add_col(t, j, -(m[t][j] // m[t][t]))
+                    if m[t][j]:
                         swap_cols(t, j)
                         dirty = True
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
+        factors[t] = gcd(m[t][t], modulus)
 
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit - 1):
-            d1, d2 = m[i][i], m[i + 1][i + 1]
-            if d2 % (d1 if d1 else 1) != 0 or (d1 == 0 and d2 != 0):
-                # fold d2 into position i via gcd, pushing lcm to i+1
-                add_col(i + 1, i, 1)
-                dirty = True
-                while dirty:
-                    dirty = False
-                    if m[i + 1][i] != 0:
-                        q = m[i + 1][i] // m[i][i] if m[i][i] else 0
-                        if m[i][i]:
-                            add_row(i, i + 1, -q)
-                        if m[i + 1][i] != 0:
-                            swap_rows(i, i + 1)
-                            dirty = True
-                    if m[i][i + 1] != 0:
-                        q = m[i][i + 1] // m[i][i] if m[i][i] else 0
-                        if m[i][i]:
-                            add_col(i, i + 1, -q)
-                        if m[i][i + 1] != 0:
-                            swap_cols(i, i + 1)
-                            dirty = True
-                if m[i][i] < 0:
-                    negate_row(i)
-                if m[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-
-    diag = tuple(m[i][i] for i in range(limit))
-    return SmithForm(
-        diag=diag,
-        left=tuple(tuple(row) for row in u),
-        right=tuple(tuple(row) for row in v),
-    )
-
-
-def integer_kernel(a: Matrix) -> list[list[int]]:
-    """Basis of the integer kernel {x : A x = 0}, as a list of column vectors."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
-    snf = smith_normal_form(a)
-    v = [list(row) for row in snf.right]
-    basis = []
-    for j in range(cols):
-        d = snf.diag[j] if j < len(snf.diag) else 0
-        if d == 0:
-            basis.append([v[i][j] for i in range(cols)])
-    return basis
+    # Z/a + Z/b = Z/gcd + Z/lcm: fold the cyclic orders into a chain
+    for i in range(cols):
+        for j in range(i + 1, cols):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return tuple(factors[:rank]) + (0,) * (min(len(a), cols) - rank)
 
 
 def primitive(vec: list[int]) -> list[int]:
@@ -240,8 +157,7 @@ def abelian_invariants(relations: Matrix, generators: int) -> AbelianInvariants:
         return AbelianInvariants(torsion=(), free_rank=generators)
     if any(len(row) != generators for row in relations):
         raise ValueError("relation rows must have one entry per generator")
-    snf = smith_normal_form(relations)
-    nonzero = [d for d in snf.diag if d != 0]
+    nonzero = [d for d in smith_normal_form(relations) if d != 0]
     rank = len(nonzero)
     torsion = tuple(d for d in nonzero if d > 1)
     return AbelianInvariants(torsion=torsion, free_rank=generators - rank)

@@ -22,9 +22,6 @@ from math import floor
 from typing import Iterable, Union
 
 
-Rational = Fraction
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""
     return Fraction(text.strip())

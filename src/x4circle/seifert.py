@@ -21,6 +21,20 @@ from .intlinalg import AbelianInvariants, abelian_invariants
 
 INFINITE = inf
 
+# relator words are tuples of letters, so a fiber (a, b) spells out a + |b|
+# of them; presentations longer than this in total are refused before any
+# word is built
+MAX_WORD_LETTERS = 10**6
+
+
+def check_word_letters(letters: int) -> None:
+    """Raise ValueError when a presentation needs more than MAX_WORD_LETTERS letters."""
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(
+            f"presentation needs {letters} relator letters, more than "
+            f"MAX_WORD_LETTERS = {MAX_WORD_LETTERS}"
+        )
+
 
 @dataclass(frozen=True)
 class SeifertPresentation:
@@ -122,9 +136,11 @@ def fundamental_group(p: SeifertPresentation) -> GroupPresentation:
 
       < q1, ..., qn, h | [q_i, h] = 1,  q_i^{a_i} h^{b_i} = 1,  q1...qn = 1 >
 
-    Exactly n + 1 generators and 2n + 1 relators, in that order.
+    Exactly n + 1 generators and 2n + 1 relators, in that order.  Raises
+    ValueError when the relators would exceed MAX_WORD_LETTERS letters.
     """
     n = len(p.fibers)
+    check_word_letters(5 * n + sum(a + abs(b) for a, b in p.fibers))
     gens = tuple(f"q{i + 1}" for i in range(n)) + ("h",)
     h = n + 1
     relators = []

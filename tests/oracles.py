@@ -6,16 +6,20 @@ group orders come from Smith normal form of freshly assembled relation
 matrices rather than closed formulas, the singular orbits come from a
 smallest-singular-value scan rather than the quaternion pair of each group
 element, quaternion products are written in the complex coordinates
-(z1, z2) <-> z1 + z2 j rather than through the basis (1, i, j, k), and the
+(z1, z2) <-> z1 + z2 j rather than through the basis (1, i, j, k), the
 exact three-point extent is a row-by-row brute force rather than a
-branch-and-bound search over cells.
+branch-and-bound search over cells, the Smith diagonal comes from
+determinantal divisors (gcds of minors) rather than row and column
+reduction, and kernels come from Gauss-Jordan elimination over the
+rationals rather than from integer arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import pi, tau
+from itertools import combinations
+from math import gcd, lcm, pi, tau
 
 import numpy as np
 
@@ -184,3 +188,78 @@ def brute_force_extent_three(d: np.ndarray) -> tuple[float, tuple[int, int, int]
             best_val = val
             best = (i, i + j_off, i + k_off)
     return best_val, best
+
+
+def det(a: list[list[int]]) -> int:
+    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def determinantal_divisor_diagonal(a: list[list[int]]) -> tuple[int, ...]:
+    """Smith diagonal d_k = D_k / D_(k-1), where D_k is the gcd of all k x k
+    minors (D_0 = 1); d_k = 0 once D_k vanishes."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    diag = []
+    prev = 1
+    for k in range(1, min(rows, cols) + 1):
+        divisor = 0
+        for r in combinations(range(rows), k):
+            for c in combinations(range(cols), k):
+                divisor = gcd(divisor, det([[a[i][j] for j in c] for i in r]))
+        diag.append(divisor // prev if divisor else 0)
+        prev = divisor
+    return tuple(diag)
+
+
+def rational_nullspace(a: list[list[int]]) -> list[list[int]]:
+    """Basis of {x : A x = 0} by Gauss-Jordan elimination over the rationals.
+
+    One vector per non-pivot column, scaled to a primitive integer vector.
+    """
+    m = [[Fraction(x) for x in row] for row in a]
+    cols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -m[i][free]
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis

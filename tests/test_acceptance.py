@@ -287,13 +287,12 @@ def test_criterion_10_branched_cover_sanity():
     base_distance = space.dist[branch[0], branch[1]]
 
     start = time.monotonic()
-    cover = double_branched_cover(space, branch, tol=0.02)
+    cover, cert = double_branched_cover(space, branch, tol=0.02)
     elapsed = time.monotonic() - start
 
     labels = {m.label: m.index for m in cover.marked}
     lifted = cover.dist[labels["z2=0+0"], labels["z1=0+0"]]
     lift_error = abs(lifted - base_distance)
-    cert = cover.certificate
     ok = lift_error <= 1e-6 and cert.passed and elapsed < 120.0
     emit(
         10,

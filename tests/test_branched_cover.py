@@ -67,6 +67,19 @@ def hopf_high_base(hopf_space):
     return regenerate(hopf_space, 500)
 
 
+@pytest.fixture(scope="module")
+def hopf_antipodal_branch(hopf_space):
+    marks = {m.label: m.index for m in hopf_space.marked}
+    return marks["z2=0"], marks["z1=0"]
+
+
+@pytest.fixture(scope="module")
+def hopf_antipodal_cover(hopf_space, hopf_antipodal_branch, hopf_high_base):
+    return double_branched_cover(
+        hopf_space, hopf_antipodal_branch, tol=0.02, high_base=hopf_high_base
+    )
+
+
 def knn_oracle(dist: np.ndarray, k: int = K_NEIGHBORS) -> np.ndarray:
     """Neighbor graph built one row at a time: each node's k + 1 nearest
     (itself included) plus every pair within RADIUS_FACTOR times the
@@ -191,8 +204,8 @@ class TestSheetGluing:
 
     def test_only_quotients_regenerate(self, dihedral_low_cover):
         cover, _ = dihedral_low_cover
-        # the cover carries its base's spec, yet is no quotient to resample
-        assert cover.spec is not None
+        # only a quotient carries the action spec that resampling needs
+        assert cover.spec is None
         with pytest.raises(ValueError, match="double-cover"):
             regenerate(cover, 600)
         with pytest.raises(ValueError, match="round-s2"):
@@ -254,9 +267,8 @@ class TestSheetGluing:
 
 class TestCertifiedCover:
     def test_football_cover(self, dihedral_space, dihedral_branch):
-        cover = double_branched_cover(dihedral_space, dihedral_branch, tol=0.02)
-        cert = cover.certificate
-        assert cert is not None and cert.passed
+        cover, cert = double_branched_cover(dihedral_space, dihedral_branch, tol=0.02)
+        assert cert.passed
         assert cert.samples_low == 300 and cert.samples_high == 600
 
         # lifted branch separation equals the base separation exactly
@@ -268,15 +280,14 @@ class TestCertifiedCover:
         assert extent(cover, 3).value == pytest.approx(pi / 3, abs=0.01)
         assert cover.diameter() <= pi / 2 + 0.01
 
-    def test_antipodal_branch_waypoint_route(self, hopf_space, hopf_high_base):
-        marks = {m.label: m.index for m in hopf_space.marked}
-        branch = (marks["z2=0"], marks["z1=0"])
+    def test_antipodal_branch_waypoint_route(
+        self, hopf_space, hopf_antipodal_branch, hopf_antipodal_cover
+    ):
+        branch = hopf_antipodal_branch
         assert hopf_space.dist[branch[0], branch[1]] == pytest.approx(pi / 2, abs=1e-9)
 
-        cover = double_branched_cover(
-            hopf_space, branch, tol=0.02, high_base=hopf_high_base
-        )
-        assert cover.certificate.passed
+        cover, cert = hopf_antipodal_cover
+        assert cert.passed
         labels = {m.label: m.index for m in cover.marked}
         lifted = cover.dist[labels["z2=0+0"], labels["z1=0+0"]]
         assert lifted == pytest.approx(pi / 2, abs=1e-6)
@@ -284,15 +295,22 @@ class TestCertifiedCover:
         assert extent(cover, 3).value == pytest.approx(pi / 2, abs=0.05)
         assert cover.diameter() == pytest.approx(pi / 2, abs=0.03)
 
+    def test_certificate_describes_returned_cover(self, hopf_antipodal_cover):
+        # the high-resolution statistics are those of the cover handed back
+        cover, cert = hopf_antipodal_cover
+        assert cert.xt3_high == extent(cover, 3).value
+        assert cert.diameter_high == cover.diameter()
+        assert cert.samples_high == cover.requested_samples == 500
+
     def test_star_riding_statistics_have_zero_drift(self, hopf_space, hopf_high_base):
         # both certified statistics pass through the branch locus on exact
         # edges, so the certificate is immune even to an absurd tolerance
         marks = {m.label: m.index for m in hopf_space.marked}
         branch = (marks["z2=0"], marks["z1=0"])
-        cover = double_branched_cover(
+        _, cert = double_branched_cover(
             hopf_space, branch, tol=1e-12, high_base=hopf_high_base
         )
-        assert cover.certificate.drift <= 2e-12
+        assert cert.drift <= 2e-12
 
     def test_drift_gate_raises(self, hopf_space):
         # a high base drawn from a different stream has slightly different
@@ -300,8 +318,12 @@ class TestCertifiedCover:
         marks = {m.label: m.index for m in hopf_space.marked}
         branch = (marks["z2=0"], marks["z1=0"])
         other = sample_quotient(IsometricActionSpec(weights=(1, 1), samples=500, seed=8))
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as exc:
             double_branched_cover(hopf_space, branch, tol=1e-12, high_base=other)
+        cert = exc.value.certificate
+        assert not cert.passed
+        assert (cert.samples_low, cert.samples_high) == (250, 500)
+        assert f"cover drift {cert.drift:.6f}" in str(exc.value)
 
     def test_certificate_gate(self):
         from x4circle.extent_lab import CoverCertificate
@@ -317,6 +339,11 @@ class TestCertifiedCover:
         )
         assert cert.drift == pytest.approx(0.1)
         assert not cert.passed
+        exc = ConvergenceError(cert)
+        assert exc.certificate is cert
+        assert str(exc) == (
+            "cover drift 0.100000 exceeds 2*tol = 0.040000 between resolutions 300 and 600"
+        )
 
     def test_branch_validation(self, dihedral_space, dihedral_branch):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from x4circle.classifier import (
     virtual_edge_completion,
 )
 from x4circle.invariants import InvariantTuple
-from x4circle.seifert import BoundaryLabel
+from x4circle.seifert import MAX_WORD_LETTERS, BoundaryLabel
 
 
 def graph(n, *edges, **kw):
@@ -179,6 +179,17 @@ class TestLoopSpurGroup:
             loop_and_spur_pi1(2, (0, 1))
         with pytest.raises(ValueError):
             loop_and_spur_pi1(2, (6, 3))
+
+    def test_word_budget(self):
+        # q1^k h^-1 and h^beta are counted, 7 + |beta| letters with the
+        # commutator, before any word is spelled out
+        beta = 4611686018427387907
+        with pytest.raises(ValueError, match=f"needs {beta + 7} relator letters"):
+            loop_and_spur_pi1(2, (5, beta))
+        with pytest.raises(ValueError, match="relator letters"):
+            loop_and_spur_pi1(2, (1, -(MAX_WORD_LETTERS - 6)))
+        beta = MAX_WORD_LETTERS - 7
+        assert loop_and_spur_pi1(2, (1, beta)).order == 2 * beta
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("beta", range(-6, 7))

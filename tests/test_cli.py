@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
+import contextlib
 import io
 import json
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from x4circle import cli
 
@@ -16,6 +20,21 @@ def run_cli(capsys, monkeypatch, argv, payload=None):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def failed_certificate():
+    """A cover certificate whose diameter drifts by 0.1 at tol 0.02."""
+    from x4circle.extent_lab import CoverCertificate
+
+    return CoverCertificate(
+        samples_low=300,
+        samples_high=600,
+        diameter_low=1.0,
+        diameter_high=1.1,
+        xt3_low=0.9,
+        xt3_high=0.9,
+        tol=0.02,
+    )
 
 
 K3_PAYLOAD = {
@@ -114,7 +133,7 @@ class TestExitCodes:
         import x4circle.extent_lab as lab
 
         def fail(spec, tol=0.02):
-            raise lab.ConvergenceError("drift exceeded")
+            raise lab.ConvergenceError(failed_certificate())
 
         monkeypatch.setattr(lab, "check_condition_qprime", fail)
         code, out, err = run_cli(
@@ -122,7 +141,7 @@ class TestExitCodes:
         )
         assert code == 3
         assert out == ""
-        assert "ConvergenceError" in err
+        assert "ConvergenceError: cover drift 0.100000" in err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("weights", [[1, 1], [2, 3]])
@@ -139,7 +158,7 @@ class TestExitCodes:
     def test_exception_mapping(self):
         from x4circle.extent_lab import ConvergenceError, GraphDisconnectedError
 
-        assert cli._exception_code(ConvergenceError("x")) == 3
+        assert cli._exception_code(ConvergenceError(failed_certificate())) == 3
         assert cli._exception_code(GraphDisconnectedError("x")) == 3
         assert cli._exception_code(ValueError("x")) == 1
         assert cli._exception_code(RuntimeError("x")) is None
@@ -251,6 +270,29 @@ class TestCommandResults:
         assert result["two_fiber_order"] == 5
         assert result["presentation"]["abelian"]["order"] == 5
 
+    def test_seifert_pi1_refuses_huge_fiber_order(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys,
+            monkeypatch,
+            ["seifert-pi1"],
+            {"seifert": {"fibers": [[4611686018427387905, 1], [2, 1]]}},
+        )
+        assert code == 1
+        assert out == ""
+        assert "4611686018427387919 relator letters" in err and "Traceback" not in err
+
+    def test_classify_refuses_huge_spur_beta(self, capsys, monkeypatch):
+        edges = [
+            {"loop": 0, "order": 2},
+            {"between": [0, 1], "order": 5, "beta": 4611686018427387907},
+        ]
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["classify"], {"graph": {"vertices": 2, "edges": edges}}
+        )
+        assert code == 1
+        assert out == ""
+        assert "4611686018427387914 relator letters" in err and "Traceback" not in err
+
     def test_seifert_recognize(self, capsys, monkeypatch):
         _, out, _ = run_cli(
             capsys,
@@ -313,3 +355,83 @@ class TestThreadCap:
         code, _, err = run_cli(capsys, monkeypatch, ["canon"], {"invariants": ["0", "1"]})
         assert code == 0
         assert "X4_THREADS" in err
+
+
+# -- fuzzing the exact-algebra commands ---------------------------------------
+
+BIG = 2**62
+big_ints = st.integers(min_value=-BIG, max_value=BIG)
+# small and moderate values, where the algebra does real work, and the extremes
+ints = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=-1000, max_value=1000),
+    big_ints,
+    st.sampled_from([-BIG, -BIG + 1, BIG - 1, BIG]),
+)
+positive = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=1, max_value=BIG),
+    st.sampled_from([BIG - 1, BIG]),
+)
+rationals = st.builds(lambda p, q: f"{p}/{q}" if q != 1 else str(p), ints, positive)
+rational_lists = st.lists(rationals, min_size=0, max_size=5)
+orders = st.one_of(positive, ints)  # mostly valid, sometimes not
+fibers = st.lists(st.tuples(orders, ints).map(list), max_size=6)
+seifert = st.fixed_dictionaries(
+    {"fibers": fibers}, optional={"trivial_fibration": st.booleans()}
+)
+edges = st.lists(
+    st.fixed_dictionaries(
+        {"order": orders},
+        optional={
+            "between": st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2),
+            "loop": st.integers(min_value=0, max_value=3),
+            "free_curve": st.just(True),
+            "beta": ints,
+            "virtual": st.booleans(),
+        },
+    ),
+    max_size=4,
+)
+graph = st.fixed_dictionaries(
+    {"vertices": st.one_of(st.integers(min_value=0, max_value=4), big_ints), "edges": edges},
+    optional={
+        "boundary_fixed_set": st.booleans(),
+        "soul_isotropy": st.one_of(ints, st.just("circle")),
+    },
+)
+ALGEBRA_REQUESTS = st.one_of(
+    st.tuples(st.just("canon"), st.fixed_dictionaries({"invariants": rational_lists})),
+    st.tuples(
+        st.just("equiv"),
+        st.fixed_dictionaries({"left": rational_lists, "right": rational_lists}),
+    ),
+    st.tuples(st.just("euler"), st.fixed_dictionaries({"invariants": rational_lists})),
+    st.tuples(st.just("seifert-pi1"), st.fixed_dictionaries({"seifert": seifert})),
+    st.tuples(st.just("seifert-recognize"), st.fixed_dictionaries({"seifert": seifert})),
+    st.tuples(
+        st.just("wcp"),
+        st.fixed_dictionaries({"invariants": st.lists(rationals, min_size=2, max_size=4)}),
+    ),
+    st.tuples(
+        st.just("classify"),
+        st.fixed_dictionaries(
+            {"graph": graph},
+            optional={"invariants": st.lists(rationals, min_size=3, max_size=3)},
+        ),
+    ),
+)
+
+
+@given(ALGEBRA_REQUESTS)
+@settings(max_examples=300, deadline=None)
+def test_algebra_commands_never_crash(request):
+    # every input ends in an exit code; an uncaught exception fails the test
+    command, payload = request
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

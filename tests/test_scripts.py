@@ -47,7 +47,7 @@ def test_cover_resolution(monkeypatch, capsys, tmp_path):
         monkeypatch, capsys, "cover_resolution",
         "--ladder", "50,100", "--tol", "0.1", "--export", str(tmp_path),
     )
-    assert result is None
+    assert result == 0
     rows = [line.split() for line in lines[2:] if "wrote" not in line]
     assert [int(row[0]) for row in rows] == [50, 100]
     assert all(row[-1] == "ok" for row in rows)
@@ -57,6 +57,19 @@ def test_cover_resolution(monkeypatch, capsys, tmp_path):
         assert (tmp_path / f"cover_m3_n{row[0]}_s42.x4ext1").exists()
 
 
+def test_cover_resolution_reports_failed_certificate(monkeypatch, capsys, tmp_path):
+    # at 50 samples the drift (about 0.0037) exceeds 2 * tol = 0.002
+    _, result, lines = run_main(
+        monkeypatch, capsys, "cover_resolution",
+        "--ladder", "50", "--tol", "0.001", "--export", str(tmp_path),
+    )
+    assert result == 1
+    (row,) = [line.split() for line in lines[2:]]
+    assert row[0] == "50" and row[-1] == "FAIL"
+    assert float(row[3]) > 0.002
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_qprime_battery(monkeypatch, capsys):
     module, result, lines = run_main(monkeypatch, capsys, "qprime_battery", "--samples", "50")
     rows = [line.split() for line in lines if not line.startswith(" ")]
@@ -64,4 +77,21 @@ def test_qprime_battery(monkeypatch, capsys):
     verdicts = {row[0]: row[-1] for row in rows}
     # at 50 samples the hopf/Z4 cover is not yet small, so the battery exits 1
     assert verdicts["hopf/Z4"] == "FAIL"
+    assert result == 1
+
+
+def test_qprime_battery_continues_after_failed_certificate(monkeypatch, capsys):
+    # hopf/D3* at 50 samples drifts by about 0.004 > 2 * tol; the free hopf
+    # action after it has no cover and still gets its row
+    module = load_script("qprime_battery")
+    battery = {entry[0]: entry for entry in module.BATTERY}
+    monkeypatch.setattr(module, "BATTERY", [battery["hopf/D3*"], battery["hopf"]])
+    monkeypatch.setattr(sys, "argv", ["qprime_battery.py", "--samples", "50", "--tol", "0.001"])
+    result = module.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["hopf/D3*", "hopf"]
+    name, cover, drift, verdict = rows[0]
+    assert (cover, verdict) == ("cover", "FAIL")
+    assert float(drift.removeprefix("drift=")) > 0.002
+    assert rows[1][-1] == "pass"
     assert result == 1

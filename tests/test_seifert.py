@@ -1,7 +1,7 @@
 """Seifert presentations: normalization, groups, recognition."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from x4circle.seifert import (
     INFINITE,
+    MAX_WORD_LETTERS,
     BoundaryLabel,
     SeifertPresentation,
     abelian_order_two_fibers,
@@ -93,6 +94,26 @@ class TestFundamentalGroup:
         # {0; (2,1), (2,1)} has first homology of order 4
         inv = fundamental_group(P((2, 1), (2, 1))).abelian_invariants()
         assert inv.order == 4
+
+    def test_many_large_fibers(self):
+        # |H1| = |e| * a1 * ... * an; reducing this 17 x 9 relation matrix
+        # over the integers, with no modulus, grows its entries to thousands
+        # of digits
+        fibers = [(899, -297), (933, -635), (620, 329), (817, -106),
+                  (907, -433), (773, 703), (361, -354), (483, 47)]
+        p = P(*fibers)
+        inv = fundamental_group(p).abelian_invariants()
+        assert inv.order == abs(euler_number(p) * prod(a for a, _ in fibers))
+
+    def test_word_budget(self):
+        # 5n + sum(a + |b|) letters are counted before any word is spelled out
+        huge = 4611686018427387905
+        with pytest.raises(ValueError, match=f"needs {huge + 14} relator letters"):
+            fundamental_group(P((huge, 1), (2, 1)))
+        with pytest.raises(ValueError, match="relator letters"):
+            fundamental_group(P((MAX_WORD_LETTERS - 5, 1)))
+        g = fundamental_group(P((MAX_WORD_LETTERS - 6, 1)))
+        assert sum(len(word) for word in g.relators) == MAX_WORD_LETTERS
 
 
 class TestTwoFiberOrder:

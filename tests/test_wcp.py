@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from x4circle import intlinalg
 from x4circle.invariants import InvariantTuple
 from x4circle.wcp import (
     QuotientDescriptor,
@@ -15,6 +14,8 @@ from x4circle.wcp import (
     verify_kernel,
     weights_from_invariants,
 )
+
+from oracles import rational_nullspace
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -80,15 +81,16 @@ class TestWeights:
     @given(triples)
     @settings(max_examples=200)
     def test_matches_integer_kernel_oracle(self, entries):
+        # the kernel line over Q, scaled to a primitive integer vector
         t = InvariantTuple(entries)
         w = weights_from_invariants(t).weights.as_tuple()
         rows = [
             [e.denominator for e in t.entries],
             [e.numerator for e in t.entries],
         ]
-        kernel = intlinalg.integer_kernel(rows)
+        kernel = rational_nullspace(rows)
         assert len(kernel) == 1
-        v = intlinalg.primitive(kernel[0])
+        v = kernel[0]
         assert v == list(w) or v == [-x for x in w]
 
     def test_verify_kernel_rejects_wrong_vector(self):
