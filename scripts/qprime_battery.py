@@ -59,6 +59,7 @@ def main() -> int:
             else:
                 print(f"{name:<12} cover drift={exc.certificate.drift:.6f} FAIL")
             continue
+        failures += not report.all_passed
         if args.json:
             payload = {"name": name, "report": encode_qprime_report(report)}
             sys.stdout.write(dumps_canonical(payload))
@@ -70,11 +71,9 @@ def main() -> int:
             f"{name:<12} cones={report.cone_points} "
             f"checks={len(applicable)} worst_margin={worst:+.5f} {verdict}"
         )
-        if not report.all_passed:
-            failures += 1
-            for item in applicable:
-                if not item.passed:
-                    print(f"  failed: {item.name} margin={item.margin:+.5f}")
+        for item in applicable:
+            if not item.passed:
+                print(f"  failed: {item.name} margin={item.margin:+.5f}")
     return 1 if failures else 0
 
 

@@ -1,6 +1,8 @@
 """Circle actions on positively curved 4-spaces: exact invariant algebra,
 orbit-graph classification, and a sampled-quotient extent laboratory."""
 
+from types import ModuleType as _ModuleType
+
 from .invariants import (
     EquivalenceMove,
     InvariantTuple,
@@ -51,4 +53,9 @@ from .classifier import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules they bring along
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

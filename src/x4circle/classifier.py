@@ -270,6 +270,11 @@ class Rejected:
     tag: str
 
 
+PAIRWISE_UNEQUAL = Rejected(
+    reason="invariant entries must be pairwise unequal to bound three fixed points",
+    tag=TAG_PAIRWISE_UNEQUAL,
+)
+
 ClassificationResult = Union[FixedPointHomogeneous, Suspension, WCPQuotient, LoopAndSpur, Rejected]
 
 
@@ -371,10 +376,7 @@ def classify(
         if len(invariants) != 3:
             raise ValueError("the invariant tuple must have exactly three entries")
         if not is_realizable(invariants):
-            return Rejected(
-                reason="invariant entries must be pairwise unequal to bound three fixed points",
-                tag=TAG_PAIRWISE_UNEQUAL,
-            )
+            return PAIRWISE_UNEQUAL
         edge_orders = sorted(e.order for e in completed.edges)
         denominators = sorted(e.denominator for e in invariants.entries)
         if edge_orders != denominators:

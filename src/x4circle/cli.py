@@ -3,8 +3,8 @@
 One logical request per invocation: a subcommand names the operation,
 the JSON payload arrives via --input (file or stdin), and the report is
 written to stdout with diagnostics on stderr.  Exit codes: 0 success,
-1 invalid input, 2 mathematically rejected (the report carries the
-citation tag), 3 numeric non-convergence.
+1 invalid input (also a report that cannot be encoded), 2 mathematically
+rejected (the report carries the citation tag), 3 numeric non-convergence.
 
 Every report embeds the normalized request; feeding a report file back
 through --input re-runs that request and reproduces the report byte for
@@ -23,19 +23,6 @@ DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 800
 DEFAULT_TOL = 0.02
 DEFAULT_FORMAT = "json"
-
-_COMMAND_HELP = {
-    "canon": "canonical form of an invariant tuple under rotation and reversal",
-    "equiv": "decide equivalence of two invariant tuples",
-    "euler": "euler sum and cyclic differences of an invariant tuple",
-    "seifert-pi1": "fundamental group presentation of a Seifert presentation",
-    "seifert-recognize": "recognize the boundary type of a Seifert presentation",
-    "wcp": "kernel weights of a realizable invariant triple",
-    "classify": "classify an action from its singular multigraph",
-    "extent": "q-extent of a sampled circle-action quotient",
-    "check-q": "run the full smallness battery on an action",
-}
-
 
 def _configure_threads() -> None:
     """Apply X4_THREADS to the BLAS pools before numpy can start them."""
@@ -68,14 +55,6 @@ class Options:
     tol: float
     format: str
 
-    def encode(self) -> dict:
-        return {
-            "format": self.format,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
-
 
 class _Parser(argparse.ArgumentParser):
     # usage errors are invalid input, not "mathematically rejected"
@@ -94,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMAND_HELP.items():
+    for name, (text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--input", default="-", help="payload JSON path, - for stdin")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (u64)")
@@ -114,58 +93,48 @@ def _load_input(path: str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (payload, options) -> (exit code, normalized payload, result)
+# command handlers: (payload, options) -> (normalized payload, result)
 
 
 def _run_canon(payload, opts):
-    from . import serialize
-    from .invariants import canonicalize, is_realizable
+    from .invariants import InvariantTuple, canonicalize, is_realizable
 
-    t = serialize.decode_invariants(payload["invariants"])
-    canonical = serialize.encode_invariants(canonicalize(t))
+    t = InvariantTuple(payload["invariants"])
+    canonical = canonicalize(t).as_strings()
     # rotated inputs normalize to one payload, so their reports are identical
-    normalized = {"invariants": canonical}
-    result = {"canonical": canonical, "realizable": is_realizable(t)}
-    return 0, normalized, result
+    return {"invariants": canonical}, {"canonical": canonical, "realizable": is_realizable(t)}
 
 
 def _run_equiv(payload, opts):
-    from . import serialize
-    from .invariants import are_equivalent, canonicalize
+    from .invariants import InvariantTuple, are_equivalent, canonicalize
 
-    left = serialize.decode_invariants(payload["left"])
-    right = serialize.decode_invariants(payload["right"])
-    normalized = {
-        "left": serialize.encode_invariants(left),
-        "right": serialize.encode_invariants(right),
-    }
+    left = InvariantTuple(payload["left"])
+    right = InvariantTuple(payload["right"])
+    normalized = {"left": left.as_strings(), "right": right.as_strings()}
     result = {
         "equivalent": are_equivalent(left, right),
-        "canonical_left": serialize.encode_invariants(canonicalize(left)),
-        "canonical_right": serialize.encode_invariants(canonicalize(right)),
+        "canonical_left": canonicalize(left).as_strings(),
+        "canonical_right": canonicalize(right).as_strings(),
     }
-    return 0, normalized, result
+    return normalized, result
 
 
 def _run_euler(payload, opts):
-    from . import serialize
-    from .invariants import cyclic_differences, euler_sum
+    from .invariants import InvariantTuple, cyclic_differences, euler_sum, format_rational
 
-    t = serialize.decode_invariants(payload["invariants"])
-    normalized = {"invariants": serialize.encode_invariants(t)}
+    t = InvariantTuple(payload["invariants"])
     result = {
-        "euler_sum": serialize.encode_rational(euler_sum(t)),
-        "cyclic_differences": [
-            serialize.encode_rational(d) for d in cyclic_differences(t)
-        ],
+        "euler_sum": format_rational(euler_sum(t)),
+        "cyclic_differences": [format_rational(d) for d in cyclic_differences(t)],
     }
-    return 0, normalized, result
+    return {"invariants": t.as_strings()}, result
 
 
 def _run_seifert_pi1(payload, opts):
     from math import isinf
 
     from . import serialize
+    from .invariants import format_rational
     from .seifert import (
         abelian_order_two_fibers,
         euler_number,
@@ -174,16 +143,15 @@ def _run_seifert_pi1(payload, opts):
     )
 
     p = serialize.decode_seifert(payload["seifert"])
-    normalized = {"seifert": serialize.encode_seifert(p)}
     result = {
         "presentation": serialize.encode_presentation(fundamental_group(p)),
-        "euler_number": serialize.encode_rational(euler_number(p)),
+        "euler_number": format_rational(euler_number(p)),
         "normalized": serialize.encode_seifert(normalize(p)),
     }
     if len(p.fibers) == 2:
         order = abelian_order_two_fibers(p)
         result["two_fiber_order"] = "infinite" if isinf(order) else int(order)
-    return 0, normalized, result
+    return {"seifert": serialize.encode_seifert(p)}, result
 
 
 def _run_seifert_recognize(payload, opts):
@@ -191,61 +159,53 @@ def _run_seifert_recognize(payload, opts):
     from .seifert import recognize_boundary
 
     p = serialize.decode_seifert(payload["seifert"])
-    normalized = {"seifert": serialize.encode_seifert(p)}
-    return 0, normalized, serialize.encode_recognition(recognize_boundary(p))
+    result = serialize.encode_recognition(recognize_boundary(p))
+    return {"seifert": serialize.encode_seifert(p)}, result
 
 
 def _run_wcp(payload, opts):
     from . import serialize
-    from .classifier import TAG_PAIRWISE_UNEQUAL
-    from .invariants import is_realizable
+    from .classifier import PAIRWISE_UNEQUAL
+    from .invariants import InvariantTuple, is_realizable
     from .wcp import verify_kernel, weights_from_invariants
 
-    t = serialize.decode_invariants(payload["invariants"])
-    normalized = {"invariants": serialize.encode_invariants(t)}
+    t = InvariantTuple(payload["invariants"])
+    normalized = {"invariants": t.as_strings()}
     if not is_realizable(t):
-        result = {
-            "kind": "rejected",
-            "reason": "invariant entries must be pairwise unequal to bound three fixed points",
-            "tag": TAG_PAIRWISE_UNEQUAL,
-        }
-        return 2, normalized, result
+        return normalized, serialize.encode_classification(PAIRWISE_UNEQUAL)
     descriptor = weights_from_invariants(t)
     result = {
         "descriptor": serialize.encode_descriptor(descriptor),
         "kernel_verified": verify_kernel(descriptor.weights, t),
     }
-    return 0, normalized, result
+    return normalized, result
 
 
 def _run_classify(payload, opts):
     from . import serialize
-    from .classifier import Rejected, classify
+    from .classifier import classify
+    from .invariants import InvariantTuple
 
     graph = serialize.decode_graph(payload["graph"])
     invariants = None
     normalized = {"graph": serialize.encode_graph(graph)}
     if "invariants" in payload:
-        invariants = serialize.decode_invariants(payload["invariants"])
-        normalized["invariants"] = serialize.encode_invariants(invariants)
-    outcome = classify(graph, invariants)
-    code = 2 if isinstance(outcome, Rejected) else 0
-    return code, normalized, serialize.encode_classification(outcome)
+        invariants = InvariantTuple(payload["invariants"])
+        normalized["invariants"] = invariants.as_strings()
+    return normalized, serialize.encode_classification(classify(graph, invariants))
 
 
 def _run_extent(payload, opts):
     from . import serialize
+    from .extent_lab import SMALL_BOUND, extent, is_small, sample_quotient
 
-    action = serialize.normalize_action(payload["action"], opts.samples, opts.seed)
+    action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
     q = int(payload.get("q", 3))
     normalized = {"action": action, "q": q}
     method = payload.get("method")
     if method is not None:
         normalized["method"] = method
-
-    from .extent_lab import SMALL_BOUND, extent, is_small, sample_quotient
-
-    space = sample_quotient(serialize.decode_action(action))
+    space = sample_quotient(spec)
     report = extent(space, q, method=method)
     result = {
         "space": serialize.encode_space_summary(space),
@@ -259,31 +219,32 @@ def _run_extent(payload, opts):
             "is_small": small,
             "margin": margin,
         }
-    return 0, normalized, result
+    return normalized, result
 
 
 def _run_check_q(payload, opts):
     from . import serialize
-
-    action = serialize.normalize_action(payload["action"], opts.samples, opts.seed)
-    normalized = {"action": action}
-
     from .extent_lab import check_condition_qprime
 
-    report = check_condition_qprime(serialize.decode_action(action), tol=opts.tol)
-    return 0, normalized, serialize.encode_qprime_report(report)
+    action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
+    report = check_condition_qprime(spec, tol=opts.tol)
+    return {"action": action}, serialize.encode_qprime_report(report)
 
 
-_HANDLERS = {
-    "canon": _run_canon,
-    "equiv": _run_equiv,
-    "euler": _run_euler,
-    "seifert-pi1": _run_seifert_pi1,
-    "seifert-recognize": _run_seifert_recognize,
-    "wcp": _run_wcp,
-    "classify": _run_classify,
-    "extent": _run_extent,
-    "check-q": _run_check_q,
+# name -> (help text, handler); the parser, the schemas and the README name these
+_COMMANDS = {
+    "canon": ("canonical form of an invariant tuple under rotation and reversal", _run_canon),
+    "equiv": ("decide equivalence of two invariant tuples", _run_equiv),
+    "euler": ("euler sum and cyclic differences of an invariant tuple", _run_euler),
+    "seifert-pi1": ("fundamental group presentation of a Seifert presentation", _run_seifert_pi1),
+    "seifert-recognize": (
+        "recognize the boundary type of a Seifert presentation",
+        _run_seifert_recognize,
+    ),
+    "wcp": ("kernel weights of a realizable invariant triple", _run_wcp),
+    "classify": ("classify an action from its singular multigraph", _run_classify),
+    "extent": ("q-extent of a sampled circle-action quotient", _run_extent),
+    "check-q": ("run the full smallness battery on an action", _run_check_q),
 }
 
 
@@ -363,8 +324,15 @@ def main(argv=None) -> int:
         sys.stderr.write(f"payload rejected by schema: {exc.message}\n")
         return 1
 
+    # one boundary for the handler and the encoding: a report that cannot be
+    # rendered (say an integer past Python's digit limit) is invalid input
     try:
-        code, normalized, result = _HANDLERS[args.command](raw, opts)
+        normalized, result = _COMMANDS[args.command][1](raw, opts)
+        report = {
+            "request": {"command": args.command, "payload": normalized, "options": vars(opts)},
+            "result": result,
+        }
+        text = dumps_canonical(report) if opts.format == "json" else render_text(report)
     except Exception as exc:
         mapped = _exception_code(exc)
         if mapped is None:
@@ -372,22 +340,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return mapped
 
-    report = {
-        "request": {
-            "command": args.command,
-            "payload": normalized,
-            "options": opts.encode(),
-        },
-        "result": result,
-    }
-    if opts.format == "json":
-        sys.stdout.write(dumps_canonical(report))
-    else:
-        sys.stdout.write(render_text(report))
-    if code == 2:
-        sys.stderr.write(f"rejected: {result.get('tag', 'inadmissible')}\n")
-    return code
-
+    sys.stdout.write(text)
+    if result.get("kind") == "rejected":
+        sys.stderr.write(f"rejected: {result['tag']}\n")
+        return 2
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

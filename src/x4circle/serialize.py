@@ -11,8 +11,7 @@ requests yield identical report files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .classifier import (
     CIRCLE,
@@ -24,55 +23,55 @@ from .classifier import (
     Suspension,
     WCPQuotient,
 )
-from .invariants import InvariantTuple, format_rational, parse_rational
 from .seifert import (
     BoundaryRecognition,
     GroupPresentation,
     SeifertPresentation,
 )
-from .wcp import QuotientDescriptor, WeightTriple
+from .wcp import QuotientDescriptor
 
 RATIONAL_PATTERN = r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$"
+
+
+def _object(properties: dict, required: list[str]) -> dict:
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": required,
+        "additionalProperties": False,
+    }
+
 
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
 _RATIONAL_LIST = {"type": "array", "items": _RATIONAL, "minItems": 2}
 _RATIONAL_TRIPLE = {"type": "array", "items": _RATIONAL, "minItems": 3, "maxItems": 3}
+_INTEGER_PAIR = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
 
-_SEIFERT = {
-    "type": "object",
-    "properties": {
-        "fibers": {
-            "type": "array",
-            "items": {
+_SEIFERT = _object(
+    {
+        "fibers": {"type": "array", "items": _INTEGER_PAIR},
+        "trivial_fibration": {"type": "boolean"},
+    },
+    ["fibers"],
+)
+
+_EDGE = {
+    **_object(
+        {
+            "between": {
                 "type": "array",
-                "items": {"type": "integer"},
+                "items": {"type": "integer", "minimum": 0},
                 "minItems": 2,
                 "maxItems": 2,
             },
+            "loop": {"type": "integer", "minimum": 0},
+            "free_curve": {"type": "boolean", "const": True},
+            "order": {"type": "integer", "minimum": 1},
+            "beta": {"type": "integer"},
+            "virtual": {"type": "boolean"},
         },
-        "trivial_fibration": {"type": "boolean"},
-    },
-    "required": ["fibers"],
-    "additionalProperties": False,
-}
-
-_EDGE = {
-    "type": "object",
-    "properties": {
-        "between": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "loop": {"type": "integer", "minimum": 0},
-        "free_curve": {"type": "boolean", "const": True},
-        "order": {"type": "integer", "minimum": 1},
-        "beta": {"type": "integer"},
-        "virtual": {"type": "boolean"},
-    },
-    "required": ["order"],
-    "additionalProperties": False,
+        ["order"],
+    ),
     "oneOf": [
         {"required": ["between"]},
         {"required": ["loop"]},
@@ -80,9 +79,8 @@ _EDGE = {
     ],
 }
 
-_GRAPH = {
-    "type": "object",
-    "properties": {
+_GRAPH = _object(
+    {
         "vertices": {"type": "integer", "minimum": 0},
         "edges": {"type": "array", "items": _EDGE},
         "boundary_fixed_set": {"type": "boolean"},
@@ -93,114 +91,49 @@ _GRAPH = {
             ]
         },
     },
-    "required": ["vertices", "edges"],
-    "additionalProperties": False,
-}
+    ["vertices", "edges"],
+)
 
+_ROW4 = {"type": "array", "minItems": 4, "maxItems": 4, "items": {"type": "number"}}
+_MATRIX4 = {"type": "array", "minItems": 4, "maxItems": 4, "items": _ROW4}
 _GAMMA = {
     "oneOf": [
         {"type": "string"},
-        {
-            "type": "object",
-            "properties": {
-                "matrices": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "minItems": 4,
-                        "maxItems": 4,
-                        "items": {
-                            "type": "array",
-                            "minItems": 4,
-                            "maxItems": 4,
-                            "items": {"type": "number"},
-                        },
-                    },
-                }
-            },
-            "required": ["matrices"],
-            "additionalProperties": False,
-        },
+        _object({"matrices": {"type": "array", "minItems": 1, "items": _MATRIX4}}, ["matrices"]),
     ]
 }
 
-_ACTION = {
-    "type": "object",
-    "properties": {
-        "weights": {
-            "type": "array",
-            "items": {"type": "integer"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
+_ACTION = _object(
+    {
+        "weights": _INTEGER_PAIR,
         "gamma": _GAMMA,
         "samples": {"type": "integer", "minimum": 50},
         "seed": {"type": "integer", "minimum": 0},
     },
-    "required": ["weights"],
-    "additionalProperties": False,
-}
+    ["weights"],
+)
+
+# one schema per payload shape; commands that share a shape share its object
+_INVARIANTS = _object({"invariants": _RATIONAL_LIST}, ["invariants"])
+_SEIFERT_PAYLOAD = _object({"seifert": _SEIFERT}, ["seifert"])
 
 SCHEMAS: dict[str, dict] = {
-    "canon": {
-        "type": "object",
-        "properties": {"invariants": _RATIONAL_LIST},
-        "required": ["invariants"],
-        "additionalProperties": False,
-    },
-    "equiv": {
-        "type": "object",
-        "properties": {"left": _RATIONAL_LIST, "right": _RATIONAL_LIST},
-        "required": ["left", "right"],
-        "additionalProperties": False,
-    },
-    "euler": {
-        "type": "object",
-        "properties": {"invariants": _RATIONAL_LIST},
-        "required": ["invariants"],
-        "additionalProperties": False,
-    },
-    "seifert-pi1": {
-        "type": "object",
-        "properties": {"seifert": _SEIFERT},
-        "required": ["seifert"],
-        "additionalProperties": False,
-    },
-    "seifert-recognize": {
-        "type": "object",
-        "properties": {"seifert": _SEIFERT},
-        "required": ["seifert"],
-        "additionalProperties": False,
-    },
-    "wcp": {
-        "type": "object",
-        "properties": {"invariants": _RATIONAL_TRIPLE},
-        "required": ["invariants"],
-        "additionalProperties": False,
-    },
-    "classify": {
-        "type": "object",
-        "properties": {"graph": _GRAPH, "invariants": _RATIONAL_TRIPLE},
-        "required": ["graph"],
-        "additionalProperties": False,
-    },
-    "extent": {
-        "type": "object",
-        "properties": {
+    "canon": _INVARIANTS,
+    "equiv": _object({"left": _RATIONAL_LIST, "right": _RATIONAL_LIST}, ["left", "right"]),
+    "euler": _INVARIANTS,
+    "seifert-pi1": _SEIFERT_PAYLOAD,
+    "seifert-recognize": _SEIFERT_PAYLOAD,
+    "wcp": _object({"invariants": _RATIONAL_TRIPLE}, ["invariants"]),
+    "classify": _object({"graph": _GRAPH, "invariants": _RATIONAL_TRIPLE}, ["graph"]),
+    "extent": _object(
+        {
             "action": _ACTION,
             "q": {"type": "integer", "minimum": 2, "maximum": 16},
             "method": {"type": "string", "enum": ["exact", "heuristic"]},
         },
-        "required": ["action"],
-        "additionalProperties": False,
-    },
-    "check-q": {
-        "type": "object",
-        "properties": {"action": _ACTION},
-        "required": ["action"],
-        "additionalProperties": False,
-    },
+        ["action"],
+    ),
+    "check-q": _object({"action": _ACTION}, ["action"]),
 }
 
 
@@ -210,18 +143,6 @@ def dumps_canonical(obj: Any) -> str:
 
 # ---------------------------------------------------------------------------
 # exact-algebra encoders
-
-
-def encode_rational(value: Fraction) -> str:
-    return format_rational(value)
-
-
-def encode_invariants(t: InvariantTuple) -> list[str]:
-    return t.as_strings()
-
-
-def decode_invariants(entries: list[str]) -> InvariantTuple:
-    return InvariantTuple(parse_rational(e) for e in entries)
 
 
 def encode_seifert(p: SeifertPresentation) -> dict:
@@ -262,13 +183,9 @@ def encode_recognition(r: BoundaryRecognition) -> dict:
     }
 
 
-def encode_weights(w: WeightTriple) -> list[int]:
-    return list(w.as_tuple())
-
-
 def encode_descriptor(d: QuotientDescriptor) -> dict:
     return {
-        "weights": encode_weights(d.weights),
+        "weights": list(d.weights.as_tuple()),
         "alpha_bar": d.alpha_bar,
         "beta_bar": d.beta_bar,
     }
@@ -365,7 +282,7 @@ def encode_classification(result) -> dict:
         return {
             "kind": "wcp-quotient",
             "descriptor": encode_descriptor(result.descriptor),
-            "invariants": encode_invariants(result.invariants),
+            "invariants": result.invariants.as_strings(),
         }
     if isinstance(result, LoopAndSpur):
         order, beta = result.spur
@@ -433,26 +350,23 @@ def encode_qprime_report(report) -> dict:
     }
 
 
-def normalize_action(obj: dict, samples: int, seed: int) -> dict:
-    """Resolved action payload: explicit fields win over request options."""
-    out: dict[str, Any] = {
+def decode_action(obj: dict, samples: int, seed: int):
+    """(resolved action payload, spec): explicit fields win over request options."""
+    from .extent_lab import IsometricActionSpec, parse_gamma
+
+    action = {
         "weights": [int(w) for w in obj["weights"]],
         "gamma": obj.get("gamma", "trivial"),
         "samples": int(obj.get("samples", samples)),
         "seed": int(obj.get("seed", seed)),
     }
-    return out
-
-
-def decode_action(obj: dict):
-    from .extent_lab import IsometricActionSpec, parse_gamma
-
-    return IsometricActionSpec(
-        weights=tuple(int(w) for w in obj["weights"]),
-        gamma=parse_gamma(obj.get("gamma", "trivial")),
-        samples=int(obj["samples"]),
-        seed=int(obj["seed"]),
+    spec = IsometricActionSpec(
+        weights=tuple(action["weights"]),
+        gamma=parse_gamma(action["gamma"]),
+        samples=action["samples"],
+        seed=action["seed"],
     )
+    return action, spec
 
 
 # ---------------------------------------------------------------------------

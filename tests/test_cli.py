@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
+import pathlib
+import re
 import sys
 from unittest import mock
 
@@ -94,7 +97,7 @@ class TestExitCodes:
         def bomb(payload, opts):
             raise AssertionError("handler must not run on schema-invalid input")
 
-        monkeypatch.setitem(cli._HANDLERS, "canon", bomb)
+        monkeypatch.setitem(cli._COMMANDS, "canon", ("help", bomb))
         code, out, err = run_cli(
             capsys, monkeypatch, ["canon"], {"invariants": ["1/2"]}
         )
@@ -154,6 +157,17 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "finite" in err and "Traceback" not in err
+
+    def test_unencodable_report_exits_one(self, capsys, monkeypatch):
+        # the weights of this triple pass Python's 4300-digit int-to-string
+        # limit, so the report cannot be written out
+        sevens = "7" * 3000
+        payload = {"invariants": [f"{sevens}/{sevens}1", f"1/{sevens}3", "0"]}
+        for fmt in ("json", "text"):
+            code, out, err = run_cli(capsys, monkeypatch, ["wcp", "--format", fmt], payload)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("ValueError: ") and "Traceback" not in err
 
     def test_exception_mapping(self):
         from x4circle.extent_lab import ConvergenceError, GraphDisconnectedError
@@ -334,6 +348,21 @@ class TestCommandResults:
         assert "{" not in out
 
 
+def test_command_set_is_named_once():
+    from x4circle.serialize import SCHEMAS
+
+    subparsers = next(
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([a-z0-9-]+)` *\|", section, flags=re.MULTILINE)
+    assert len(documented) == 9
+    assert list(subparsers.choices) == list(SCHEMAS) == documented
+
+
 class TestThreadCap:
     def test_x4_threads_applied(self, capsys, monkeypatch):
         for var in (
@@ -374,7 +403,18 @@ positive = st.one_of(
     st.integers(min_value=1, max_value=BIG),
     st.sampled_from([BIG - 1, BIG]),
 )
-rationals = st.builds(lambda p, q: f"{p}/{q}" if q != 1 else str(p), ints, positive)
+# numerators of 2000-4300 digits still parse, but weights built from them can
+# pass Python's 4300-digit limit on int-to-string conversion, so some reports
+# fail only when they are written out
+huge = st.builds(
+    lambda digits, lead, tail: lead * 10 ** (digits - 1) + tail,
+    st.one_of(st.integers(min_value=2000, max_value=4300), st.just(4300)),
+    st.sampled_from([-9, -1, 1, 9]),
+    st.integers(min_value=0, max_value=BIG),
+)
+rationals = st.builds(
+    lambda p, q: f"{p}/{q}" if q != 1 else str(p), st.one_of(ints, huge), positive
+)
 rational_lists = st.lists(rationals, min_size=0, max_size=5)
 orders = st.one_of(positive, ints)  # mostly valid, sometimes not
 fibers = st.lists(st.tuples(orders, ints).map(list), max_size=6)

@@ -70,11 +70,18 @@ def test_cover_resolution_reports_failed_certificate(monkeypatch, capsys, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-def test_qprime_battery(monkeypatch, capsys):
-    module, result, lines = run_main(monkeypatch, capsys, "qprime_battery", "--samples", "50")
-    rows = [line.split() for line in lines if not line.startswith(" ")]
-    assert [row[0] for row in rows] == [name for name, _, _ in module.BATTERY]
-    verdicts = {row[0]: row[-1] for row in rows}
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_qprime_battery(monkeypatch, capsys, extra):
+    module, result, lines = run_main(
+        monkeypatch, capsys, "qprime_battery", "--samples", "50", *extra
+    )
+    if extra:
+        reports = [json.loads(line) for line in lines]
+        verdicts = {r["name"]: "pass" if r["report"]["all_passed"] else "FAIL" for r in reports}
+    else:
+        rows = [line.split() for line in lines if not line.startswith(" ")]
+        verdicts = {row[0]: row[-1] for row in rows}
+    assert list(verdicts) == [name for name, _, _ in module.BATTERY]
     # at 50 samples the hopf/Z4 cover is not yet small, so the battery exits 1
     assert verdicts["hopf/Z4"] == "FAIL"
     assert result == 1

@@ -20,9 +20,9 @@ from x4circle.wcp import weights_from_invariants
 
 class TestInvariantCodec:
     def test_round_trip_reduces(self):
-        t = serialize.decode_invariants(["2/4", "-6/8", "3"])
-        assert serialize.encode_invariants(t) == ["1/2", "-3/4", "3"]
-        again = serialize.decode_invariants(serialize.encode_invariants(t))
+        t = InvariantTuple(["2/4", "-6/8", "3"])
+        assert t.as_strings() == ["1/2", "-3/4", "3"]
+        again = InvariantTuple(t.as_strings())
         assert again == t
 
     @given(
@@ -34,7 +34,7 @@ class TestInvariantCodec:
     )
     def test_codec_is_identity(self, entries):
         t = InvariantTuple(Fraction(e) for e in entries)
-        assert serialize.decode_invariants(serialize.encode_invariants(t)) == t
+        assert InvariantTuple(t.as_strings()) == t
 
 
 class TestSeifertCodec:
@@ -136,6 +136,13 @@ class TestDescriptorCodec:
         d = weights_from_invariants(InvariantTuple(["0", "-1/3", "1/3"]))
         obj = serialize.encode_descriptor(d)
         assert obj == {"weights": [6, -1, -1], "alpha_bar": 1, "beta_bar": 1}
+
+
+class TestActionCodec:
+    def test_explicit_fields_win_over_options(self):
+        action, spec = serialize.decode_action({"weights": [1, 1], "seed": 7}, 60, 5)
+        assert action == {"weights": [1, 1], "gamma": "trivial", "samples": 60, "seed": 7}
+        assert (spec.weights, spec.samples, spec.seed) == ((1, 1), 60, 7)
 
 
 class TestCanonicalDump:
