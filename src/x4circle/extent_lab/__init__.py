@@ -5,11 +5,12 @@ circle actions commuting with a finite orthogonal group, then measures
 extents, diameters, double branched covers, and the smallness battery.
 """
 
+from types import ModuleType as _ModuleType
+
 from .actions import (
     IsometricActionSpec,
     gamma_binary_dihedral,
     gamma_cyclic,
-    gamma_from_matrices,
     gamma_trivial,
     parse_gamma,
     validate_gamma,
@@ -22,12 +23,7 @@ from .cover import (
     double_branched_cover,
 )
 from .engine import DistanceEngine
-from .extents import (
-    ExtentReport,
-    SMALL_BOUND,
-    extent,
-    is_small,
-)
+from .extents import ExtentReport, SMALL_BOUND, extent, is_small
 from .io import read_distance_matrix, write_distance_matrix
 from .spaces import (
     MarkedPoint,
@@ -36,38 +32,12 @@ from .spaces import (
     discover_marked,
     regenerate,
     sample_quotient,
-    sample_round_two_sphere,
     validate_metric,
 )
 
+# the names imported above, not the submodules they bring along
 __all__ = [
-    "IsometricActionSpec",
-    "gamma_binary_dihedral",
-    "gamma_cyclic",
-    "gamma_from_matrices",
-    "gamma_trivial",
-    "parse_gamma",
-    "validate_gamma",
-    "CheckItem",
-    "ConditionQPrimeReport",
-    "check_condition_qprime",
-    "ConvergenceError",
-    "CoverCertificate",
-    "GraphDisconnectedError",
-    "double_branched_cover",
-    "DistanceEngine",
-    "ExtentReport",
-    "SMALL_BOUND",
-    "extent",
-    "is_small",
-    "read_distance_matrix",
-    "write_distance_matrix",
-    "MarkedPoint",
-    "MetricValidationError",
-    "SampledMetricSpace",
-    "discover_marked",
-    "regenerate",
-    "sample_quotient",
-    "sample_round_two_sphere",
-    "validate_metric",
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
 ]

@@ -74,23 +74,8 @@ def gamma_binary_dihedral(m: int) -> np.ndarray:
     """Order 4m: right multiplications by e^{i k pi / m} and e^{i k pi / m} j."""
     if m < 1:
         raise ValueError("binary dihedral parameter must be >= 1")
-    rj = _right_j_matrix()
-    out = np.zeros((4 * m, 4, 4))
-    for k in range(2 * m):
-        phi = pi * k / m
-        cyc = np.zeros((4, 4))
-        cyc[:2, :2] = rotation_block(phi)
-        cyc[2:, 2:] = rotation_block(-phi)
-        out[k] = cyc
-        out[2 * m + k] = rj @ cyc
-    return out
-
-
-def gamma_from_matrices(matrices) -> np.ndarray:
-    arr = np.asarray(matrices, dtype=float)
-    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
-        raise ValueError("gamma must be a list of 4x4 matrices")
-    return arr
+    cyc = gamma_cyclic(2 * m)
+    return np.concatenate([cyc, _right_j_matrix() @ cyc])
 
 
 def parse_gamma(value) -> np.ndarray:
@@ -107,7 +92,7 @@ def parse_gamma(value) -> np.ndarray:
                 return gamma_binary_dihedral(int(tail))
         raise ValueError(f"unknown group preset {value!r}")
     if isinstance(value, dict) and "matrices" in value:
-        return gamma_from_matrices(value["matrices"])
+        return np.asarray(value["matrices"], dtype=float)
     raise ValueError("gamma must be a preset string or {'matrices': [...]}")
 
 

@@ -17,7 +17,7 @@ from math import pi
 from .actions import IsometricActionSpec
 from .cover import double_branched_cover
 from .extents import SMALL_BOUND, extent, is_small
-from .spaces import SampledMetricSpace, regenerate, sample_quotient
+from .spaces import regenerate, sample_quotient
 
 
 @dataclass
@@ -42,20 +42,10 @@ class ConditionQPrimeReport:
 
 
 def check_condition_qprime(
-    target: IsometricActionSpec | SampledMetricSpace,
-    tol: float = 0.02,
+    spec: IsometricActionSpec, tol: float = 0.02
 ) -> ConditionQPrimeReport:
-    """Run the full smallness battery on an action spec or a sampled space.
-
-    Covers need the quotient's action spec to resample at twice the
-    resolution, so any other space with two or more cone points raises
-    ValueError.
-    """
-    if isinstance(target, IsometricActionSpec):
-        space = sample_quotient(target)
-    else:
-        space = target
-
+    """Run the full smallness battery on the quotient sampled from spec."""
+    space = sample_quotient(spec)
     small, margin = is_small(extent(space, 3).value, tol)
     checks = [
         CheckItem(
@@ -70,7 +60,7 @@ def check_condition_qprime(
     finite = space.finite_isotropy_marks()
     high_base = None
     if len(finite) >= 2:
-        high_base = regenerate(space, 2 * space.requested_samples)
+        high_base = regenerate(space, 2 * spec.samples)
     for a, b in combinations(finite, 2):
         _, certificate = double_branched_cover(
             space, (a.index, b.index), tol=tol, high_base=high_base

@@ -311,9 +311,7 @@ def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
         points=space.points[np.concatenate([np.arange(n), doubled])],
         dist=cover_dist,
         marked=cover_marked,
-        kind="double-cover",
         seed=space.seed,
-        requested_samples=space.requested_samples,
     )
     validate_metric(cover)
     return cover, node_map
@@ -343,7 +341,7 @@ def double_branched_cover(
     low_cover, low_map = _build_cover(space, (b1, b2))
 
     if high_base is None:
-        high_base = regenerate(space, 2 * space.requested_samples)
+        high_base = regenerate(space, 2 * space.spec.samples)
     if [m.label for m in high_base.marked] != [m.label for m in space.marked]:
         raise RuntimeError("marked loci differ between resolutions")
     pos1 = marked_indices.index(b1)
@@ -352,8 +350,8 @@ def double_branched_cover(
     high_cover, _high_map = _build_cover(high_base, branch_high)
 
     certificate = CoverCertificate(
-        samples_low=space.requested_samples,
-        samples_high=high_base.requested_samples,
+        samples_low=space.spec.samples,
+        samples_high=high_base.spec.samples,
         diameter_low=low_cover.diameter(),
         diameter_high=high_cover.diameter(),
         xt3_low=extent(low_cover, 3).value,

@@ -1,4 +1,4 @@
-"""Sampled metric models of circle-action quotients and round spheres.
+"""Sampled metric models of circle-action quotients.
 
 sample_quotient draws N quasi-uniform seeded points on S^3, appends exact
 representatives of the singular orbits (the coordinate circles z2 = 0 and
@@ -11,7 +11,7 @@ branched-cover certificate relies on that prefix property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi, tau
 
 import numpy as np
@@ -44,12 +44,16 @@ class MarkedPoint:
 
 @dataclass(eq=False)
 class SampledMetricSpace:
+    """Points with their full distance matrix and marked samples.
+
+    A space is a quotient exactly when spec, the action spec it was sampled
+    from, is set; spec.samples is then its requested sample count.
+    """
+
     points: np.ndarray
     dist: np.ndarray
     marked: list[MarkedPoint]
-    kind: str = "quotient"
     seed: int = 0
-    requested_samples: int = 0
     spec: IsometricActionSpec | None = None
 
     @property
@@ -93,36 +97,9 @@ def validate_metric(space: SampledMetricSpace) -> None:
             raise MetricValidationError("triangle inequality violated")
 
 
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    return mat / norms
-
-
-def _sphere_points(count: int, seed: int, dim: int = 4) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return _unit_rows(rng.standard_normal((count, dim)))
-
-
-def sample_round_two_sphere(samples: int, seed: int = 0) -> SampledMetricSpace:
-    """Quasi-uniform samples of the unit round 2-sphere, embedded in R^4."""
-    if samples < 50:
-        raise ValueError("at least 50 sample points are required")
-    pts3 = _sphere_points(samples, seed, dim=3)
-    points = np.hstack([pts3, np.zeros((samples, 1))])
-    gram = pts3 @ pts3.T
-    gram = (gram + gram.T) / 2.0
-    dist = np.arccos(np.clip(gram, -1.0, 1.0))
-    np.fill_diagonal(dist, 0.0)
-    space = SampledMetricSpace(
-        points=points,
-        dist=dist,
-        marked=[],
-        kind="round-s2",
-        seed=seed,
-        requested_samples=samples,
-    )
-    validate_metric(space)
-    return space
+def _sphere_points(count: int, seed: int) -> np.ndarray:
+    gauss = np.random.default_rng(seed).standard_normal((count, 4))
+    return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
 
 
 # -- singular-orbit discovery ---------------------------------------------
@@ -357,9 +334,7 @@ def _quotient_space(
         points=points,
         dist=dist,
         marked=marked,
-        kind="quotient",
         seed=spec.seed,
-        requested_samples=spec.samples,
         spec=spec,
     )
     validate_metric(space)
@@ -376,9 +351,7 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
     Only quotients carry an action spec; any other space raises ValueError.
     """
     if space.spec is None:
-        raise ValueError(
-            f"cannot regenerate a space of kind {space.kind!r} without an action spec"
-        )
+        raise ValueError("cannot regenerate a space without an action spec")
     spec = space.spec.with_samples(samples)
     return _quotient_space(
         spec,

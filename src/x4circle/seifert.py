@@ -26,6 +26,10 @@ INFINITE = inf
 # word is built
 MAX_WORD_LETTERS = 10**6
 
+# n fibers make an (n + 1)-column relation matrix whose Smith form costs
+# O(n^3) big-integer operations; longer fiber lists are refused up front
+MAX_FIBERS = 64
+
 
 def check_word_letters(letters: int) -> None:
     """Raise ValueError when a presentation needs more than MAX_WORD_LETTERS letters."""
@@ -137,9 +141,12 @@ def fundamental_group(p: SeifertPresentation) -> GroupPresentation:
       < q1, ..., qn, h | [q_i, h] = 1,  q_i^{a_i} h^{b_i} = 1,  q1...qn = 1 >
 
     Exactly n + 1 generators and 2n + 1 relators, in that order.  Raises
-    ValueError when the relators would exceed MAX_WORD_LETTERS letters.
+    ValueError for more than MAX_FIBERS fibers, or when the relators would
+    exceed MAX_WORD_LETTERS letters.
     """
     n = len(p.fibers)
+    if n > MAX_FIBERS:
+        raise ValueError(f"presentation has {n} fibers, more than MAX_FIBERS = {MAX_FIBERS}")
     check_word_letters(5 * n + sum(a + abs(b) for a, b in p.fibers))
     gens = tuple(f"q{i + 1}" for i in range(n)) + ("h",)
     h = n + 1

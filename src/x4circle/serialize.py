@@ -108,7 +108,7 @@ _ACTION = _object(
         "weights": _INTEGER_PAIR,
         "gamma": _GAMMA,
         "samples": {"type": "integer", "minimum": 50},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
     },
     ["weights"],
 )
@@ -309,8 +309,9 @@ def encode_marked(space) -> list[dict]:
 
 
 def encode_space_summary(space) -> dict:
+    """Summary of a sampled quotient, the only kind of space a report describes."""
     return {
-        "kind": space.kind,
+        "kind": "quotient",
         "size": space.size,
         "seed": space.seed,
         "diameter": space.diameter(),

@@ -11,7 +11,9 @@ exact three-point extent is a row-by-row brute force rather than a
 branch-and-bound search over cells, the Smith diagonal comes from
 determinantal divisors (gcds of minors) rather than row and column
 reduction, and kernels come from Gauss-Jordan elimination over the
-rationals rather than from integer arithmetic.
+rationals rather than from integer arithmetic.  The unit round 2-sphere,
+whose distances are plain great-circle angles, is a space with known
+extents that no action spec describes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.engine import golden_max
-from x4circle.extent_lab.spaces import ROOT_TOL
+from x4circle.extent_lab.spaces import ROOT_TOL, SampledMetricSpace, validate_metric
 from x4circle.invariants import InvariantTuple
 
 
@@ -144,6 +146,20 @@ def svd_theta_roots(spec) -> list[np.ndarray]:
             rep = -rep
         reps.append(rep / np.linalg.norm(rep))
     return reps
+
+
+def sample_round_two_sphere(samples: int, seed: int = 0) -> SampledMetricSpace:
+    """Quasi-uniform samples of the unit round 2-sphere, embedded in R^4."""
+    gauss = np.random.default_rng(seed).standard_normal((samples, 3))
+    pts3 = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    gram = pts3 @ pts3.T
+    dist = np.arccos(np.clip((gram + gram.T) / 2.0, -1.0, 1.0))
+    np.fill_diagonal(dist, 0.0)
+    space = SampledMetricSpace(
+        points=np.hstack([pts3, np.zeros((samples, 1))]), dist=dist, marked=[], seed=seed
+    )
+    validate_metric(space)
+    return space
 
 
 def _complex_pair(x):

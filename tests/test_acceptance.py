@@ -36,10 +36,9 @@ from x4circle.extent_lab import (
     gamma_binary_dihedral,
     gamma_cyclic,
     sample_quotient,
-    sample_round_two_sphere,
 )
 
-from oracles import bfs_equivalent, random_move_image, random_tuple
+from oracles import bfs_equivalent, random_move_image, random_tuple, sample_round_two_sphere
 
 
 _CAPTURE = None

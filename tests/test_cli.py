@@ -132,6 +132,18 @@ class TestExitCodes:
             code, _, _ = run_cli(capsys, monkeypatch, argv, payload)
             assert code == 1
 
+    @pytest.mark.parametrize("seed, expected", [(2**64 - 1, 0), (2**64, 1)])
+    def test_action_seed_is_unsigned_64_bit(self, capsys, monkeypatch, seed, expected):
+        # the same bound as --seed, so a report never embeds a seed the option refuses
+        payload = {"action": {"weights": [1, 1], "seed": seed}, "q": 3}
+        code, out, err = run_cli(capsys, monkeypatch, ["extent", "--samples", "50"], payload)
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert err.startswith("payload rejected by schema: ")
+        else:
+            assert json.loads(out)["request"]["payload"]["action"]["seed"] == seed
+
     def test_non_convergence_exits_three(self, capsys, monkeypatch):
         import x4circle.extent_lab as lab
 
@@ -306,6 +318,17 @@ class TestCommandResults:
         assert code == 1
         assert out == ""
         assert "4611686018427387914 relator letters" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("count, expected", [(64, 0), (65, 1)])
+    def test_seifert_pi1_fiber_budget(self, capsys, monkeypatch, count, expected):
+        fibers = [[1, 0]] * count
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["seifert-pi1"], {"seifert": {"fibers": fibers}}
+        )
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert err == "ValueError: presentation has 65 fibers, more than MAX_FIBERS = 64\n"
 
     def test_seifert_recognize(self, capsys, monkeypatch):
         _, out, _ = run_cli(

@@ -94,11 +94,12 @@ class TestApplicability:
         assert len(names) == 1
         assert report.all_passed
 
-    def test_accepts_presampled_space(self):
+    def test_one_cone_point_has_no_cover_items(self):
         spec = IsometricActionSpec(weights=(1, 2), samples=120, seed=6)
-        space = sample_quotient(spec)
-        report = check_condition_qprime(space, tol=0.02)
+        report = check_condition_qprime(spec, tol=0.02)
         # one finite cone point: no pair to branch over
         assert report.cone_points == 1
         assert not any(c.name.startswith("cover-") for c in report.checks)
         assert report.all_passed
+        # the battery measures the quotient that sample_quotient draws from the spec
+        assert report.diameter == sample_quotient(spec).diameter()

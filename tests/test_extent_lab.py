@@ -37,7 +37,6 @@ from x4circle.extent_lab import (
     read_distance_matrix,
     regenerate,
     sample_quotient,
-    sample_round_two_sphere,
     validate_gamma,
     validate_metric,
     write_distance_matrix,
@@ -47,7 +46,12 @@ from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.engine import golden_max
 from x4circle.extent_lab.spaces import SampledMetricSpace
 
-from oracles import brute_force_extent_three, svd_theta_roots, two_sided_matrix
+from oracles import (
+    brute_force_extent_three,
+    sample_round_two_sphere,
+    svd_theta_roots,
+    two_sided_matrix,
+)
 
 
 def hopf_distance(x, y):
