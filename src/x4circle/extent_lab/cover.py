@@ -35,7 +35,13 @@ Every edge list is an integer index array: the neighbor graph is an (m, 2)
 array of base index pairs u < v, the cut test reads its columns, and each
 sparse graph is assembled from such arrays in one call.
 
-Cover distances are all-pairs shortest paths.  Every reported cover is
+Cover distances are shortest paths from the n base rows only.  The sheet
+swap sigma, which exchanges the two lifts of every doubled node and fixes
+the branch points, maps each edge to an edge of the same weight, so it is
+an isometry of the cover graph: d(sigma u, v) = d(u, sigma v).  Every
+path and its sigma-image add the same weights in the same order, so each
+sheet-1 row is its base row read through sigma, bit for bit, and the
+mirrored matrix equals the all-sources one.  Every reported cover is
 recomputed at twice the sampling resolution; the drift of its extremal
 statistics (the maximum distance and the third extent, which downstream
 smallness checks consume) between the two resolutions must stay within
@@ -293,7 +299,13 @@ def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
     graph = sp.csr_matrix(
         (np.tile(weight, 2), (np.r_[head, tail], np.r_[tail, head])), shape=(size, size)
     )
-    cover_dist = dijkstra(graph, directed=False, indices=np.arange(size))
+    # the sheet swap sigma preserves every edge weight, so each sheet-1 row
+    # is its base row read through sigma (module docstring)
+    sigma = np.concatenate([node_map[:, 1], doubled])
+    cover_dist = np.empty((size, size))
+    cover_dist[:n] = dijkstra(graph, directed=False, indices=np.arange(n))
+    # every index is in range; "clip" only spares the buffer "raise" uses
+    np.take(cover_dist[doubled], sigma, axis=1, out=cover_dist[n:], mode="clip")
     if not np.all(np.isfinite(cover_dist)):
         raise GraphDisconnectedError("cover graph is disconnected")
     cover_dist = np.minimum(cover_dist, cover_dist.T)

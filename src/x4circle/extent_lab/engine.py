@@ -237,21 +237,43 @@ class DistanceEngine:
 
     # -- distance matrix --------------------------------------------------
 
-    def distance_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Symmetric quotient distance matrix over the given unit 4-vectors."""
+    def distance_matrix(self, points: np.ndarray, known=None) -> np.ndarray:
+        """Symmetric quotient distance matrix over the given unit 4-vectors.
+
+        known = (index, block) gives the distances among points[index],
+        block[a, b] being that of points index[a] and index[b]; they are
+        copied, and only pairs with a point outside index are aligned.  The
+        alignment is not bit-symmetric in (x, y), so every pair is aligned
+        with its lower index as the row, whatever is known: a block cut from
+        the full matrix of these points gives back that matrix, bit for bit.
+        """
         pts = np.asarray(points, dtype=float)
         n = len(pts)
         u1, u2 = self._complex_parts(pts)
         v1, v2 = self._transformed_parts(pts)
         out = np.empty((n, n))
+        fresh = np.ones(n, dtype=bool)
+        if known is not None:
+            index, block = known
+            out[np.ix_(index, index)] = block
+            fresh[index] = False
+        fresh_idx = np.flatnonzero(fresh)
 
-        for r0 in range(0, n, ROW_CHUNK):
-            r1 = min(r0 + ROW_CHUNK, n)
-            best, _, _ = self._best_alignments(
-                u1[r0:r1], u2[r0:r1], v1[:, r0:], v2[:, r0:]
-            )
-            block = np.arccos(np.clip(best, -1.0, 1.0)).reshape(r1 - r0, n - r0)
-            out[r0:r1, r0:] = block
+        # rows go in chunks of consecutive rows that are all fresh or all
+        # known: a fresh chunk meets every column from its first row on, a
+        # known chunk only the fresh columns after it
+        cuts = np.flatnonzero(np.diff(fresh)) + 1
+        for start, stop in zip(np.r_[0, cuts], np.r_[cuts, n]):
+            for r0 in range(start, stop, ROW_CHUNK):
+                r1 = min(r0 + ROW_CHUNK, stop)
+                cols = slice(r0, n) if fresh[r0] else fresh_idx[fresh_idx >= r1]
+                if not fresh[r0] and not len(cols):
+                    continue
+                best, _, _ = self._best_alignments(
+                    u1[r0:r1], u2[r0:r1], v1[:, cols], v2[:, cols]
+                )
+                block = np.arccos(np.clip(best, -1.0, 1.0))
+                out[r0:r1, cols] = block.reshape(r1 - r0, -1)
 
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]

@@ -6,7 +6,13 @@ z1 = 0, plus every isolated circle fixed by some R(theta) gamma), and
 evaluates the full quotient distance matrix with the orbit-distance
 engine.  Sampling at 2N reuses the same Gaussian stream, so the first N
 random points of the finer space coincide with the coarser ones; the
-branched-cover certificate relies on that prefix property.
+branched-cover certificate relies on that prefix property.  regenerate
+also reuses the coarser space's distances: the block among its random
+points and marks is copied, and only pairs that touch a fresh point are
+aligned.  The engine's alignment is not bit-symmetric in its two points,
+so each computed pair keeps the orientation a fresh sample gives it, the
+lower index as the row; the regenerated matrix is then bit-identical to
+a fresh one.
 """
 
 from __future__ import annotations
@@ -320,12 +326,13 @@ def _quotient_space(
     marked_reps: np.ndarray,
     labels: list[str],
     isotropies: list[int],
+    known=None,
 ) -> SampledMetricSpace:
     """The validated quotient sample of spec with the given singular orbits
-    appended after its random points."""
+    appended after its random points; known is passed to the engine."""
     random_points = _sphere_points(spec.samples, spec.seed)
     points = np.vstack([random_points, marked_reps])
-    dist = engine.distance_matrix(points)
+    dist = engine.distance_matrix(points, known=known)
     marked = [
         MarkedPoint(index=spec.samples + i, label=labels[i], isotropy=isotropies[i])
         for i in range(len(labels))
@@ -348,15 +355,25 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
     min(N, N') random points of the two spaces agree exactly.  A quotient
     keeps the marked singular orbits of space: they depend only on the
     action, not on the sampling, so they are not searched for again.
+    The distances among those shared random points and the marks are
+    copied from space.dist, and only pairs that touch a fresh point are
+    aligned.  Every pair keeps its orientation in a fresh sample (marks
+    come last, so the lower index is the row in both), which makes the
+    result bit-identical to sample_quotient(spec.with_samples(samples)).
     Only quotients carry an action spec; any other space raises ValueError.
     """
     if space.spec is None:
         raise ValueError("cannot regenerate a space without an action spec")
     spec = space.spec.with_samples(samples)
+    marks = [m.index for m in space.marked]
+    shared = min(space.spec.samples, samples)
+    old = np.r_[:shared, marks]
+    block = space.dist if shared == space.spec.samples else space.dist[np.ix_(old, old)]
     return _quotient_space(
         spec,
         DistanceEngine(spec.weights, spec.gamma),
-        space.points[[m.index for m in space.marked]],
+        space.points[marks],
         [m.label for m in space.marked],
         [m.isotropy for m in space.marked],
+        known=(np.r_[:shared, samples : samples + len(marks)], block),
     )

@@ -192,6 +192,39 @@ class TestCoverGraph:
         }
         assert found == expected
 
+    @pytest.mark.parametrize("fixture, labels", [
+        ("dihedral_space", ("singular:0", "singular:1")),
+        ("hopf_space", ("z2=0", "z1=0")),  # antipodal: the cut uses a waypoint
+    ])
+    def test_sheet_swap_mirrors_all_sources(self, request, monkeypatch, fixture, labels):
+        # the sheet swap is an automorphism of the weighted graph, so
+        # Dijkstra from the base rows alone gives the all-sources matrix
+        space = request.getfixturevalue(fixture)
+        marks = {m.label: m.index for m in space.marked}
+        branch = (marks[labels[0]], marks[labels[1]])
+        calls = []
+
+        def recording_dijkstra(csgraph, **kwargs):
+            calls.append((csgraph, kwargs["indices"]))
+            return dijkstra(csgraph, **kwargs)
+
+        dijkstra = cover_module.dijkstra
+        monkeypatch.setattr(cover_module, "dijkstra", recording_dijkstra)
+        cover, node_map = _build_cover(space, branch)
+
+        ((graph, sources),) = calls
+        n = space.size
+        assert len(sources) == n
+        doubled = np.setdiff1d(np.arange(n), branch)
+        sigma = np.concatenate([node_map[:, 1], doubled])
+        assert np.array_equal(sigma[sigma], np.arange(2 * n - 2))
+        assert (graph[sigma][:, sigma] != graph).nnz == 0
+
+        full = dijkstra(graph, directed=False)
+        full = np.minimum(full, full.T)
+        np.fill_diagonal(full, 0.0)
+        assert np.array_equal(cover.dist, full)
+
 
 class TestSheetGluing:
     def test_cover_shape(self, dihedral_space, dihedral_branch, dihedral_low_cover):

@@ -43,7 +43,7 @@ from x4circle.extent_lab import (
 )
 from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
-from x4circle.extent_lab.engine import golden_max
+from x4circle.extent_lab.engine import ROW_CHUNK, golden_max
 from x4circle.extent_lab.spaces import SampledMetricSpace
 
 from oracles import (
@@ -151,15 +151,45 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "weights, gamma",
-        [((1, 1), gamma_binary_dihedral(3)), ((1, 2), gamma_cyclic(3))],
+        [
+            ((1, 1), gamma_binary_dihedral(3)),
+            ((1, 2), gamma_cyclic(3)),
+            ((2, 3), gamma_trivial()),  # grid engine, antipodal marks
+        ],
     )
     def test_regenerate_equals_fresh_sample(self, weights, gamma):
+        # the reused block and the aligned pairs are both bit-identical
         spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=60, seed=5)
-        high = regenerate(sample_quotient(spec), 120)
-        fresh = sample_quotient(spec.with_samples(120))
-        assert np.array_equal(high.points, fresh.points)
-        assert np.array_equal(high.dist, fresh.dist)
-        assert high.marked == fresh.marked
+        low = sample_quotient(spec)
+        for samples in (120, 90, 50):
+            high = regenerate(low, samples)
+            fresh = sample_quotient(spec.with_samples(samples))
+            assert np.array_equal(high.points, fresh.points)
+            assert np.array_equal(high.dist, fresh.dist)
+            assert high.marked == fresh.marked
+
+    @pytest.mark.parametrize("low_samples, samples", [(60, 120), (100, 200), (60, 90)])
+    def test_regenerate_aligns_only_fresh_pairs(self, monkeypatch, low_samples, samples):
+        low = sample_quotient(
+            IsometricActionSpec(weights=(2, 3), samples=low_samples, seed=5)
+        )
+        aligned = []
+        original = DistanceEngine._best_alignments
+
+        def counting(self, u1, u2, v1, v2):
+            aligned.append(len(u1) * v1.shape[1])
+            return original(self, u1, u2, v1, v2)
+
+        monkeypatch.setattr(DistanceEngine, "_best_alignments", counting)
+        high = regenerate(low, samples)
+        # every pair with a fresh point, once; beyond those, each chunk of
+        # fresh rows also aligns the diagonal and lower half of its square
+        # block, as every chunk of a full matrix does
+        touching = high.size * (high.size - 1) // 2 - low.size * (low.size - 1) // 2
+        chunks = [
+            min(ROW_CHUNK, samples - r0) for r0 in range(low_samples, samples, ROW_CHUNK)
+        ]
+        assert sum(aligned) == touching + sum(c * (c + 1) // 2 for c in chunks)
 
     def test_check_q_discovers_marks_once(self, monkeypatch):
         # the singular orbits depend on the action only, so the 2N base
