@@ -8,8 +8,7 @@ rejected (the report carries the citation tag), 3 numeric non-convergence.
 
 Every report embeds the normalized request; feeding a report file back
 through --input re-runs that request and reproduces the report byte for
-byte.  The X4_THREADS environment variable caps BLAS parallelism and is
-applied before any numerical module is imported.
+byte.
 """
 
 from __future__ import annotations
@@ -23,29 +22,6 @@ DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 800
 DEFAULT_TOL = 0.02
 DEFAULT_FORMAT = "json"
-
-def _configure_threads() -> None:
-    """Apply X4_THREADS to the BLAS pools before numpy can start them."""
-    import os
-
-    raw = os.environ.get("X4_THREADS")
-    if not raw:
-        return
-    try:
-        count = int(raw)
-    except ValueError:
-        sys.stderr.write(f"ignoring non-integer X4_THREADS={raw!r}\n")
-        return
-    if count < 1:
-        sys.stderr.write(f"ignoring non-positive X4_THREADS={raw!r}\n")
-        return
-    for var in (
-        "OPENBLAS_NUM_THREADS",
-        "OMP_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, str(count))
 
 
 @dataclass
@@ -264,7 +240,6 @@ def _is_integer(value) -> bool:
 
 
 def main(argv=None) -> int:
-    _configure_threads()
     args = _build_parser().parse_args(argv)
 
     try:

@@ -30,6 +30,12 @@ and the zeros of the fixed-locus function in `spaces` (maximizing -|g|) all
 run the same loop.  A flat pair, A = B = 0, makes f constant; it is answered
 from its grid value without refinement.
 
+The solvers take a flat list of pairs, each a row point against a column
+point.  The alignment is not bit-symmetric in (x, y), so a distance matrix
+aligns each pair (i, j), i < j, that it needs exactly once with the lower
+index i as the row, and mirrors it; `align` pairs its one point with every
+column.
+
 All reductions are elementwise max/min, so results are bit-identical no
 matter how BLAS threads split the work.
 """
@@ -126,29 +132,33 @@ class DistanceEngine:
             GOLDEN_ITERS,
         )
 
-    def _best_alignments(self, u1, u2, v1, v2):
-        """Best alignment of every (row, column) pair, flattened row-major.
+    def _best_alignments(self, u1, u2, v1, v2, cols):
+        """Best alignment of every pair in a flat list of pairs.
 
-        u1, u2 hold the complex coordinates of the rows; v1, v2 those of
-        gamma_g applied to the columns, shape (|Gamma|, columns).  Returns
-        the maximal <x, R(theta) gamma y> of each pair with the winning
-        gamma index and theta.
+        Pair k is the row with complex coordinates u1[k], u2[k] against
+        column cols[k]; v1, v2 hold the complex coordinates of gamma_g
+        applied to every column, shape (|Gamma|, columns).  Returns the
+        maximal <x, R(theta) gamma y> of each pair with the winning gamma
+        index and theta.  The result is not bit-symmetric in (x, y), so
+        callers that want a symmetric answer fix which point is the row.
         """
         if self.max_weight == 1:
-            return self._closed_form_alignments(u1, u2, v1, v2)
-        return self._grid_alignments(u1, u2, v1, v2)
+            return self._closed_form_alignments(u1, u2, v1, v2, cols)
+        return self._grid_alignments(u1, u2, v1, v2, cols)
 
-    def _closed_form_alignments(self, u1, u2, v1, v2):
+    def _closed_form_alignments(self, u1, u2, v1, v2, cols):
         """Exact `_best_alignments` for unit weights: |S| at theta = -arg S."""
-        a1 = u1.conj()[:, None]
-        a2 = u2.conj()[:, None]
-        flat = len(u1) * v1.shape[1]
+        a1, a2 = u1.conj(), u2.conj()
+        flat = len(cols)
         win_val = np.full(flat, -np.inf)
         win_gamma = np.zeros(flat, dtype=int)
         win_s = np.zeros(flat, dtype=complex)
         for gi in range(len(self.gammas)):
-            av = (a1 * v1[gi][None, :]).reshape(flat)
-            bv = (a2 * v2[gi][None, :]).reshape(flat)
+            # np.multiply, not `*`: numpy reuses a large temporary right
+            # operand as the output with the factors swapped, which moves
+            # the last bit of the fused complex product
+            av = np.multiply(a1, v1[gi].take(cols))
+            bv = np.multiply(a2, v2[gi].take(cols))
             s = (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
             value = np.abs(s)
             # earlier gammas keep exact ties
@@ -158,7 +168,7 @@ class DistanceEngine:
             win_s[wins] = s[wins]
         return win_val, win_gamma, np.mod(-np.angle(win_s), 2.0 * pi)
 
-    def _grid_alignments(self, u1, u2, v1, v2):
+    def _grid_alignments(self, u1, u2, v1, v2, cols):
         """`_best_alignments` for any weights, by one grid scan and golden polish.
 
         Each product of a gamma's coefficients with a 64-cell block of the
@@ -169,16 +179,16 @@ class DistanceEngine:
         The winner is the best polished candidate; the value also admits the
         grid maximum, whose cell is always among the candidates.
         """
-        a1 = u1.conj()[:, None]
-        a2 = u2.conj()[:, None]
-        flat = len(u1) * v1.shape[1]
+        a1, a2 = u1.conj(), u2.conj()
+        flat = len(cols)
         m_grid = self.grid_size
         best = np.full(flat, -np.inf)
         scans = []
 
         for gi in range(len(self.gammas)):
-            av = (a1 * v1[gi][None, :]).reshape(flat)
-            bv = (a2 * v2[gi][None, :]).reshape(flat)
+            # np.multiply keeps the factor order (see the closed form)
+            av = np.multiply(a1, v1[gi].take(cols))
+            bv = np.multiply(a2, v2[gi].take(cols))
             g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
             # a flat pair (A = B = 0) has f == 0 at every theta: instead of
             # refining all its cells, it takes its grid value, 0, at the theta
@@ -242,42 +252,28 @@ class DistanceEngine:
 
         known = (index, block) gives the distances among points[index],
         block[a, b] being that of points index[a] and index[b]; they are
-        copied, and only pairs with a point outside index are aligned.  The
-        alignment is not bit-symmetric in (x, y), so every pair is aligned
-        with its lower index as the row, whatever is known: a block cut from
-        the full matrix of these points gives back that matrix, bit for bit.
+        copied.  Each pair (i, j), i < j, with i or j outside index is
+        aligned once, with its lower index i as the row, and written to
+        (i, j) and (j, i).  The orientation does not depend on what is known,
+        so a block cut from the full matrix of these points gives back that
+        matrix, bit for bit.
         """
         pts = np.asarray(points, dtype=float)
         n = len(pts)
         u1, u2 = self._complex_parts(pts)
         v1, v2 = self._transformed_parts(pts)
-        out = np.empty((n, n))
-        fresh = np.ones(n, dtype=bool)
+        out = np.zeros((n, n))
+        need = np.ones(n, dtype=bool)
         if known is not None:
             index, block = known
             out[np.ix_(index, index)] = block
-            fresh[index] = False
-        fresh_idx = np.flatnonzero(fresh)
+            need[index] = False
 
-        # rows go in chunks of consecutive rows that are all fresh or all
-        # known: a fresh chunk meets every column from its first row on, a
-        # known chunk only the fresh columns after it
-        cuts = np.flatnonzero(np.diff(fresh)) + 1
-        for start, stop in zip(np.r_[0, cuts], np.r_[cuts, n]):
-            for r0 in range(start, stop, ROW_CHUNK):
-                r1 = min(r0 + ROW_CHUNK, stop)
-                cols = slice(r0, n) if fresh[r0] else fresh_idx[fresh_idx >= r1]
-                if not fresh[r0] and not len(cols):
-                    continue
-                best, _, _ = self._best_alignments(
-                    u1[r0:r1], u2[r0:r1], v1[:, cols], v2[:, cols]
-                )
-                block = np.arccos(np.clip(best, -1.0, 1.0))
-                out[r0:r1, cols] = block.reshape(r1 - r0, -1)
-
-        lower = np.tril_indices(n, -1)
-        out[lower] = out.T[lower]
-        np.fill_diagonal(out, 0.0)
+        for r0 in range(0, n, ROW_CHUNK):
+            rows, cols = np.nonzero(np.triu(need[r0 : r0 + ROW_CHUNK, None] | need, r0 + 1))
+            rows += r0
+            best, _, _ = self._best_alignments(u1[rows], u2[rows], v1, v2, cols)
+            out[rows, cols] = out[cols, rows] = np.arccos(np.clip(best, -1.0, 1.0))
         return out
 
     # -- alignment ----------------------------------------------------------
@@ -288,8 +284,10 @@ class DistanceEngine:
         ys = np.asarray(ys, dtype=float)
         u1, u2 = self._complex_parts(np.asarray(x, dtype=float)[None, :])
         v1, v2 = self._transformed_parts(ys)
-        best, gamma_idx, theta = self._best_alignments(u1, u2, v1, v2)
         cols = np.arange(len(ys))
+        best, gamma_idx, theta = self._best_alignments(
+            u1.repeat(len(ys)), u2.repeat(len(ys)), v1, v2, cols
+        )
         z1 = v1[gamma_idx, cols] * np.exp(1j * self.p * theta)
         z2 = v2[gamma_idx, cols] * np.exp(1j * self.q * theta)
         aligned = np.column_stack([z1.real, z1.imag, z2.real, z2.imag])

@@ -386,29 +386,6 @@ def test_command_set_is_named_once():
     assert list(subparsers.choices) == list(SCHEMAS) == documented
 
 
-class TestThreadCap:
-    def test_x4_threads_applied(self, capsys, monkeypatch):
-        for var in (
-            "OPENBLAS_NUM_THREADS",
-            "OMP_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("X4_THREADS", "2")
-        run_cli(capsys, monkeypatch, ["canon"], {"invariants": ["0", "1"]})
-        import os
-
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-
-    def test_bad_x4_threads_ignored(self, capsys, monkeypatch):
-        monkeypatch.setenv("X4_THREADS", "zero")
-        code, _, err = run_cli(capsys, monkeypatch, ["canon"], {"invariants": ["0", "1"]})
-        assert code == 0
-        assert "X4_THREADS" in err
-
-
 # -- fuzzing the exact-algebra commands ---------------------------------------
 
 BIG = 2**62

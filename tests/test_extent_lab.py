@@ -43,7 +43,7 @@ from x4circle.extent_lab import (
 )
 from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
-from x4circle.extent_lab.engine import ROW_CHUNK, golden_max
+from x4circle.extent_lab.engine import golden_max
 from x4circle.extent_lab.spaces import SampledMetricSpace
 
 from oracles import (
@@ -52,6 +52,20 @@ from oracles import (
     svd_theta_roots,
     two_sided_matrix,
 )
+
+
+def count_alignments(monkeypatch):
+    """Patch the engine to record the number of pairs each
+    `_best_alignments` call aligns; returns the list it appends to."""
+    aligned = []
+    original = DistanceEngine._best_alignments
+
+    def counting(self, u1, u2, v1, v2, cols):
+        aligned.append(len(cols))
+        return original(self, u1, u2, v1, v2, cols)
+
+    monkeypatch.setattr(DistanceEngine, "_best_alignments", counting)
+    return aligned
 
 
 def hopf_distance(x, y):
@@ -173,23 +187,36 @@ class TestSampling:
         low = sample_quotient(
             IsometricActionSpec(weights=(2, 3), samples=low_samples, seed=5)
         )
-        aligned = []
-        original = DistanceEngine._best_alignments
-
-        def counting(self, u1, u2, v1, v2):
-            aligned.append(len(u1) * v1.shape[1])
-            return original(self, u1, u2, v1, v2)
-
-        monkeypatch.setattr(DistanceEngine, "_best_alignments", counting)
+        aligned = count_alignments(monkeypatch)
         high = regenerate(low, samples)
-        # every pair with a fresh point, once; beyond those, each chunk of
-        # fresh rows also aligns the diagonal and lower half of its square
-        # block, as every chunk of a full matrix does
+        # every pair with a fresh point, once, and nothing else
         touching = high.size * (high.size - 1) // 2 - low.size * (low.size - 1) // 2
-        chunks = [
-            min(ROW_CHUNK, samples - r0) for r0 in range(low_samples, samples, ROW_CHUNK)
-        ]
-        assert sum(aligned) == touching + sum(c * (c + 1) // 2 for c in chunks)
+        assert sum(aligned) == touching
+
+    @pytest.mark.parametrize(
+        "weights, gamma, samples",
+        [((1, 1), gamma_binary_dihedral(3), 200), ((2, 3), gamma_trivial(), 100)],
+    )
+    def test_distance_matrix_aligns_each_pair_once(self, monkeypatch, weights, gamma, samples):
+        spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=samples, seed=0)
+        engine = DistanceEngine(spec.weights, spec.gamma)
+        points = sample_quotient(spec).points
+        aligned = count_alignments(monkeypatch)
+        engine.distance_matrix(points)
+        n = len(points)
+        assert sum(aligned) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize(
+        "weights, gamma",
+        [((1, 1), gamma_binary_dihedral(3)), ((2, 3), gamma_trivial())],
+    )
+    def test_scattered_known_block_gives_back_the_matrix(self, weights, gamma):
+        # every other point known: known and needed rows alternate in each chunk
+        sp = sample_quotient(IsometricActionSpec(weights=weights, gamma=gamma, samples=80, seed=7))
+        index = np.arange(0, sp.size, 2)
+        engine = DistanceEngine(weights, gamma)
+        dist = engine.distance_matrix(sp.points, known=(index, sp.dist[np.ix_(index, index)]))
+        assert np.array_equal(dist, sp.dist)
 
     def test_check_q_discovers_marks_once(self, monkeypatch):
         # the singular orbits depend on the action only, so the 2N base
@@ -253,7 +280,7 @@ class TestFlatPairs:
         zeros = np.zeros(engine.grid_size)
         _, theta = engine._refine(zeros, zeros, zeros, zeros, np.arange(engine.grid_size))
         x, y = np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0, 0.0]])
-        parts = engine._complex_parts(x) + engine._transformed_parts(y)
+        parts = engine._complex_parts(x) + engine._transformed_parts(y) + (np.arange(1),)
         value, _, won = engine._grid_alignments(*parts)
         # refining every cell ties them all, and the last candidate is kept
         assert value[0] == 0.0 and won[0] == theta[-1]
@@ -270,9 +297,10 @@ class TestFlatPairs:
         spec = IsometricActionSpec(weights=(2, 3), samples=50)
         reps, _, _ = spaces.discover_marked(spec, DistanceEngine(spec.weights, spec.gamma))
         assert len(reps) == 2
-        # the 5 x 5 matrix of the coordinate circles and 3 roots held 9251
-        # candidates, 9216 of them from its 12 flat ordered pairs x 768 cells
-        assert sum(candidates) == 9251 - 9216
+        # the 5 x 5 matrix of the coordinate circles and 3 roots aligns its
+        # 10 upper pairs only; their 6 flat pairs (A = B = 0) refine no cell,
+        # and the other 4 send 11 grid cells to the polish
+        assert sum(candidates) == 11
 
 
 UNIT_WEIGHTS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -303,14 +331,15 @@ def check_against_theta_scan(engine, pts, alignments, steps, tol, value_tol):
 
 
 def engine_inputs(weights, gammas, seed):
-    """An engine for the action and the complex parts of 30 random points,
-    as rows and as gamma-moved columns."""
+    """An engine for the action and the pair-list inputs of all 30 x 30
+    ordered pairs of 30 random points, row-major."""
     engine = DistanceEngine(weights, gammas)
-    pts = np.random.default_rng(seed).standard_normal((30, 4))
+    n = 30
+    pts = np.random.default_rng(seed).standard_normal((n, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     u1, u2 = engine._complex_parts(pts)
     v1, v2 = engine._transformed_parts(pts)
-    return engine, pts, (u1, u2, v1, v2)
+    return engine, pts, (u1.repeat(n), u2.repeat(n), v1, v2, np.tile(np.arange(n), n))
 
 
 class TestClosedForm:
