@@ -308,7 +308,13 @@ def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
     np.take(cover_dist[doubled], sigma, axis=1, out=cover_dist[n:], mode="clip")
     if not np.all(np.isfinite(cover_dist)):
         raise GraphDisconnectedError("cover graph is disconnected")
-    cover_dist = np.minimum(cover_dist, cover_dist.T)
+    # symmetrise in place, 256 rows at a time: np.minimum(c, c.T) would
+    # allocate a second size x size matrix
+    for r0 in range(0, size, 256):
+        r1 = r0 + 256
+        m = np.minimum(cover_dist[r0:r1, r0:], cover_dist[r0:, r0:r1].T)
+        cover_dist[r0:r1, r0:] = m
+        cover_dist[r0:, r0:r1] = m.T
     np.fill_diagonal(cover_dist, 0.0)
 
     cover_marked = []

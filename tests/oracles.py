@@ -11,7 +11,10 @@ exact three-point extent is a row-by-row brute force rather than a
 branch-and-bound search over cells, the Smith diagonal comes from
 determinantal divisors (gcds of minors) rather than row and column
 reduction, and kernels come from Gauss-Jordan elimination over the
-rationals rather than from integer arithmetic.  The unit round 2-sphere,
+rationals rather than from integer arithmetic, and the worst triangle
+slack of the metric check's random triples comes from one draw of all of
+them gathered by 2-D fancy indexing rather than from chunked draws read
+through the flattened matrix.  The unit round 2-sphere,
 whose distances are plain great-circle angles, is a space with known
 extents that no action spec describes.
 """
@@ -27,7 +30,12 @@ import numpy as np
 
 from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.engine import golden_max
-from x4circle.extent_lab.spaces import ROOT_TOL, SampledMetricSpace, validate_metric
+from x4circle.extent_lab.spaces import (
+    RANDOM_TRIPLES,
+    ROOT_TOL,
+    SampledMetricSpace,
+    validate_metric,
+)
 from x4circle.invariants import InvariantTuple
 
 
@@ -160,6 +168,19 @@ def sample_round_two_sphere(samples: int, seed: int = 0) -> SampledMetricSpace:
     )
     validate_metric(space)
     return space
+
+
+def sampled_triples(n: int, seed: int) -> np.ndarray:
+    """The metric check's random triples on n points, in one draw."""
+    rng = np.random.default_rng(seed ^ 0x7A11E)
+    return rng.integers(0, n, size=(RANDOM_TRIPLES, 3))
+
+
+def sampled_triangle_slack(d: np.ndarray, seed: int) -> float:
+    """Worst d[i, j] - d[i, k] - d[k, j] over the sampled triples (i, j, k)."""
+    idx = sampled_triples(len(d), seed)
+    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+    return float(np.max(d[i, j] - d[i, k] - d[k, j]))
 
 
 def _complex_pair(x):

@@ -8,13 +8,15 @@ with golden-section polish; the tests check each path against the other,
 against an independent theta scan built from the circle matrices, and
 against arccos |<x, y>| written out here.  The singular orbits found from
 the quaternion pair of each group element are checked against the
-smallest-singular-value scan in tests/oracles.py, and the exact
-three-point extent against the brute force there.
+smallest-singular-value scan in tests/oracles.py, the exact three-point
+extent against the brute force there, and the metric check's chunked
+random triples against one draw of all of them.
 """
 
 import io
 import json
 import sys
+import tracemalloc
 from math import gcd, pi
 
 import numpy as np
@@ -43,12 +45,15 @@ from x4circle.extent_lab import (
 )
 from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
+from x4circle.extent_lab.cover import _build_cover
 from x4circle.extent_lab.engine import golden_max
 from x4circle.extent_lab.spaces import SampledMetricSpace
 
 from oracles import (
     brute_force_extent_three,
     sample_round_two_sphere,
+    sampled_triangle_slack,
+    sampled_triples,
     svd_theta_roots,
     two_sided_matrix,
 )
@@ -66,6 +71,14 @@ def count_alignments(monkeypatch):
 
     monkeypatch.setattr(DistanceEngine, "_best_alignments", counting)
     return aligned
+
+
+def equilateral_space(n: int, seed: int) -> SampledMetricSpace:
+    """n points at mutual distance 1/2: a triangle of three distinct points
+    has slack -1/2, one with a repeated point slack 0."""
+    dist = np.full((n, n), 0.5)
+    np.fill_diagonal(dist, 0.0)
+    return SampledMetricSpace(points=np.zeros((n, 4)), dist=dist, marked=[], seed=seed)
 
 
 def hopf_distance(x, y):
@@ -130,6 +143,96 @@ class TestSampling:
         sp.dist[3, 7] = sp.dist[7, 3] = bad
         with pytest.raises(spaces.MetricValidationError, match="finite"):
             validate_metric(sp)
+
+    def test_metric_validation_rejects_shape_mismatch(self):
+        sp = sample_round_two_sphere(60, seed=1)
+        sp.points = sp.points[:-1]
+        with pytest.raises(spaces.MetricValidationError, match="shape mismatch"):
+            validate_metric(sp)
+
+    @pytest.mark.parametrize(
+        "cells, entry, message",
+        [
+            (((3, 7),), lambda x: np.nextafter(x, 4.0), "not symmetric"),
+            (((5, 5),), lambda x: 5e-324, "nonzero diagonal"),
+            (((3, 7), (7, 3)), lambda x: pi + 2e-9, "out of range"),
+            (((3, 7), (7, 3)), lambda x: -5e-324, "out of range"),
+        ],
+    )
+    def test_metric_validation_refusals(self, cells, entry, message):
+        sp = sample_round_two_sphere(60, seed=1)
+        for cell in cells:
+            sp.dist[cell] = entry(sp.dist[cell])
+        with pytest.raises(spaces.MetricValidationError, match=message):
+            validate_metric(sp)
+
+    @pytest.mark.parametrize("n", [spaces.FULL_CHECK_LIMIT, spaces.FULL_CHECK_LIMIT + 1])
+    @pytest.mark.parametrize("excess, refused", [(1e-12, True), (-1e-12, False)])
+    def test_planted_triangle_violation(self, n, excess, refused):
+        sp = equilateral_space(n, seed=4)
+        # a drawn triple of distinct points, so the random path visits it
+        i, j, k = next(t for t in sampled_triples(n, sp.seed) if len(set(t)) == 3)
+        long_side = sp.dist[i, k] + sp.dist[k, j] + spaces.TRIANGLE_TOL + excess
+        sp.dist[i, j] = sp.dist[j, i] = long_side
+        if refused:
+            with pytest.raises(spaces.MetricValidationError, match="triangle"):
+                validate_metric(sp)
+        else:
+            validate_metric(sp)
+
+    def test_random_path_reaches_the_last_triple(self):
+        n = 1200
+        sp = equilateral_space(n, seed=4)
+        idx = sampled_triples(n, sp.seed)
+        # only a triple led by the pair {i, j} sees the planted long side:
+        # plant on the last one whose pair leads no other triple
+        pair = np.sort(idx[:, :2], axis=1) @ np.array([n, 1])
+        alone = np.bincount(pair, minlength=n * n)[pair] == 1
+        distinct = (idx[:, 0] != idx[:, 1]) & (idx[:, 0] != idx[:, 2]) & (idx[:, 1] != idx[:, 2])
+        i, j, k = idx[np.nonzero(alone & distinct)[0][-1]]
+        long_side = sp.dist[i, k] + sp.dist[k, j] + 2 * spaces.TRIANGLE_TOL
+        sp.dist[i, j] = sp.dist[j, i] = long_side
+        with pytest.raises(spaces.MetricValidationError, match="triangle"):
+            validate_metric(sp)
+
+    def test_chunked_triples_are_one_draw(self):
+        n, seed = 402, 0
+        rng = np.random.default_rng(seed ^ 0x7A11E)
+        chunks = [
+            rng.integers(0, n, size=(min(spaces.TRIPLE_CHUNK, spaces.RANDOM_TRIPLES - s), 3))
+            for s in range(0, spaces.RANDOM_TRIPLES, spaces.TRIPLE_CHUNK)
+        ]
+        assert len(chunks) > 1
+        assert np.array_equal(np.concatenate(chunks), sampled_triples(n, seed))
+
+    def test_sampled_slack_on_cover_matches_one_draw(self):
+        # the 402-node high cover of check-q on (2, 3) at 100 samples
+        low = sample_quotient(IsometricActionSpec(weights=(2, 3), samples=100, seed=0))
+        high = regenerate(low, 200)
+        marks = {m.label: m.index for m in high.marked}
+        cover, _ = _build_cover(high, (marks["z2=0"], marks["z1=0"]))
+        assert cover.size == 402
+        worst = spaces._worst_sampled_slack(cover.dist, cover.seed)
+        assert worst == sampled_triangle_slack(cover.dist, cover.seed)
+
+    @pytest.mark.parametrize("n", [803, 1603])
+    def test_sampled_slack_matches_one_draw(self, n):
+        # a metric's worst slack is the 0 of a triple with a repeated point,
+        # whatever was drawn; uniform entries make it the best drawn triple's
+        upper = np.triu(np.random.default_rng(n).uniform(0.0, pi, (n, n)), 1)
+        d = upper + upper.T
+        assert spaces._worst_sampled_slack(d, n) == sampled_triangle_slack(d, n)
+
+    def test_metric_validation_memory_is_bounded(self):
+        # the chunks bound it: one draw of all the triples traces 38 MB
+        sp = sample_round_two_sphere(803, seed=3)
+        tracemalloc.start()
+        try:
+            validate_metric(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
 
     def test_hopf_quotient_against_closed_form(self):
         sp = sample_quotient(IsometricActionSpec(weights=(1, 1), samples=60, seed=11))
