@@ -15,20 +15,26 @@ from B and q).  The maximum is |S| at theta = -arg S: the Fubini-Study
 distance on S^3/S^1 = S^2(1/2), computed in closed form.
 
 For every other pair of weights the maximum is located on a
-256 * max(|p|, |q|) point grid and then polished by golden-section search
-to 1e-10 in theta.  Because f is a trigonometric polynomial of degree
-max(|p|, |q|) and |A| + |B| <= 1, the grid peak of any competing bump is
-within pi^2/(2*256^2) < 1e-4 of its true peak; refining every grid-local
-maximum within 5e-3 of the per-pair best therefore never misses the global
-optimum.  The grid is scanned once: the same block products give the
-per-pair best and the grid-local maxima near it.
+64 * max(|p|, |q|) point grid of step h and then polished by Newton steps.
+Because f is a trigonometric polynomial of degree max(|p|, |q|) and
+|A| + |B| <= 1, |f''| <= max(|p|, |q|)^2, so the grid peak of any
+competing bump is within max_w^2 (h/2)^2 / 2 = pi^2/(2*64^2) < 1.3e-3 of its
+true peak; refining every grid-local maximum within CANDIDATE_MARGIN = 5e-3
+of the per-pair best therefore never misses the global optimum.  The grid
+is scanned once: the same block products give the per-pair best and the
+grid-local maxima near it.
 
-One golden-section solver serves every caller: `golden_max` polishes whole
-arrays of brackets and returns the maximizing argument with its value, so
-the general-weight distance matrix, the aligned representatives of `align`,
-and the zeros of the fixed-locus function in `spaces` (maximizing -|g|) all
-run the same loop.  A flat pair, A = B = 0, makes f constant; it is answered
-from its grid value without refinement.
+The polish is a safeguarded Newton iteration on f' in the bracket of the
+two neighbouring grid cells.  Each step shrinks the bracket by the sign of
+f', takes the Newton step theta - f'/f'' when f'' < 0 and the step lands
+in the closed bracket, and bisects otherwise.  A candidate stops once its
+step is below 1e-13 or f' is exactly 0, and at most NEWTON_ITERS steps are
+taken, so a degenerate maximum converges no worse than by bisection.  The
+largest f evaluated is returned with its theta; the start cell is
+evaluated, so the polish never falls below the grid value.  A flat pair,
+A = B = 0, makes f constant; it is answered from its grid value without
+refinement, at the theta of the last grid cell, where the polish of a
+constant f stops (f' = 0 at the start).
 
 The solvers take a flat list of pairs, each a row point against a column
 point.  The alignment is not bit-symmetric in (x, y), so a distance matrix
@@ -42,40 +48,16 @@ matter how BLAS threads split the work.
 
 from __future__ import annotations
 
-from functools import cached_property
-from math import pi, sqrt
+from math import pi
 
 import numpy as np
 
 
-GRID_PER_WEIGHT = 256
+GRID_PER_WEIGHT = 64
 CANDIDATE_MARGIN = 5e-3
-GOLDEN_ITERS = 48
+NEWTON_ITERS = 48  # cap: bisection alone reaches 1e-13 in about 40 steps
+NEWTON_TOL = 1e-13  # radians
 ROW_CHUNK = 64  # distance-matrix rows aligned per batch
-_INVPHI = (sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_max(f, a, b, iters: int):
-    """Golden-section maximization of f over every bracket [a[k], b[k]].
-
-    f maps an array of abscissae to values elementwise.  Returns (value,
-    arg) of the better point of the final golden pair.  Each step keeps
-    the better interior point, so that value is the largest one f returned
-    during the search, bit for bit.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        keep_low = fc >= fd
-        a = np.where(keep_low, a, c)
-        b = np.where(keep_low, d, b)
-        x_new = np.where(keep_low, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        f_new = f(x_new)
-        c, d = np.where(keep_low, x_new, d), np.where(keep_low, c, x_new)
-        fc, fd = np.where(keep_low, f_new, fd), np.where(keep_low, fc, f_new)
-    keep_low = fc >= fd
-    return np.where(keep_low, fc, fd), np.where(keep_low, c, d)
 
 
 class DistanceEngine:
@@ -92,16 +74,6 @@ class DistanceEngine:
         self.trig[2] = np.cos(self.q * theta)
         self.trig[3] = np.sin(self.q * theta)
 
-    @cached_property
-    def _flat_theta(self) -> float:
-        """Where golden-section search on a constant f ends from the last
-        grid cell: the theta a flat pair's refined candidates tie on last."""
-        center = np.array([(self.grid_size - 1) * self.step])
-        _, theta = golden_max(
-            np.zeros_like, center - self.step, center + self.step, GOLDEN_ITERS
-        )
-        return float(theta[0])
-
     # -- helpers ---------------------------------------------------------
 
     @staticmethod
@@ -114,23 +86,51 @@ class DistanceEngine:
         moved = np.einsum("gab,jb->gja", self.gammas, points)
         return self._complex_parts(moved)
 
-    def _objective(self, g0, g1, g2, g3, theta):
-        return (
-            g0 * np.cos(self.p * theta)
-            + g1 * np.sin(self.p * theta)
-            + g2 * np.cos(self.q * theta)
-            + g3 * np.sin(self.q * theta)
-        )
+    def _taylor(self, g0, g1, g2, g3, theta):
+        """f = g0 cos(p t) + g1 sin(p t) + g2 cos(q t) + g3 sin(q t) at
+        t = theta, with its first and second derivatives."""
+        p, q = self.p, self.q
+        cp, sp = np.cos(p * theta), np.sin(p * theta)
+        cq, sq = np.cos(q * theta), np.sin(q * theta)
+        f = g0 * cp + g1 * sp + g2 * cq + g3 * sq
+        df = p * (g1 * cp - g0 * sp) + q * (g3 * cq - g2 * sq)
+        d2f = -p * p * (g0 * cp + g1 * sp) - q * q * (g2 * cq + g3 * sq)
+        return f, df, d2f
 
     def _refine(self, g0, g1, g2, g3, t_idx):
-        """Golden-section polish around grid cells t_idx: (value, theta)."""
-        center = t_idx * self.step
-        return golden_max(
-            lambda theta: self._objective(g0, g1, g2, g3, theta),
-            center - self.step,
-            center + self.step,
-            GOLDEN_ITERS,
-        )
+        """Safeguarded Newton polish around grid cells t_idx: (value, theta).
+
+        Maximizes f of `_taylor` over each bracket [c - step, c + step],
+        c = t_idx * step, starting at c, and returns the largest f it
+        evaluated with the theta where it was.  Only the candidates whose
+        last step moved are evaluated again.
+        """
+        theta = t_idx * self.step
+        lo, hi = theta - self.step, theta + self.step
+        value = np.full(len(theta), -np.inf)
+        arg = theta.copy()
+        live = np.arange(len(theta))
+        for _ in range(NEWTON_ITERS):
+            t = theta[live]
+            f, df, d2f = self._taylor(g0[live], g1[live], g2[live], g3[live], t)
+            better = f > value[live]
+            value[live[better]] = f[better]
+            arg[live[better]] = t[better]
+            # the maximum lies on the rising side of t
+            t_lo = np.where(df > 0, t, lo[live])
+            t_hi = np.where(df < 0, t, hi[live])
+            lo[live], hi[live] = t_lo, t_hi
+            concave = d2f < 0
+            newton = t - np.divide(df, d2f, out=np.zeros_like(df), where=concave)
+            # a closed bracket: once converged, the step may round onto an
+            # end, and bisecting instead would throw the converged t away
+            take = concave & (newton >= t_lo) & (newton <= t_hi)
+            step_to = np.where(take, newton, 0.5 * (t_lo + t_hi))
+            theta[live] = step_to
+            live = live[(np.abs(step_to - t) >= NEWTON_TOL) & (df != 0)]
+            if not len(live):
+                break
+        return value, arg
 
     def _best_alignments(self, u1, u2, v1, v2, cols):
         """Best alignment of every pair in a flat list of pairs.
@@ -169,7 +169,7 @@ class DistanceEngine:
         return win_val, win_gamma, np.mod(-np.angle(win_s), 2.0 * pi)
 
     def _grid_alignments(self, u1, u2, v1, v2, cols):
-        """`_best_alignments` for any weights, by one grid scan and golden polish.
+        """`_best_alignments` for any weights, by one grid scan and Newton polish.
 
         Each product of a gamma's coefficients with a 64-cell block of the
         grid (plus its two wrap-around neighbours) raises the per-pair grid
@@ -192,7 +192,7 @@ class DistanceEngine:
             g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
             # a flat pair (A = B = 0) has f == 0 at every theta: instead of
             # refining all its cells, it takes its grid value, 0, at the theta
-            # where polishing its last cell ends
+            # where polishing its last cell ends: that cell itself
             constant = (av == 0) & (bv == 0)
             cand_t, cand_f, cand_v = [], [], []
             for t0 in range(0, m_grid, 64):
@@ -228,7 +228,7 @@ class DistanceEngine:
             if not len(f_idx):
                 continue
             refined = np.zeros(len(f_idx))
-            theta = np.full(len(f_idx), self._flat_theta)
+            theta = np.full(len(f_idx), (m_grid - 1) * self.step)
             if len(t_idx):
                 refined[: len(t_idx)], theta[: len(t_idx)] = self._refine(
                     *g_cand[:, keep], t_idx

@@ -18,12 +18,12 @@ a fresh one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, tau
+from math import pi, sqrt, tau
 
 import numpy as np
 
 from .actions import IsometricActionSpec, circle_matrix
-from .engine import DistanceEngine, golden_max
+from .engine import DistanceEngine
 
 
 MERGE_TOL = 1e-6
@@ -33,6 +33,7 @@ TRIANGLE_TOL = 1e-9
 FULL_CHECK_LIMIT = 300
 RANDOM_TRIPLES = 10**6
 TRIPLE_CHUNK = 1 << 16
+_INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
 class MetricValidationError(ValueError):
@@ -100,12 +101,24 @@ def validate_metric(space: SampledMetricSpace) -> None:
     if d.min() < 0 or d.max() > pi + 1e-9:
         raise MetricValidationError("distance entries out of range")
     if n <= FULL_CHECK_LIMIT:
-        for i in range(n):
-            slack = d[i][None, :] - d[i][:, None] - d
-            if slack.max() > TRIANGLE_TOL:
-                raise MetricValidationError("triangle inequality violated")
-    elif _worst_sampled_slack(d, space.seed) > TRIANGLE_TOL:
+        worst = _worst_full_slack(d)
+    else:
+        worst = _worst_sampled_slack(d, space.seed)
+    if worst > TRIANGLE_TOL:
         raise MetricValidationError("triangle inequality violated")
+
+
+def _worst_full_slack(d: np.ndarray) -> float:
+    """Largest d[i, j] - d[i, k] - d[k, j] over all triples with i != k.
+
+    One pass per row i over the rows k > i: d is exactly symmetric, so
+    |d[i, j] - d[k, j]| - d[i, k] takes both orders of the pair {i, k}.
+    """
+    worst = -np.inf
+    for i in range(len(d) - 1):
+        slack = np.abs(d[i + 1 :] - d[i]).max(axis=1) - d[i, i + 1 :]
+        worst = max(worst, float(slack.max()))
+    return worst
 
 
 def _worst_sampled_slack(d: np.ndarray, seed: int) -> float:
@@ -176,6 +189,30 @@ def _quaternion_pair(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, np.einsum("gmn,gm->gn", coef, a)
 
 
+def golden_max(f, a, b, iters: int):
+    """Golden-section maximization of f over every bracket [a[k], b[k]].
+
+    f maps an array of abscissae to values elementwise.  Returns (value,
+    arg) of the better point of the final golden pair.  Each step keeps
+    the better interior point, so that value is the largest one f returned
+    during the search, bit for bit.  It needs no derivative, so it serves
+    -|g|, whose maxima are kinks.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        keep_low = fc >= fd
+        a = np.where(keep_low, a, c)
+        b = np.where(keep_low, d, b)
+        x_new = np.where(keep_low, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        f_new = f(x_new)
+        c, d = np.where(keep_low, x_new, d), np.where(keep_low, c, x_new)
+        fc, fd = np.where(keep_low, f_new, fd), np.where(keep_low, fc, f_new)
+    keep_low = fc >= fd
+    return np.where(keep_low, fc, fd), np.where(keep_low, c, d)
+
+
 def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     """Unit vectors spanning loci fixed by R(theta) gamma for some theta.
 
@@ -185,12 +222,12 @@ def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     g(theta) = Re(e^{i psi} a) - Re(e^{-i chi} b) vanishes.  Away from
     kernel elements its zeros are simple, so |g| has V-shaped valleys: it is
     scanned over theta for each gamma and every detected valley is polished
-    at once with the engine's golden-section solver (maximizing -|g|).  Genuine roots whose fixed set is a circle are kept
-    (kernel elements fixing all of S^3 are skipped; they contribute to
-    isotropy normalization instead).  A mirror gamma, for which g vanishes
-    at every theta, fixes a 2-plane along the whole circle; it marks a
-    mirror curve rather than isolated orbits and is skipped.  Roots come in
-    the order of spec.gamma, then of theta.
+    at once by golden-section search, `golden_max` on -|g|.  Genuine roots
+    whose fixed set is a circle are kept (kernel elements fixing all of S^3
+    are skipped; they contribute to isotropy normalization instead).  A
+    mirror gamma, for which g vanishes at every theta, fixes a 2-plane along
+    the whole circle; it marks a mirror curve rather than isolated orbits
+    and is skipped.  Roots come in the order of spec.gamma, then of theta.
     """
     p, q = spec.weights
     max_w = max(abs(p), abs(q))

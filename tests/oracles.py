@@ -11,10 +11,14 @@ exact three-point extent is a row-by-row brute force rather than a
 branch-and-bound search over cells, the Smith diagonal comes from
 determinantal divisors (gcds of minors) rather than row and column
 reduction, and kernels come from Gauss-Jordan elimination over the
-rationals rather than from integer arithmetic, and the worst triangle
+rationals rather than from integer arithmetic, the worst triangle
 slack of the metric check's random triples comes from one draw of all of
 them gathered by 2-D fancy indexing rather than from chunked draws read
-through the flattened matrix.  The unit round 2-sphere,
+through the flattened matrix, the full triangle scan takes every ordered
+triple rather than each pair once, and general-weight alignments come from
+a 256-per-weight grid with golden-section polish of every grid-local
+maximum, evaluated in complex exponentials, rather than from a coarse grid,
+a candidate margin and Newton steps.  The unit round 2-sphere,
 whose distances are plain great-circle angles, is a space with known
 extents that no action spec describes.
 """
@@ -29,11 +33,11 @@ from math import gcd, lcm, pi, tau
 import numpy as np
 
 from x4circle.extent_lab.actions import circle_matrix
-from x4circle.extent_lab.engine import golden_max
 from x4circle.extent_lab.spaces import (
     RANDOM_TRIPLES,
     ROOT_TOL,
     SampledMetricSpace,
+    golden_max,
     validate_metric,
 )
 from x4circle.invariants import InvariantTuple
@@ -183,8 +187,51 @@ def sampled_triangle_slack(d: np.ndarray, seed: int) -> float:
     return float(np.max(d[i, j] - d[i, k] - d[k, j]))
 
 
+def full_triangle_slack(d: np.ndarray) -> float:
+    """Worst d[i, j] - d[i, k] - d[k, j] over every triple, by n passes over
+    an n x n array."""
+    return max(float((d[i][None, :] - d[i][:, None] - d).max()) for i in range(len(d)))
+
+
+def golden_grid_alignments(weights, gammas, pts, iters: int = 48) -> np.ndarray:
+    """Best <x, R(theta) gamma y> over gamma and theta for every ordered pair
+    (x, y) of pts, as an (n, n) array.
+
+    f(theta) = Re(A e^{i p theta} + B e^{i q theta}) is scanned on 256 *
+    max(|p|, |q|) points, and every grid-local maximum is polished by iters
+    golden-section steps over its two neighbouring cells, with no margin
+    pruning.  Each value is the larger of the polished and grid maxima.
+    """
+    p, q = weights
+    n = len(pts)
+    m_grid = 256 * max(abs(p), abs(q))
+    h = tau / m_grid
+    thetas = np.arange(m_grid) * h
+    z1, z2 = _complex_pair(pts.T)
+    best = np.full(n * n, -np.inf)
+    for gamma in gammas:
+        w1, w2 = _complex_pair(np.asarray(gamma) @ pts.T)
+        a = np.outer(z1.conj(), w1).reshape(-1)
+        b = np.outer(z2.conj(), w2).reshape(-1)
+
+        def f(theta, a, b):
+            return (a * np.exp(1j * p * theta) + b * np.exp(1j * q * theta)).real
+
+        grid = f(thetas[:, None], a, b)
+        local = (grid >= np.roll(grid, 1, axis=0)) & (grid >= np.roll(grid, -1, axis=0))
+        t_idx, pair = np.nonzero(local)
+        centers = thetas[t_idx]
+        polished, _ = golden_max(
+            lambda theta: f(theta, a[pair], b[pair]), centers - h, centers + h, iters
+        )
+        np.maximum(best, grid.max(axis=0), out=best)
+        np.maximum.at(best, pair, polished)
+    return best.reshape(n, n)
+
+
 def _complex_pair(x):
-    return complex(x[0], x[1]), complex(x[2], x[3])
+    """(z1, z2) of a point x, or of every column when x is 4 x n."""
+    return x[0] + 1j * x[1], x[2] + 1j * x[3]
 
 
 def quaternion_product(x, y) -> np.ndarray:

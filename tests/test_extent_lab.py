@@ -4,13 +4,15 @@ The free-action quotient of the unit 3-sphere by the diagonal circle is a
 round 2-sphere of radius 1/2, whose distances have the closed form
 arccos |<x, y>| in the complex inner product.  The engine computes unit
 weights in that closed form and every other weight pair by a grid scan
-with golden-section polish; the tests check each path against the other,
-against an independent theta scan built from the circle matrices, and
-against arccos |<x, y>| written out here.  The singular orbits found from
+with Newton polish; the tests check each path against the other, against
+an independent theta scan built from the circle matrices, against a finer
+grid with golden-section polish in tests/oracles.py, and against
+arccos |<x, y>| written out here.  The singular orbits found from
 the quaternion pair of each group element are checked against the
 smallest-singular-value scan in tests/oracles.py, the exact three-point
 extent against the brute force there, and the metric check's chunked
-random triples against one draw of all of them.
+random triples against one draw of all of them, and its full scan against
+one that takes every ordered triple.
 """
 
 import io
@@ -46,11 +48,12 @@ from x4circle.extent_lab import (
 from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.cover import _build_cover
-from x4circle.extent_lab.engine import golden_max
-from x4circle.extent_lab.spaces import SampledMetricSpace
+from x4circle.extent_lab.spaces import SampledMetricSpace, golden_max
 
 from oracles import (
     brute_force_extent_three,
+    full_triangle_slack,
+    golden_grid_alignments,
     sample_round_two_sphere,
     sampled_triangle_slack,
     sampled_triples,
@@ -222,6 +225,33 @@ class TestSampling:
         upper = np.triu(np.random.default_rng(n).uniform(0.0, pi, (n, n)), 1)
         d = upper + upper.T
         assert spaces._worst_sampled_slack(d, n) == sampled_triangle_slack(d, n)
+
+    def test_full_slack_on_hopf_covers_matches_oracle(self):
+        # the 104- and 204-node covers of check-q on Hopf/D3* at 50 samples
+        spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
+        low = sample_quotient(spec)
+        branch = tuple(m.index for m in low.finite_isotropy_marks()[:2])
+        for base, size in ((low, 104), (regenerate(low, 100), 204)):
+            cover, _ = _build_cover(base, branch)
+            assert cover.size == size
+            worst = spaces._worst_full_slack(cover.dist)
+            assert abs(worst - full_triangle_slack(cover.dist)) <= 1e-14
+
+    def test_full_slack_on_synthetic_matrices_matches_oracle(self):
+        n = spaces.FULL_CHECK_LIMIT
+        # a metric, whose worst slack is the rounding left at near-degenerate
+        # triples, and uniform entries, whose worst slack is a violation
+        upper = np.triu(np.random.default_rng(n).uniform(0.0, pi, (n, n)), 1)
+        matrices = [sample_round_two_sphere(n, seed=5).dist, upper + upper.T]
+        # one long side on the first or the last pair of indices: every other
+        # point is the middle of a violated triple, so a scan that takes one
+        # order of each pair misses one of the two
+        for i, j in ((0, 1), (n - 2, n - 1)):
+            d = equilateral_space(n, seed=0).dist
+            d[i, j] = d[j, i] = 1.0 + 1e-3
+            matrices.append(d)
+        for d in matrices:
+            assert abs(spaces._worst_full_slack(d) - full_triangle_slack(d)) <= 1e-14
 
     def test_metric_validation_memory_is_bounded(self):
         # the chunks bound it: one draw of all the triples traces 38 MB
@@ -513,6 +543,23 @@ ORACLE_SPECS["(2, 3)/lens(5,2)"] = ((2, 3), lens_group(5, 2))
 ORACLE_SPECS["(1, 2)/lens(3,1)"] = ((1, 2), lens_group(3, 1))
 
 
+GENERAL_WEIGHT_SPECS = [name for name, (w, _) in ORACLE_SPECS.items() if max(map(abs, w)) > 1]
+
+
+class RecordingEngine(DistanceEngine):
+    """An engine that records each `_taylor` evaluation: the coefficients,
+    the thetas and the values of f."""
+
+    def __init__(self, weights, gammas):
+        super().__init__(weights, gammas)
+        self.evaluations = []
+
+    def _taylor(self, g0, g1, g2, g3, theta):
+        out = super()._taylor(g0, g1, g2, g3, theta)
+        self.evaluations.append((np.stack([g0, g1, g2, g3]), theta.copy(), out[0].copy()))
+        return out
+
+
 class TestGridSolver:
     @pytest.mark.parametrize(
         "name",
@@ -530,6 +577,90 @@ class TestGridSolver:
         check_against_theta_scan(
             engine, pts, engine._grid_alignments(*parts), 4096, tol=1e-12, value_tol=1e-12
         )
+
+    @pytest.mark.parametrize("name", GENERAL_WEIGHT_SPECS)
+    def test_matches_golden_oracle(self, name):
+        weights, gammas = ORACLE_SPECS[name]
+        engine, pts, parts = engine_inputs(weights, gammas, seed=25)
+        value = engine._grid_alignments(*parts)[0].reshape(len(pts), len(pts))
+        oracle = golden_grid_alignments(weights, gammas, pts)
+        assert np.max(np.abs(value - oracle)) <= 1e-15
+        # arccos resolves ~1e-8 on the diagonal, where x = y
+        others = ~np.eye(len(pts), dtype=bool)
+        gap = np.arccos(np.clip(value, -1, 1)) - np.arccos(np.clip(oracle, -1, 1))
+        assert np.max(np.abs(gap[others])) <= 1e-12
+
+    @given(
+        weights=st.tuples(
+            st.sampled_from([-3, -2, -1, 1, 2, 3]), st.sampled_from([-3, -2, -1, 1, 2, 3])
+        ),
+        coeffs=st.lists(
+            st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        ),
+        cells=st.lists(st.integers(min_value=0, max_value=10**6), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refine_polishes_within_its_bracket(self, weights, coeffs, cells):
+        p, q = weights
+        engine = RecordingEngine(weights, gamma_trivial())
+        # scaled to |A| + |B| <= 1, as the coefficients of two unit vectors;
+        # distinct after scaling (+ 0.0 drops -0.0), so each evaluation
+        # names its candidate by its coefficients
+        g = np.array(coeffs).T + 0.0
+        g = g / np.maximum(1.0, np.hypot(g[0], g[1]) + np.hypot(g[2], g[3]))
+        g = np.array(sorted(set(map(tuple, g.T)))).T
+        # start at a grid-local maximum of f, as the grid scan does
+        grid = engine._taylor(*g[:, :, None], np.arange(engine.grid_size) * engine.step)[0]
+        local = (grid >= np.roll(grid, 1, axis=1)) & (grid >= np.roll(grid, -1, axis=1))
+        t_idx = np.array([np.nonzero(row)[0][c % row.sum()] for row, c in zip(local, cells)])
+        engine.evaluations.clear()
+        value, theta = engine._refine(*g, t_idx)
+        center = t_idx * engine.step
+
+        def f(x):
+            return (
+                g[0] * np.cos(p * x) + g[1] * np.sin(p * x)
+                + g[2] * np.cos(q * x) + g[3] * np.sin(q * x)
+            )
+
+        golden, _ = golden_max(f, center - engine.step, center + engine.step, 48)
+        for k in range(len(t_idx)):
+            mine = [np.all(c.T == g[:, k], axis=1) for c, _, _ in engine.evaluations]
+            seen_t = np.concatenate([t[m] for m, (_, t, _) in zip(mine, engine.evaluations)])
+            seen_f = np.concatenate([v[m] for m, (_, _, v) in zip(mine, engine.evaluations)])
+            assert seen_t[0] == center[k]
+            assert np.all(np.abs(seen_t - center[k]) <= engine.step)
+            assert value[k] == seen_f.max()
+            assert theta[k] in seen_t[seen_f == value[k]]
+            # both are f in double precision, where p theta alone rounds by up
+            # to 2e-15; golden's ~50 evaluations near the top keep the most
+            # favourable rounding, which beat Newton's ~4 by up to 1.4e-15 in
+            # a million random candidates (Newton's theta was the closer one)
+            assert value[k] >= golden[k] - 4e-15
+
+    def test_newton_steps_per_candidate(self, monkeypatch):
+        # golden-section polish made 50 evaluations per candidate
+        candidates, steps = [], []
+        refine, taylor = DistanceEngine._refine, DistanceEngine._taylor
+
+        def counting_refine(self, g0, g1, g2, g3, t_idx):
+            candidates.append(len(t_idx))
+            return refine(self, g0, g1, g2, g3, t_idx)
+
+        def counting_taylor(self, g0, g1, g2, g3, theta):
+            steps.append(len(theta))
+            return taylor(self, g0, g1, g2, g3, theta)
+
+        monkeypatch.setattr(DistanceEngine, "_refine", counting_refine)
+        monkeypatch.setattr(DistanceEngine, "_taylor", counting_taylor)
+        pts = np.random.default_rng(26).standard_normal((200, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        DistanceEngine((2, 3), gamma_trivial()).distance_matrix(pts)
+        assert sum(candidates) > 19_900  # at least one per pair
+        assert sum(steps) < 6 * sum(candidates)
 
 
 # conjugates both coordinates: det +1 and gamma J gamma^T = -J, so
