@@ -3,8 +3,16 @@
 Samples quotient metrics exactly (up to floating point) from weighted
 circle actions commuting with a finite orthogonal group, then measures
 extents, diameters, double branched covers, and the smallness battery.
+
+The names of the cover stage (``double_branched_cover``, its errors and
+certificate, and the ``check_condition_qprime`` battery built on it) load
+lazily: ``cover`` needs scipy, whose import costs about as much as the
+rest of the lab, and sampling or measuring extents never builds a cover.
+Each lookup reads the name from its submodule afresh, so a function
+rebound there is what the package hands out.
 """
 
+from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
 from .actions import (
@@ -14,13 +22,6 @@ from .actions import (
     gamma_trivial,
     parse_gamma,
     validate_gamma,
-)
-from .condition_q import CheckItem, ConditionQPrimeReport, check_condition_qprime
-from .cover import (
-    ConvergenceError,
-    CoverCertificate,
-    GraphDisconnectedError,
-    double_branched_cover,
 )
 from .engine import DistanceEngine
 from .extents import ExtentReport, SMALL_BOUND, extent, is_small
@@ -35,9 +36,35 @@ from .spaces import (
     validate_metric,
 )
 
-# the names imported above, not the submodules they bring along
-__all__ = [
-    name
-    for name in dir()
-    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
-]
+# lazy name -> the submodule that defines it
+_LAZY = {
+    "CheckItem": "condition_q",
+    "ConditionQPrimeReport": "condition_q",
+    "check_condition_qprime": "condition_q",
+    "ConvergenceError": "cover",
+    "CoverCertificate": "cover",
+    "GraphDisconnectedError": "cover",
+    "double_branched_cover": "cover",
+}
+
+# the names imported above, not the submodules they bring along, and the
+# lazy ones
+__all__ = sorted(
+    [
+        name
+        for name in dir()
+        if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+    ]
+    + list(_LAZY)
+)
+
+
+def __getattr__(name):
+    # not cached in the package namespace: see the module docstring
+    if name in _LAZY:
+        return getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -113,31 +113,38 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     if g == 0:
         raise ValueError("gamma must contain at least the identity")
     eye = np.eye(4)
-    for m in gammas:
-        if np.max(np.abs(m.T @ m - eye)) > ORTHOGONALITY_TOL:
+    transposed = gammas.transpose(0, 2, 1)
+    not_orthogonal = np.max(np.abs(transposed @ gammas - eye), axis=(1, 2)) > ORTHOGONALITY_TOL
+    wrong_det = np.abs(np.linalg.det(gammas) - 1.0) > GROUP_TOL
+    # the first element that fails either test decides the message, and
+    # orthogonality is tested first on each element
+    failing = np.flatnonzero(not_orthogonal | wrong_det)
+    if len(failing):
+        if not_orthogonal[failing[0]]:
             raise ValueError("gamma element is not orthogonal to 1e-12")
-        if abs(np.linalg.det(m) - 1.0) > GROUP_TOL:
-            raise ValueError("gamma element must preserve orientation (det +1)")
-    if not any(np.max(np.abs(m - eye)) <= GROUP_TOL for m in gammas):
+        raise ValueError("gamma element must preserve orientation (det +1)")
+    if not np.any(np.max(np.abs(gammas - eye), axis=(1, 2)) <= GROUP_TOL):
         raise ValueError("gamma must contain the identity")
+    # one row of each pairwise test at a time: O(|Gamma|^2) memory per step
     for i in range(g):
-        for j in range(i + 1, g):
-            if np.max(np.abs(gammas[i] - gammas[j])) <= GROUP_TOL:
-                raise ValueError("gamma contains duplicate elements")
+        if np.any(np.max(np.abs(gammas[i + 1:] - gammas[i]), axis=(1, 2)) <= GROUP_TOL):
+            raise ValueError("gamma contains duplicate elements")
     for i in range(g):
         prod = gammas[i] @ gammas
-        for j in range(g):
-            gap = np.min(np.max(np.abs(gammas - prod[j]), axis=(1, 2)))
-            if gap > GROUP_TOL:
-                raise ValueError("gamma is not closed under composition")
+        # distance from each product gammas[i] @ gammas[j] to its nearest element
+        gap = np.min(np.max(np.abs(prod[:, None] - gammas), axis=(2, 3)), axis=1)
+        if np.any(gap > GROUP_TOL):
+            raise ValueError("gamma is not closed under composition")
     j_gen = circle_generator(p, q)
-    for m in gammas:
-        conj = m @ j_gen @ m.T
-        if min(np.max(np.abs(conj - j_gen)), np.max(np.abs(conj + j_gen))) > GROUP_TOL:
-            raise ValueError(
-                "gamma element does not normalize the circle action "
-                "(gamma J gamma^T must be +-J)"
-            )
+    conj = gammas @ j_gen @ transposed
+    off = np.minimum(
+        np.max(np.abs(conj - j_gen), axis=(1, 2)), np.max(np.abs(conj + j_gen), axis=(1, 2))
+    )
+    if np.any(off > GROUP_TOL):
+        raise ValueError(
+            "gamma element does not normalize the circle action "
+            "(gamma J gamma^T must be +-J)"
+        )
 
 
 @dataclass(eq=False)

@@ -35,7 +35,9 @@ Every edge list is an integer index array: the neighbor graph is an (m, 2)
 array of base index pairs u < v, the cut test reads its columns, and each
 sparse graph is assembled from such arrays in one call.
 
-Cover distances are shortest paths from the n base rows only.  The sheet
+Cover distances are shortest paths from the n base rows only.  The graph
+stores both orientations of every edge, so the directed search (scipy's
+default) is the undirected one and scans each stored edge once.  The sheet
 swap sigma, which exchanges the two lifts of every doubled node and fixes
 the branch points, maps each edge to an edge of the same weight, so it is
 an isometry of the cover graph: d(sigma u, v) = d(u, sigma v).  Every
@@ -303,7 +305,7 @@ def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
     # is its base row read through sigma (module docstring)
     sigma = np.concatenate([node_map[:, 1], doubled])
     cover_dist = np.empty((size, size))
-    cover_dist[:n] = dijkstra(graph, directed=False, indices=np.arange(n))
+    cover_dist[:n] = dijkstra(graph, indices=np.arange(n))
     # every index is in range; "clip" only spares the buffer "raise" uses
     np.take(cover_dist[doubled], sigma, axis=1, out=cover_dist[n:], mode="clip")
     if not np.all(np.isfinite(cover_dist)):

@@ -15,10 +15,11 @@ rationals rather than from integer arithmetic, the worst triangle
 slack of the metric check's random triples comes from one draw of all of
 them gathered by 2-D fancy indexing rather than from chunked draws read
 through the flattened matrix, the full triangle scan takes every ordered
-triple rather than each pair once, and general-weight alignments come from
+triple rather than each pair once, general-weight alignments come from
 a 256-per-weight grid with golden-section polish of every grid-local
 maximum, evaluated in complex exponentials, rather than from a coarse grid,
-a candidate margin and Newton steps.  The unit round 2-sphere,
+a candidate margin and Newton steps, and the group checks on gamma run
+one element or pair at a time rather than batched.  The unit round 2-sphere,
 whose distances are plain great-circle angles, is a space with known
 extents that no action spec describes.
 """
@@ -32,7 +33,12 @@ from math import gcd, lcm, pi, tau
 
 import numpy as np
 
-from x4circle.extent_lab.actions import circle_matrix
+from x4circle.extent_lab.actions import (
+    GROUP_TOL,
+    ORTHOGONALITY_TOL,
+    circle_generator,
+    circle_matrix,
+)
 from x4circle.extent_lab.spaces import (
     RANDOM_TRIPLES,
     ROOT_TOL,
@@ -191,6 +197,43 @@ def full_triangle_slack(d: np.ndarray) -> float:
     """Worst d[i, j] - d[i, k] - d[k, j] over every triple, by n passes over
     an n x n array."""
     return max(float((d[i][None, :] - d[i][:, None] - d).max()) for i in range(len(d)))
+
+
+def loop_validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
+    """validate_gamma's checks and messages, one element or pair at a time."""
+    if gammas.ndim != 3 or gammas.shape[1:] != (4, 4):
+        raise ValueError("gamma must have shape (count, 4, 4)")
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError("gamma entries must be finite")
+    g = len(gammas)
+    if g == 0:
+        raise ValueError("gamma must contain at least the identity")
+    eye = np.eye(4)
+    for m in gammas:
+        if np.max(np.abs(m.T @ m - eye)) > ORTHOGONALITY_TOL:
+            raise ValueError("gamma element is not orthogonal to 1e-12")
+        if abs(np.linalg.det(m) - 1.0) > GROUP_TOL:
+            raise ValueError("gamma element must preserve orientation (det +1)")
+    if not any(np.max(np.abs(m - eye)) <= GROUP_TOL for m in gammas):
+        raise ValueError("gamma must contain the identity")
+    for i in range(g):
+        for j in range(i + 1, g):
+            if np.max(np.abs(gammas[i] - gammas[j])) <= GROUP_TOL:
+                raise ValueError("gamma contains duplicate elements")
+    for i in range(g):
+        prod = gammas[i] @ gammas
+        for j in range(g):
+            gap = np.min(np.max(np.abs(gammas - prod[j]), axis=(1, 2)))
+            if gap > GROUP_TOL:
+                raise ValueError("gamma is not closed under composition")
+    j_gen = circle_generator(p, q)
+    for m in gammas:
+        conj = m @ j_gen @ m.T
+        if min(np.max(np.abs(conj - j_gen)), np.max(np.abs(conj + j_gen))) > GROUP_TOL:
+            raise ValueError(
+                "gamma element does not normalize the circle action "
+                "(gamma J gamma^T must be +-J)"
+            )
 
 
 def golden_grid_alignments(weights, gammas, pts, iters: int = 48) -> np.ndarray:

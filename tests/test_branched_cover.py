@@ -64,6 +64,12 @@ def hopf_space():
 
 
 @pytest.fixture(scope="module")
+def football_space():
+    # general weights: distances from the engine's grid solver
+    return sample_quotient(IsometricActionSpec(weights=(2, 3), samples=100, seed=3))
+
+
+@pytest.fixture(scope="module")
 def hopf_high_base(hopf_space):
     return regenerate(hopf_space, 500)
 
@@ -195,24 +201,29 @@ class TestCoverGraph:
     @pytest.mark.parametrize("fixture, labels", [
         ("dihedral_space", ("singular:0", "singular:1")),
         ("hopf_space", ("z2=0", "z1=0")),  # antipodal: the cut uses a waypoint
+        ("football_space", ("z2=0", "z1=0")),
     ])
     def test_sheet_swap_mirrors_all_sources(self, request, monkeypatch, fixture, labels):
         # the sheet swap is an automorphism of the weighted graph, so
-        # Dijkstra from the base rows alone gives the all-sources matrix
+        # Dijkstra from the base rows alone gives the all-sources matrix;
+        # the graph stores both orientations of each edge, so the directed
+        # search from those rows gives the undirected distances
         space = request.getfixturevalue(fixture)
         marks = {m.label: m.index for m in space.marked}
         branch = (marks[labels[0]], marks[labels[1]])
         calls = []
 
         def recording_dijkstra(csgraph, **kwargs):
-            calls.append((csgraph, kwargs["indices"]))
+            calls.append((csgraph, kwargs))
             return dijkstra(csgraph, **kwargs)
 
         dijkstra = cover_module.dijkstra
         monkeypatch.setattr(cover_module, "dijkstra", recording_dijkstra)
         cover, node_map = _build_cover(space, branch)
 
-        ((graph, sources),) = calls
+        ((graph, kwargs),) = calls
+        assert kwargs.get("directed", True)  # one scan per stored edge
+        sources = kwargs["indices"]
         n = space.size
         assert len(sources) == n
         doubled = np.setdiff1d(np.arange(n), branch)

@@ -12,7 +12,8 @@ the quaternion pair of each group element are checked against the
 smallest-singular-value scan in tests/oracles.py, the exact three-point
 extent against the brute force there, and the metric check's chunked
 random triples against one draw of all of them, and its full scan against
-one that takes every ordered triple.
+one that takes every ordered triple.  The batched group checks on gamma
+are checked against the one-element-at-a-time loop there.
 """
 
 import io
@@ -54,6 +55,7 @@ from oracles import (
     brute_force_extent_three,
     full_triangle_slack,
     golden_grid_alignments,
+    loop_validate_gamma,
     sample_round_two_sphere,
     sampled_triangle_slack,
     sampled_triples,
@@ -89,6 +91,56 @@ def hopf_distance(x, y):
     zy, wy = y[0] + 1j * y[1], y[2] + 1j * y[3]
     inner = zx * np.conj(zy) + wx * np.conj(wy)
     return float(np.arccos(np.clip(abs(inner), -1.0, 1.0)))
+
+
+def _reflection() -> np.ndarray:
+    # orthogonal with det -1
+    return np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def _skewed() -> np.ndarray:
+    # det +1 to 1e-9 but not orthogonal to 1e-12
+    m = np.eye(4)
+    m[0, 1] = 1e-6
+    return m
+
+
+def _swap_planes() -> np.ndarray:
+    # (z1, z2) -> (z2, z1): an involution that carries weights (2, 3) to (3, 2)
+    return np.eye(4)[[2, 3, 0, 1]]
+
+
+# (elements, weights, the start of the message; None for a valid group)
+GAMMA_CASES = {
+    "shape": (np.zeros((2, 3, 3)), (1, 1), "gamma must have shape"),
+    "not-finite": (np.stack([np.eye(4), np.full((4, 4), np.nan)]), (1, 1), "gamma entries"),
+    "empty": (np.zeros((0, 4, 4)), (1, 1), "gamma must contain at least"),
+    "not-orthogonal": (np.stack([np.eye(4), _skewed()]), (1, 1), "gamma element is not"),
+    "orientation": (np.stack([np.eye(4), _reflection()]), (1, 1), "gamma element must"),
+    "orientation-first": (
+        np.stack([np.eye(4), _reflection(), _skewed()]), (1, 1), "gamma element must"
+    ),
+    "orthogonality-first": (
+        np.stack([np.eye(4), _skewed(), _reflection()]), (1, 1), "gamma element is not"
+    ),
+    "no-identity": (-gamma_cyclic(3), (1, 1), "gamma must contain the identity"),
+    "duplicate": (
+        np.concatenate([gamma_cyclic(3), gamma_cyclic(3)[1:2]]), (1, 1), "gamma contains"
+    ),
+    "dropped-element": (gamma_binary_dihedral(3)[:-1], (1, 1), "gamma is not closed"),
+    "not-normalizing": (np.stack([np.eye(4), _swap_planes()]), (2, 3), "gamma element does"),
+    "binary-dihedral": (gamma_binary_dihedral(3), (1, 1), None),
+    "binary-dihedral-48": (gamma_binary_dihedral(12), (1, 1), None),
+    "swap-hopf": (np.stack([np.eye(4), _swap_planes()]), (1, 1), None),
+}
+
+
+def _rejection(check, gammas, weights):
+    try:
+        check(gammas, *weights)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestActionSpec:
@@ -131,6 +183,16 @@ class TestActionSpec:
         gammas[1, 3, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             validate_gamma(gammas, 2, 3)
+
+    @pytest.mark.parametrize("case", list(GAMMA_CASES))
+    def test_gamma_checks_match_the_loop(self, case):
+        gammas, weights, start = GAMMA_CASES[case]
+        message = _rejection(validate_gamma, gammas, weights)
+        assert message == _rejection(loop_validate_gamma, gammas, weights)
+        if start is None:
+            assert message is None
+        else:
+            assert message is not None and message.startswith(start)
 
 
 class TestSampling:
