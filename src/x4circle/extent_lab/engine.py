@@ -12,7 +12,10 @@ For unit weights (p, q in {1, -1}) the circle acts by one complex scalar,
 up to conjugating a coordinate, so f(theta) = Re(S e^{i theta}) with
 S = A' + B', where A' is A for p = 1 and conj(A) for p = -1 (B' likewise
 from B and q).  The maximum is |S| at theta = -arg S: the Fubini-Study
-distance on S^3/S^1 = S^2(1/2), computed in closed form.
+distance on S^3/S^1 = S^2(1/2), computed in closed form.  A distance
+matrix takes only the largest |S| over Gamma of each pair; `align` also
+returns the winning gamma* and theta*.  The two paths share the
+expression of S and agree bit for bit.
 
 For every other pair of weights the maximum is located on a
 64 * max(|p|, |q|) point grid of step h and then polished by Newton steps.
@@ -132,34 +135,53 @@ class DistanceEngine:
                 break
         return value, arg
 
-    def _best_alignments(self, u1, u2, v1, v2, cols):
+    def _best_alignments(self, a1, a2, v1, v2, cols):
         """Best alignment of every pair in a flat list of pairs.
 
-        Pair k is the row with complex coordinates u1[k], u2[k] against
-        column cols[k]; v1, v2 hold the complex coordinates of gamma_g
-        applied to every column, shape (|Gamma|, columns).  Returns the
-        maximal <x, R(theta) gamma y> of each pair with the winning gamma
-        index and theta.  The result is not bit-symmetric in (x, y), so
-        callers that want a symmetric answer fix which point is the row.
+        Pair k is the row whose complex coordinates, conjugated, are
+        a1[k], a2[k], against column cols[k]; v1, v2 hold the complex
+        coordinates of gamma_g applied to every column, shape
+        (|Gamma|, columns).  Returns the maximal <x, R(theta) gamma y> of
+        each pair with the winning gamma index and theta.  The result is not
+        bit-symmetric in (x, y), so callers that want a symmetric answer fix
+        which point is the row.
         """
         if self.max_weight == 1:
-            return self._closed_form_alignments(u1, u2, v1, v2, cols)
-        return self._grid_alignments(u1, u2, v1, v2, cols)
+            return self._closed_form_alignments(a1, a2, v1, v2, cols)
+        return self._grid_alignments(a1, a2, v1, v2, cols)
 
-    def _closed_form_alignments(self, u1, u2, v1, v2, cols):
-        """Exact `_best_alignments` for unit weights: |S| at theta = -arg S."""
-        a1, a2 = u1.conj(), u2.conj()
-        flat = len(cols)
-        win_val = np.full(flat, -np.inf)
-        win_gamma = np.zeros(flat, dtype=int)
-        win_s = np.zeros(flat, dtype=complex)
+    def _best_values(self, a1, a2, v1, v2, cols):
+        """The maximal <x, R(theta) gamma y> of each pair, as `_best_alignments`
+        gives it, without the winning gamma and theta.
+
+        For unit weights that is the largest |S| over Gamma.  The strict `>`
+        of `_closed_form_alignments` leaves its winning value equal to this
+        running maximum, so the two agree bit for bit.
+        """
+        if self.max_weight > 1:
+            return self._grid_alignments(a1, a2, v1, v2, cols)[0]
+        best = np.full(len(cols), -np.inf)
+        for s in self._unit_sums(a1, a2, v1, v2, cols):
+            np.maximum(best, np.abs(s), out=best)
+        return best
+
+    def _unit_sums(self, a1, a2, v1, v2, cols):
+        """S = A' + B' of every pair for each gamma in turn (unit weights)."""
         for gi in range(len(self.gammas)):
             # np.multiply, not `*`: numpy reuses a large temporary right
             # operand as the output with the factors swapped, which moves
             # the last bit of the fused complex product
             av = np.multiply(a1, v1[gi].take(cols))
             bv = np.multiply(a2, v2[gi].take(cols))
-            s = (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
+            yield (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
+
+    def _closed_form_alignments(self, a1, a2, v1, v2, cols):
+        """Exact `_best_alignments` for unit weights: |S| at theta = -arg S."""
+        flat = len(cols)
+        win_val = np.full(flat, -np.inf)
+        win_gamma = np.zeros(flat, dtype=int)
+        win_s = np.zeros(flat, dtype=complex)
+        for gi, s in enumerate(self._unit_sums(a1, a2, v1, v2, cols)):
             value = np.abs(s)
             # earlier gammas keep exact ties
             wins = value > win_val
@@ -168,7 +190,7 @@ class DistanceEngine:
             win_s[wins] = s[wins]
         return win_val, win_gamma, np.mod(-np.angle(win_s), 2.0 * pi)
 
-    def _grid_alignments(self, u1, u2, v1, v2, cols):
+    def _grid_alignments(self, a1, a2, v1, v2, cols):
         """`_best_alignments` for any weights, by one grid scan and Newton polish.
 
         Each product of a gamma's coefficients with a 64-cell block of the
@@ -179,14 +201,13 @@ class DistanceEngine:
         The winner is the best polished candidate; the value also admits the
         grid maximum, whose cell is always among the candidates.
         """
-        a1, a2 = u1.conj(), u2.conj()
         flat = len(cols)
         m_grid = self.grid_size
         best = np.full(flat, -np.inf)
         scans = []
 
         for gi in range(len(self.gammas)):
-            # np.multiply keeps the factor order (see the closed form)
+            # np.multiply keeps the factor order (see `_unit_sums`)
             av = np.multiply(a1, v1[gi].take(cols))
             bv = np.multiply(a2, v2[gi].take(cols))
             g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
@@ -260,7 +281,8 @@ class DistanceEngine:
         """
         pts = np.asarray(points, dtype=float)
         n = len(pts)
-        u1, u2 = self._complex_parts(pts)
+        # conjugated once here, so each chunk gathers its rows in one copy
+        a1, a2 = (u.conj() for u in self._complex_parts(pts))
         v1, v2 = self._transformed_parts(pts)
         out = np.zeros((n, n))
         need = np.ones(n, dtype=bool)
@@ -272,7 +294,7 @@ class DistanceEngine:
         for r0 in range(0, n, ROW_CHUNK):
             rows, cols = np.nonzero(np.triu(need[r0 : r0 + ROW_CHUNK, None] | need, r0 + 1))
             rows += r0
-            best, _, _ = self._best_alignments(u1[rows], u2[rows], v1, v2, cols)
+            best = self._best_values(a1[rows], a2[rows], v1, v2, cols)
             out[rows, cols] = out[cols, rows] = np.arccos(np.clip(best, -1.0, 1.0))
         return out
 
@@ -286,7 +308,7 @@ class DistanceEngine:
         v1, v2 = self._transformed_parts(ys)
         cols = np.arange(len(ys))
         best, gamma_idx, theta = self._best_alignments(
-            u1.repeat(len(ys)), u2.repeat(len(ys)), v1, v2, cols
+            u1.conj().repeat(len(ys)), u2.conj().repeat(len(ys)), v1, v2, cols
         )
         z1 = v1[gamma_idx, cols] * np.exp(1j * self.p * theta)
         z2 = v2[gamma_idx, cols] * np.exp(1j * self.q * theta)

@@ -111,12 +111,19 @@ def validate_metric(space: SampledMetricSpace) -> None:
 def _worst_full_slack(d: np.ndarray) -> float:
     """Largest d[i, j] - d[i, k] - d[k, j] over all triples with i != k.
 
-    One pass per row i over the rows k > i: d is exactly symmetric, so
-    |d[i, j] - d[k, j]| - d[i, k] takes both orders of the pair {i, k}.
+    One pass per row i over the entries (k, j) with k, j > i: d is exactly
+    symmetric, so |d[i, j] - d[k, j]| - d[i, k] checks the long sides ij
+    and kj of the triangle i, j, k.  An inequality d[x, y] <= d[x, z] +
+    d[z, y] of three distinct points is reached in the pass
+    i = min(x, y, z): at (k, j) = (x, y) when i = z is the middle point,
+    and at (k, j) = (z, y) when i = x is an end of the long side.  Columns
+    j < i would only repeat inequalities of earlier passes.  j = k gives
+    the slack 0 of a repeated point.
     """
     worst = -np.inf
     for i in range(len(d) - 1):
-        slack = np.abs(d[i + 1 :] - d[i]).max(axis=1) - d[i, i + 1 :]
+        row = d[i, i + 1 :]
+        slack = np.abs(d[i + 1 :, i + 1 :] - row).max(axis=1) - row
         worst = max(worst, float(slack.max()))
     return worst
 

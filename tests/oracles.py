@@ -15,13 +15,14 @@ rationals rather than from integer arithmetic, the worst triangle
 slack of the metric check's random triples comes from one draw of all of
 them gathered by 2-D fancy indexing rather than from chunked draws read
 through the flattened matrix, the full triangle scan takes every ordered
-triple rather than each pair once, general-weight alignments come from
+triple rather than each triangle inequality once, general-weight alignments come from
 a 256-per-weight grid with golden-section polish of every grid-local
 maximum, evaluated in complex exponentials, rather than from a coarse grid,
-a candidate margin and Newton steps, and the group checks on gamma run
-one element or pair at a time rather than batched.  The unit round 2-sphere,
-whose distances are plain great-circle angles, is a space with known
-extents that no action spec describes.
+a candidate margin and Newton steps, unit-weight distance matrices keep
+each pair's winner by masked writes rather than a running maximum, and the
+group checks on gamma run one element or pair at a time rather than
+batched.  The unit round 2-sphere, whose distances are plain great-circle
+angles, is a space with known extents that no action spec describes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from x4circle.extent_lab.actions import (
     circle_generator,
     circle_matrix,
 )
+from x4circle.extent_lab.engine import ROW_CHUNK
 from x4circle.extent_lab.spaces import (
     RANDOM_TRIPLES,
     ROOT_TOL,
@@ -270,6 +272,38 @@ def golden_grid_alignments(weights, gammas, pts, iters: int = 48) -> np.ndarray:
         np.maximum(best, grid.max(axis=0), out=best)
         np.maximum.at(best, pair, polished)
     return best.reshape(n, n)
+
+
+def winner_path_distance_matrix(weights, gammas, points) -> np.ndarray:
+    """A unit-weight distance matrix as the engine built it when every pair
+    went through the winner bookkeeping of `align`.
+
+    Rows are chunked and pairs listed exactly as in
+    `DistanceEngine.distance_matrix`, so every complex product sees the
+    same operands at the same position.  Each gamma's |S| then replaces the
+    pair's best only where it is strictly larger, by a masked write; the
+    winning gamma and theta, which a matrix never reads, are not kept.
+    """
+    p, q = weights
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    u1, u2 = pts[:, 0] + 1j * pts[:, 1], pts[:, 2] + 1j * pts[:, 3]
+    moved = np.einsum("gab,jb->gja", np.asarray(gammas, dtype=float), pts)
+    v1, v2 = moved[..., 0] + 1j * moved[..., 1], moved[..., 2] + 1j * moved[..., 3]
+    out = np.zeros((n, n))
+    for r0 in range(0, n, ROW_CHUNK):
+        rows, cols = np.nonzero(np.triu(np.ones((min(ROW_CHUNK, n - r0), n), dtype=bool), r0 + 1))
+        rows += r0
+        a1, a2 = u1[rows].conj(), u2[rows].conj()
+        win_val = np.full(len(cols), -np.inf)
+        for gi in range(len(v1)):
+            av = np.multiply(a1, v1[gi].take(cols))
+            bv = np.multiply(a2, v2[gi].take(cols))
+            value = np.abs((av if p == 1 else av.conj()) + (bv if q == 1 else bv.conj()))
+            wins = value > win_val
+            win_val[wins] = value[wins]
+        out[rows, cols] = out[cols, rows] = np.arccos(np.clip(win_val, -1.0, 1.0))
+    return out
 
 
 def _complex_pair(x):

@@ -61,20 +61,22 @@ from oracles import (
     sampled_triples,
     svd_theta_roots,
     two_sided_matrix,
+    winner_path_distance_matrix,
 )
 
 
 def count_alignments(monkeypatch):
-    """Patch the engine to record the number of pairs each
-    `_best_alignments` call aligns; returns the list it appends to."""
+    """Patch the engine to record the number of pairs each `_best_values`
+    call, the pair-list entry of `distance_matrix`, aligns; returns the list
+    it appends to."""
     aligned = []
-    original = DistanceEngine._best_alignments
+    original = DistanceEngine._best_values
 
-    def counting(self, u1, u2, v1, v2, cols):
+    def counting(self, a1, a2, v1, v2, cols):
         aligned.append(len(cols))
-        return original(self, u1, u2, v1, v2, cols)
+        return original(self, a1, a2, v1, v2, cols)
 
-    monkeypatch.setattr(DistanceEngine, "_best_alignments", counting)
+    monkeypatch.setattr(DistanceEngine, "_best_values", counting)
     return aligned
 
 
@@ -312,6 +314,15 @@ class TestSampling:
             d = equilateral_space(n, seed=0).dist
             d[i, j] = d[j, i] = 1.0 + 1e-3
             matrices.append(d)
+        # sides 0.2 + 0.2 < 0.5 leave d[x, y] <= d[x, z] + d[z, y] the one
+        # violated inequality; the smallest index is its middle point z, or
+        # an end of its long side whose other end is the largest or the
+        # middle index
+        for z, (x, y) in ((1, (3, 5)), (3, (1, 5)), (5, (1, 3))):
+            d = equilateral_space(7, seed=0).dist
+            d[x, z] = d[z, x] = d[z, y] = d[y, z] = 0.2
+            assert full_triangle_slack(d) == pytest.approx(0.1, abs=1e-15)
+            matrices.append(d)
         for d in matrices:
             assert abs(spaces._worst_full_slack(d) - full_triangle_slack(d)) <= 1e-14
 
@@ -475,7 +486,8 @@ class TestFlatPairs:
         zeros = np.zeros(engine.grid_size)
         _, theta = engine._refine(zeros, zeros, zeros, zeros, np.arange(engine.grid_size))
         x, y = np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0, 0.0]])
-        parts = engine._complex_parts(x) + engine._transformed_parts(y) + (np.arange(1),)
+        rows = tuple(u.conj() for u in engine._complex_parts(x))
+        parts = rows + engine._transformed_parts(y) + (np.arange(1),)
         value, _, won = engine._grid_alignments(*parts)
         # refining every cell ties them all, and the last candidate is kept
         assert value[0] == 0.0 and won[0] == theta[-1]
@@ -532,9 +544,9 @@ def engine_inputs(weights, gammas, seed):
     n = 30
     pts = np.random.default_rng(seed).standard_normal((n, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    u1, u2 = engine._complex_parts(pts)
+    a1, a2 = (u.conj().repeat(n) for u in engine._complex_parts(pts))
     v1, v2 = engine._transformed_parts(pts)
-    return engine, pts, (u1.repeat(n), u2.repeat(n), v1, v2, np.tile(np.arange(n), n))
+    return engine, pts, (a1, a2, v1, v2, np.tile(np.arange(n), n))
 
 
 class TestClosedForm:
@@ -570,6 +582,62 @@ class TestClosedForm:
         # the patch is live: general weights still refine
         with pytest.raises(AssertionError, match="grid solver"):
             DistanceEngine((2, 3), gamma_trivial()).distance_matrix(pts)
+
+    def test_matrices_never_take_the_winner_path(self, monkeypatch):
+        def refuse(self, a1, a2, v1, v2, cols):
+            raise AssertionError("a matrix reached the winner path")
+
+        monkeypatch.setattr(DistanceEngine, "_closed_form_alignments", refuse)
+        spec = IsometricActionSpec(
+            weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=60, seed=0
+        )
+        pts = sample_quotient(spec).points
+        hopf = DistanceEngine(spec.weights, spec.gamma)
+        hopf.distance_matrix(pts)
+        # the patch is live: align still takes the winners
+        with pytest.raises(AssertionError, match="winner path"):
+            hopf.align(pts[0], pts)
+
+
+def unit_spec(weights, group, samples):
+    return IsometricActionSpec(
+        weights=weights, gamma=UNIT_GROUPS[group], samples=samples, seed=31
+    )
+
+
+class TestValuePath:
+    # a matrix takes only the largest |S| over Gamma; the old builder kept
+    # the winner of each pair by masked writes, and every entry is the same
+    @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_fresh_matrix_is_the_winner_paths(self, weights, group):
+        # 400 points: six full row chunks and a partial one, each chunk
+        # large enough for numpy to reuse temporaries (see `_unit_sums`)
+        pts = np.random.default_rng(32).standard_normal((400, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        dist = DistanceEngine(weights, UNIT_GROUPS[group]).distance_matrix(pts)
+        oracle = winner_path_distance_matrix(weights, UNIT_GROUPS[group], pts)
+        assert np.array_equal(dist, oracle)
+
+    @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_regenerate_is_the_winner_paths(self, weights, group):
+        # regenerate copies the distances it has and aligns the rest
+        low = sample_quotient(unit_spec(weights, group, 80))
+        for space in (low, regenerate(low, 150), regenerate(low, 50)):
+            oracle = winner_path_distance_matrix(weights, UNIT_GROUPS[group], space.points)
+            assert np.array_equal(space.dist, oracle)
+
+    @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_scattered_known_block_is_the_winner_paths(self, weights, group):
+        gammas = UNIT_GROUPS[group]
+        sp = sample_quotient(unit_spec(weights, group, 80))
+        index = np.arange(0, sp.size, 2)
+        dist = DistanceEngine(weights, gammas).distance_matrix(
+            sp.points, known=(index, sp.dist[np.ix_(index, index)])
+        )
+        assert np.array_equal(dist, winner_path_distance_matrix(weights, gammas, sp.points))
 
 
 def lens_group(m, k):
