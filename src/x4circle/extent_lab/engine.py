@@ -13,9 +13,10 @@ up to conjugating a coordinate, so f(theta) = Re(S e^{i theta}) with
 S = A' + B', where A' is A for p = 1 and conj(A) for p = -1 (B' likewise
 from B and q).  The maximum is |S| at theta = -arg S: the Fubini-Study
 distance on S^3/S^1 = S^2(1/2), computed in closed form.  A distance
-matrix takes only the largest |S| over Gamma of each pair; `align` also
-returns the winning gamma* and theta*.  The two paths share the
-expression of S and agree bit for bit.
+matrix takes only the largest |S| over Gamma of each pair; `align`
+stacks the S of every gamma and also returns the winning gamma*, the
+first argmax of |S|, with theta*.  The two paths share the expression of
+S and agree bit for bit.
 
 For every other pair of weights the maximum is located on a
 64 * max(|p|, |q|) point grid of step h and then polished by Newton steps.
@@ -27,10 +28,12 @@ of the per-pair best therefore never misses the global optimum.  The grid
 is scanned once: the same block products give the per-pair best and the
 grid-local maxima near it.
 
-The polish is a safeguarded Newton iteration on f' in the bracket of the
-two neighbouring grid cells.  Each step shrinks the bracket by the sign of
-f', takes the Newton step theta - f'/f'' when f'' < 0 and the step lands
-in the closed bracket, and bisects otherwise.  A candidate stops once its
+The polish, `newton_max` on `trig_taylor`, is a safeguarded Newton
+iteration on f' in the bracket of the two neighbouring grid cells; the
+fixed-locus search of spaces.py polishes its roots with the same routine.
+Each step shrinks the bracket by the sign of f', takes the Newton step
+theta - f'/f'' when f'' < 0 and the step lands in the closed bracket,
+and bisects otherwise.  A candidate stops once its
 step is below 1e-13 or f' is exactly 0, and at most NEWTON_ITERS steps are
 taken, so a degenerate maximum converges no worse than by bisection.  The
 largest f evaluated is returned with its theta; the start cell is
@@ -45,8 +48,8 @@ aligns each pair (i, j), i < j, that it needs exactly once with the lower
 index i as the row, and mirrors it; `align` pairs its one point with every
 column.
 
-All reductions are elementwise max/min, so results are bit-identical no
-matter how BLAS threads split the work.
+All reductions are elementwise max/min or argmax over Gamma, so results
+are bit-identical no matter how BLAS threads split the work.
 """
 
 from __future__ import annotations
@@ -61,6 +64,54 @@ CANDIDATE_MARGIN = 5e-3
 NEWTON_ITERS = 48  # cap: bisection alone reaches 1e-13 in about 40 steps
 NEWTON_TOL = 1e-13  # radians
 ROW_CHUNK = 64  # distance-matrix rows aligned per batch
+
+
+def trig_taylor(p, q, g0, g1, g2, g3, theta):
+    """f = g0 cos(p t) + g1 sin(p t) + g2 cos(q t) + g3 sin(q t) at
+    t = theta, with its first and second derivatives."""
+    cp, sp = np.cos(p * theta), np.sin(p * theta)
+    cq, sq = np.cos(q * theta), np.sin(q * theta)
+    f = g0 * cp + g1 * sp + g2 * cq + g3 * sq
+    df = p * (g1 * cp - g0 * sp) + q * (g3 * cq - g2 * sq)
+    d2f = -p * p * (g0 * cp + g1 * sp) - q * q * (g2 * cq + g3 * sq)
+    return f, df, d2f
+
+
+def newton_max(taylor, center, width):
+    """Safeguarded Newton maximization over every bracket
+    [center[k] - width, center[k] + width]: (value, theta).
+
+    taylor(k, t) gives the value and first two derivatives of the
+    functions of candidates k at t.  Each candidate starts at its center,
+    and the largest value evaluated is returned with the theta where it
+    was.  Only the candidates whose last step moved are evaluated again.
+    """
+    theta = np.array(center, dtype=float)
+    lo, hi = theta - width, theta + width
+    value = np.full(len(theta), -np.inf)
+    arg = theta.copy()
+    live = np.arange(len(theta))
+    for _ in range(NEWTON_ITERS):
+        t = theta[live]
+        f, df, d2f = taylor(live, t)
+        better = f > value[live]
+        value[live[better]] = f[better]
+        arg[live[better]] = t[better]
+        # the maximum lies on the rising side of t
+        t_lo = np.where(df > 0, t, lo[live])
+        t_hi = np.where(df < 0, t, hi[live])
+        lo[live], hi[live] = t_lo, t_hi
+        concave = d2f < 0
+        newton = t - np.divide(df, d2f, out=np.zeros_like(df), where=concave)
+        # a closed bracket: once converged, the step may round onto an
+        # end, and bisecting instead would throw the converged t away
+        take = concave & (newton >= t_lo) & (newton <= t_hi)
+        step_to = np.where(take, newton, 0.5 * (t_lo + t_hi))
+        theta[live] = step_to
+        live = live[(np.abs(step_to - t) >= NEWTON_TOL) & (df != 0)]
+        if not len(live):
+            break
+    return value, arg
 
 
 class DistanceEngine:
@@ -90,73 +141,26 @@ class DistanceEngine:
         return self._complex_parts(moved)
 
     def _taylor(self, g0, g1, g2, g3, theta):
-        """f = g0 cos(p t) + g1 sin(p t) + g2 cos(q t) + g3 sin(q t) at
-        t = theta, with its first and second derivatives."""
-        p, q = self.p, self.q
-        cp, sp = np.cos(p * theta), np.sin(p * theta)
-        cq, sq = np.cos(q * theta), np.sin(q * theta)
-        f = g0 * cp + g1 * sp + g2 * cq + g3 * sq
-        df = p * (g1 * cp - g0 * sp) + q * (g3 * cq - g2 * sq)
-        d2f = -p * p * (g0 * cp + g1 * sp) - q * q * (g2 * cq + g3 * sq)
-        return f, df, d2f
+        """`trig_taylor` with this engine's weights."""
+        return trig_taylor(self.p, self.q, g0, g1, g2, g3, theta)
 
     def _refine(self, g0, g1, g2, g3, t_idx):
-        """Safeguarded Newton polish around grid cells t_idx: (value, theta).
+        """`newton_max` of `_taylor` around grid cells t_idx: (value, theta)."""
+        return newton_max(
+            lambda k, t: self._taylor(g0[k], g1[k], g2[k], g3[k], t),
+            t_idx * self.step,
+            self.step,
+        )
 
-        Maximizes f of `_taylor` over each bracket [c - step, c + step],
-        c = t_idx * step, starting at c, and returns the largest f it
-        evaluated with the theta where it was.  Only the candidates whose
-        last step moved are evaluated again.
-        """
-        theta = t_idx * self.step
-        lo, hi = theta - self.step, theta + self.step
-        value = np.full(len(theta), -np.inf)
-        arg = theta.copy()
-        live = np.arange(len(theta))
-        for _ in range(NEWTON_ITERS):
-            t = theta[live]
-            f, df, d2f = self._taylor(g0[live], g1[live], g2[live], g3[live], t)
-            better = f > value[live]
-            value[live[better]] = f[better]
-            arg[live[better]] = t[better]
-            # the maximum lies on the rising side of t
-            t_lo = np.where(df > 0, t, lo[live])
-            t_hi = np.where(df < 0, t, hi[live])
-            lo[live], hi[live] = t_lo, t_hi
-            concave = d2f < 0
-            newton = t - np.divide(df, d2f, out=np.zeros_like(df), where=concave)
-            # a closed bracket: once converged, the step may round onto an
-            # end, and bisecting instead would throw the converged t away
-            take = concave & (newton >= t_lo) & (newton <= t_hi)
-            step_to = np.where(take, newton, 0.5 * (t_lo + t_hi))
-            theta[live] = step_to
-            live = live[(np.abs(step_to - t) >= NEWTON_TOL) & (df != 0)]
-            if not len(live):
-                break
-        return value, arg
-
-    def _best_alignments(self, a1, a2, v1, v2, cols):
-        """Best alignment of every pair in a flat list of pairs.
+    def _best_values(self, a1, a2, v1, v2, cols):
+        """The maximal <x, R(theta) gamma y> of each pair in a flat list.
 
         Pair k is the row whose complex coordinates, conjugated, are
         a1[k], a2[k], against column cols[k]; v1, v2 hold the complex
         coordinates of gamma_g applied to every column, shape
-        (|Gamma|, columns).  Returns the maximal <x, R(theta) gamma y> of
-        each pair with the winning gamma index and theta.  The result is not
-        bit-symmetric in (x, y), so callers that want a symmetric answer fix
-        which point is the row.
-        """
-        if self.max_weight == 1:
-            return self._closed_form_alignments(a1, a2, v1, v2, cols)
-        return self._grid_alignments(a1, a2, v1, v2, cols)
-
-    def _best_values(self, a1, a2, v1, v2, cols):
-        """The maximal <x, R(theta) gamma y> of each pair, as `_best_alignments`
-        gives it, without the winning gamma and theta.
-
-        For unit weights that is the largest |S| over Gamma.  The strict `>`
-        of `_closed_form_alignments` leaves its winning value equal to this
-        running maximum, so the two agree bit for bit.
+        (|Gamma|, columns).  For unit weights the value is the largest |S|
+        over Gamma, the one `align` reads at its argmax, bit for bit; for
+        any other weights it is that of `_grid_alignments`.
         """
         if self.max_weight > 1:
             return self._grid_alignments(a1, a2, v1, v2, cols)[0]
@@ -175,23 +179,10 @@ class DistanceEngine:
             bv = np.multiply(a2, v2[gi].take(cols))
             yield (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
 
-    def _closed_form_alignments(self, a1, a2, v1, v2, cols):
-        """Exact `_best_alignments` for unit weights: |S| at theta = -arg S."""
-        flat = len(cols)
-        win_val = np.full(flat, -np.inf)
-        win_gamma = np.zeros(flat, dtype=int)
-        win_s = np.zeros(flat, dtype=complex)
-        for gi, s in enumerate(self._unit_sums(a1, a2, v1, v2, cols)):
-            value = np.abs(s)
-            # earlier gammas keep exact ties
-            wins = value > win_val
-            win_val[wins] = value[wins]
-            win_gamma[wins] = gi
-            win_s[wins] = s[wins]
-        return win_val, win_gamma, np.mod(-np.angle(win_s), 2.0 * pi)
-
     def _grid_alignments(self, a1, a2, v1, v2, cols):
-        """`_best_alignments` for any weights, by one grid scan and Newton polish.
+        """Best alignment of every pair of `_best_values`' flat list, for any
+        weights, by one grid scan and Newton polish: the maximal
+        <x, R(theta) gamma y> with the winning gamma index and theta.
 
         Each product of a gamma's coefficients with a 64-cell block of the
         grid (plus its two wrap-around neighbours) raises the per-pair grid
@@ -302,14 +293,24 @@ class DistanceEngine:
 
     def align(self, x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distances from x to every row of ys, with the aligned
-        representatives R(theta*) gamma* y realizing them on S^3."""
+        representatives R(theta*) gamma* y realizing them on S^3.
+
+        For unit weights gamma* is the argmax of |S| over Gamma, the first
+        of exact ties, and theta* = -arg S; other weights take the winners
+        of `_grid_alignments`.
+        """
         ys = np.asarray(ys, dtype=float)
         u1, u2 = self._complex_parts(np.asarray(x, dtype=float)[None, :])
         v1, v2 = self._transformed_parts(ys)
         cols = np.arange(len(ys))
-        best, gamma_idx, theta = self._best_alignments(
-            u1.conj().repeat(len(ys)), u2.conj().repeat(len(ys)), v1, v2, cols
-        )
+        rows = u1.conj().repeat(len(ys)), u2.conj().repeat(len(ys))
+        if self.max_weight == 1:
+            sums = np.stack(list(self._unit_sums(*rows, v1, v2, cols)))
+            gamma_idx = np.abs(sums).argmax(axis=0)
+            s = sums[gamma_idx, cols]
+            best, theta = np.abs(s), np.mod(-np.angle(s), 2.0 * pi)
+        else:
+            best, gamma_idx, theta = self._grid_alignments(*rows, v1, v2, cols)
         z1 = v1[gamma_idx, cols] * np.exp(1j * self.p * theta)
         z2 = v2[gamma_idx, cols] * np.exp(1j * self.q * theta)
         aligned = np.column_stack([z1.real, z1.imag, z2.real, z2.imag])

@@ -194,10 +194,9 @@ def _ascend(d: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
             others = np.delete(idx, pos)
             score = d[:, others].sum(axis=1)
             best = int(np.argmax(score))
-            if score[best] > score[idx[pos]] + 0.0:
-                if best != idx[pos]:
-                    idx[pos] = best
-                    improved = True
+            if score[best] > score[idx[pos]]:
+                idx[pos] = best
+                improved = True
     return _pairwise_mean(d, idx), idx
 
 

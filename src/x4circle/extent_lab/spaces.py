@@ -2,7 +2,8 @@
 
 sample_quotient draws N quasi-uniform seeded points on S^3, appends exact
 representatives of the singular orbits (the coordinate circles z2 = 0 and
-z1 = 0, plus every isolated circle fixed by some R(theta) gamma), and
+z1 = 0, plus every isolated circle fixed by some R(theta) gamma, located
+by a theta scan polished with the engine's Newton routine), and
 evaluates the full quotient distance matrix with the orbit-distance
 engine.  Sampling at 2N reuses the same Gaussian stream, so the first N
 random points of the finer space coincide with the coarser ones; the
@@ -18,12 +19,12 @@ a fresh one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt, tau
+from math import pi, tau
 
 import numpy as np
 
 from .actions import IsometricActionSpec, circle_matrix
-from .engine import DistanceEngine
+from .engine import DistanceEngine, newton_max, trig_taylor
 
 
 MERGE_TOL = 1e-6
@@ -33,7 +34,6 @@ TRIANGLE_TOL = 1e-9
 FULL_CHECK_LIMIT = 300
 RANDOM_TRIPLES = 10**6
 TRIPLE_CHUNK = 1 << 16
-_INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
 class MetricValidationError(ValueError):
@@ -196,45 +196,24 @@ def _quaternion_pair(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, np.einsum("gmn,gm->gn", coef, a)
 
 
-def golden_max(f, a, b, iters: int):
-    """Golden-section maximization of f over every bracket [a[k], b[k]].
-
-    f maps an array of abscissae to values elementwise.  Returns (value,
-    arg) of the better point of the final golden pair.  Each step keeps
-    the better interior point, so that value is the largest one f returned
-    during the search, bit for bit.  It needs no derivative, so it serves
-    -|g|, whose maxima are kinks.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        keep_low = fc >= fd
-        a = np.where(keep_low, a, c)
-        b = np.where(keep_low, d, b)
-        x_new = np.where(keep_low, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        f_new = f(x_new)
-        c, d = np.where(keep_low, x_new, d), np.where(keep_low, c, x_new)
-        fc, fd = np.where(keep_low, f_new, fd), np.where(keep_low, fc, f_new)
-    keep_low = fc >= fd
-    return np.where(keep_low, fc, fd), np.where(keep_low, c, d)
-
-
 def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     """Unit vectors spanning loci fixed by R(theta) gamma for some theta.
 
     Writing gamma x = a x conj(b) for unit quaternions (a, b), R(theta) is
     x -> e^{i psi} x e^{i chi} with psi = (p + q) theta / 2 and
     chi = (p - q) theta / 2, so R(theta) gamma fixes a 2-plane exactly when
-    g(theta) = Re(e^{i psi} a) - Re(e^{-i chi} b) vanishes.  Away from
-    kernel elements its zeros are simple, so |g| has V-shaped valleys: it is
-    scanned over theta for each gamma and every detected valley is polished
-    at once by golden-section search, `golden_max` on -|g|.  Genuine roots
-    whose fixed set is a circle are kept (kernel elements fixing all of S^3
-    are skipped; they contribute to isotropy normalization instead).  A
-    mirror gamma, for which g vanishes at every theta, fixes a 2-plane along
-    the whole circle; it marks a mirror curve rather than isolated orbits
-    and is skipped.  Roots come in the order of spec.gamma, then of theta.
+    g(theta) = Re(e^{i psi} a) - Re(e^{-i chi} b) vanishes.  That g is a
+    `trig_taylor` polynomial of the half-integer weights (p + q) / 2 and
+    (p - q) / 2.  Away from kernel elements its zeros are simple, so |g|
+    has V-shaped valleys: it is scanned over theta for each gamma and every
+    detected valley is polished at once by `newton_max` on -g^2, the
+    engine's polish, which near a simple zero steps as Newton on g.
+    Genuine roots whose fixed set is a circle are kept (kernel elements
+    fixing all of S^3 are skipped; they contribute to isotropy
+    normalization instead).  A mirror gamma, for which g vanishes at every
+    theta, fixes a 2-plane along the whole circle; it marks a mirror curve
+    rather than isolated orbits and is skipped.  Roots come in the order of
+    spec.gamma, then of theta.
     """
     p, q = spec.weights
     max_w = max(abs(p), abs(q))
@@ -243,29 +222,26 @@ def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     eye = np.eye(4)
 
     a, b = _quaternion_pair(spec.gamma)
-    coef = np.column_stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1]])
+    # g = coef . (cos psi, sin psi, cos chi, sin chi)
+    coef = np.column_stack([a[:, 0], -a[:, 1], -b[:, 0], -b[:, 1]]).T
+    half = ((p + q) / 2, (p - q) / 2)
     # sin(psi) vanishes when p + q = 0, and sin(chi) when p = q
     live = np.array([True, p + q != 0, True, p != q])
-    mirror = np.all(np.abs(coef[:, live]) <= ROOT_TOL, axis=1)
-
-    def trig(theta: np.ndarray) -> np.ndarray:
-        psi = (p + q) * theta / 2
-        chi = (p - q) * theta / 2
-        return np.stack([np.cos(psi), -np.sin(psi), -np.cos(chi), -np.sin(chi)])
+    mirror = np.all(np.abs(coef[live]) <= ROOT_TOL, axis=0)
 
     thetas = np.arange(k_grid) * h
     detect = 8.0 * max_w * pi / k_grid + 1e-9
-    gap = np.abs(coef @ trig(thetas))
+    gap = np.abs(trig_taylor(*half, *coef[:, :, None], thetas)[0])
     valleys = (gap <= np.roll(gap, 1, axis=1)) & (gap <= np.roll(gap, -1, axis=1))
     valleys &= (gap < detect) & ~mirror[:, None]
     owner, t_idx = np.nonzero(valleys)
-    centers = thetas[t_idx]
-    _, roots = golden_max(
-        lambda theta: -np.abs(np.einsum("kc,ck->k", coef[owner], trig(theta))),
-        centers - h,
-        centers + h,
-        60,
-    )
+    valley_coef = coef[:, owner]
+
+    def neg_square(k, theta):
+        g, dg, d2g = trig_taylor(*half, *valley_coef[:, k], theta)
+        return -g * g, -2.0 * g * dg, -2.0 * (dg * dg + g * d2g)
+
+    _, roots = newton_max(neg_square, thetas[t_idx], h)
 
     reps: list[np.ndarray] = []
     for theta_star, gamma in zip(roots, spec.gamma[owner]):

@@ -4,8 +4,9 @@ These deliberately avoid the library's own shortcuts: equivalence of
 invariant tuples is decided by a word search over the move generators,
 group orders come from Smith normal form of freshly assembled relation
 matrices rather than closed formulas, the singular orbits come from a
-smallest-singular-value scan rather than the quaternion pair of each group
-element, quaternion products are written in the complex coordinates
+smallest-singular-value scan polished by golden-section search rather than
+from the quaternion pair of each group element polished by Newton steps,
+quaternion products are written in the complex coordinates
 (z1, z2) <-> z1 + z2 j rather than through the basis (1, i, j, k), the
 exact three-point extent is a row-by-row brute force rather than a
 branch-and-bound search over cells, the Smith diagonal comes from
@@ -21,7 +22,8 @@ maximum, evaluated in complex exponentials, rather than from a coarse grid,
 a candidate margin and Newton steps, unit-weight distance matrices keep
 each pair's winner by masked writes rather than a running maximum, and the
 group checks on gamma run one element or pair at a time rather than
-batched.  The unit round 2-sphere, whose distances are plain great-circle
+batched.  The golden-section search is this module's own, so no oracle
+shares a solver with the code it checks.  The unit round 2-sphere, whose distances are plain great-circle
 angles, is a space with known extents that no action spec describes.
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, pi, tau
+from math import gcd, lcm, pi, sqrt, tau
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from x4circle.extent_lab.spaces import (
     RANDOM_TRIPLES,
     ROOT_TOL,
     SampledMetricSpace,
-    golden_max,
     validate_metric,
 )
 from x4circle.invariants import InvariantTuple
@@ -109,6 +110,33 @@ def random_move_image(rng, t: InvariantTuple) -> InvariantTuple:
         else:
             out = apply_move(out, Translation(int(rng.integers(-3, 4))))
     return out
+
+
+_INVPHI = (sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, a, b, iters: int):
+    """Golden-section maximization of f over every bracket [a[k], b[k]].
+
+    f maps an array of abscissae to values elementwise.  Returns (value,
+    arg) of the better point of the final golden pair.  Each step keeps
+    the better interior point, so that value is the largest one f returned
+    during the search, bit for bit.  It needs no derivative, so it serves
+    -sigma_min, whose minima are kinks.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        keep_low = fc >= fd
+        a = np.where(keep_low, a, c)
+        b = np.where(keep_low, d, b)
+        x_new = np.where(keep_low, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        f_new = f(x_new)
+        c, d = np.where(keep_low, x_new, d), np.where(keep_low, c, x_new)
+        fc, fd = np.where(keep_low, f_new, fd), np.where(keep_low, fc, f_new)
+    keep_low = fc >= fd
+    return np.where(keep_low, fc, fd), np.where(keep_low, c, d)
 
 
 def svd_theta_roots(spec) -> list[np.ndarray]:

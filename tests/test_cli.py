@@ -7,6 +7,7 @@ import json
 import pathlib
 import re
 import sys
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -475,3 +476,32 @@ def test_algebra_commands_never_crash(request):
         code = cli.main([command])
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# -- fuzzing the lab commands ---------------------------------------------------
+
+weights_5 = st.integers(min_value=-5, max_value=5).filter(bool)
+LAB_REQUESTS = st.tuples(
+    st.sampled_from(["extent", "check-q"]),
+    st.tuples(weights_5, weights_5).filter(lambda w: gcd(*w) == 1),
+    st.sampled_from(
+        ["trivial", "cyclic:2", "cyclic:3", "binary-dihedral:2", "binary-dihedral:3"]
+    ),
+    st.integers(min_value=0, max_value=9),
+)
+
+
+@given(LAB_REQUESTS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_lab_commands_never_crash(request):
+    # a group that does not normalize the circle is refused with exit 1
+    command, weights, gamma, seed = request
+    payload = {"action": {"weights": list(weights), "gamma": gamma}}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--samples", "50", "--seed", str(seed)])
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())

@@ -49,12 +49,13 @@ from x4circle.extent_lab import (
 from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.cover import _build_cover
-from x4circle.extent_lab.spaces import SampledMetricSpace, golden_max
+from x4circle.extent_lab.spaces import SampledMetricSpace
 
 from oracles import (
     brute_force_extent_three,
     full_triangle_slack,
     golden_grid_alignments,
+    golden_max,
     loop_validate_gamma,
     sample_round_two_sphere,
     sampled_triangle_slack,
@@ -519,6 +520,16 @@ UNIT_GROUPS = {
 }
 
 
+def theta_scan(weights, gammas, rows, pts, steps):
+    """Best <x, R(theta) gamma y> over gamma and `steps` even thetas, for
+    every x in rows and y in pts, by the circle matrices."""
+    scan = np.full((len(rows), len(pts)), -np.inf)
+    for t in np.linspace(0.0, 2.0 * pi, steps, endpoint=False):
+        moved = np.einsum("gab,jb->gja", circle_matrix(*weights, t) @ gammas, pts)
+        scan = np.maximum(scan, np.einsum("ia,gja->gij", rows, moved).max(axis=0))
+    return scan
+
+
 def check_against_theta_scan(engine, pts, alignments, steps, tol, value_tol):
     """No theta of an independent scan over circle_matrix beats the
     alignments of the first 6 rows by more than tol, and each returned
@@ -526,10 +537,7 @@ def check_against_theta_scan(engine, pts, alignments, steps, tol, value_tol):
     value, gamma_idx, theta = (a.reshape(len(pts), len(pts)) for a in alignments)
     weights, gammas = (engine.p, engine.q), engine.gammas
     rows = pts[:6]
-    scan = np.full((len(rows), len(pts)), -np.inf)
-    for t in np.linspace(0.0, 2.0 * pi, steps, endpoint=False):
-        moved = np.einsum("gab,jb->gja", circle_matrix(*weights, t) @ gammas, pts)
-        scan = np.maximum(scan, np.einsum("ia,gja->gij", rows, moved).max(axis=0))
+    scan = theta_scan(weights, gammas, rows, pts, steps)
     assert np.max(scan - value[: len(rows)]) <= tol
     for i, x in enumerate(rows):
         for j, y in enumerate(pts):
@@ -549,12 +557,25 @@ def engine_inputs(weights, gammas, seed):
     return engine, pts, (a1, a2, v1, v2, np.tile(np.arange(n), n))
 
 
+def on_orbit(weights, gammas, rep, y):
+    """Whether rep = R(theta) gamma y for some gamma and theta of a
+    unit-weight action: theta read from the larger coordinate of rep."""
+    p, q = weights
+    z1, z2 = complex(rep[0], rep[1]), complex(rep[2], rep[3])
+    for moved in gammas @ y:
+        w1, w2 = complex(moved[0], moved[1]), complex(moved[2], moved[3])
+        theta = np.angle(z1 / w1) / p if abs(z1) >= abs(z2) else np.angle(z2 / w2) / q
+        if np.max(np.abs(circle_matrix(p, q, theta) @ moved - rep)) <= 1e-12:
+            return True
+    return False
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
     def test_matches_grid_solver(self, weights, group):
         engine, pts, parts = engine_inputs(weights, UNIT_GROUPS[group], seed=21)
-        closed, _, _ = engine._closed_form_alignments(*parts)
+        closed = engine._best_values(*parts)
         grid, _, _ = engine._grid_alignments(*parts)
         others = ~np.eye(len(pts), dtype=bool).reshape(-1)
         gap = np.arccos(np.clip(closed, -1, 1)) - np.arccos(np.clip(grid, -1, 1))
@@ -563,10 +584,15 @@ class TestClosedForm:
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
     def test_theta_scan_never_beats_it(self, weights, group):
-        engine, pts, parts = engine_inputs(weights, UNIT_GROUPS[group], seed=22)
-        check_against_theta_scan(
-            engine, pts, engine._best_alignments(*parts), 1024, tol=1e-15, value_tol=1e-14
-        )
+        gammas = UNIT_GROUPS[group]
+        engine, pts, _ = engine_inputs(weights, gammas, seed=22)
+        rows = pts[:6]
+        for x, row_scan in zip(rows, theta_scan(weights, gammas, rows, pts, 1024)):
+            dist, reps = engine.align(x, pts)
+            # each representative realizes its distance, on y's orbit
+            assert np.max(np.abs(reps @ x - np.cos(dist))) <= 1e-14
+            assert np.max(row_scan - reps @ x) <= 1e-15
+            assert all(on_orbit(weights, gammas, rep, y) for rep, y in zip(reps, pts))
 
     def test_unit_weights_never_refine(self, monkeypatch):
         def refuse(self, g0, g1, g2, g3, t_idx):
@@ -583,20 +609,29 @@ class TestClosedForm:
         with pytest.raises(AssertionError, match="grid solver"):
             DistanceEngine((2, 3), gamma_trivial()).distance_matrix(pts)
 
-    def test_matrices_never_take_the_winner_path(self, monkeypatch):
-        def refuse(self, a1, a2, v1, v2, cols):
-            raise AssertionError("a matrix reached the winner path")
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_earliest_gamma_wins_exact_ties(self, weights):
+        # -I negates S exactly, so it ties with I on every pair; its
+        # representatives R(theta + pi)(-y) differ from R(theta) y in the
+        # last bits
+        pts = np.random.default_rng(25).standard_normal((50, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        alone = DistanceEngine(weights, gamma_trivial()).align(pts[0], pts)
+        tied = DistanceEngine(weights, np.stack([np.eye(4), -np.eye(4)])).align(pts[0], pts)
+        assert all(np.array_equal(a, b) for a, b in zip(alone, tied))
 
-        monkeypatch.setattr(DistanceEngine, "_closed_form_alignments", refuse)
-        spec = IsometricActionSpec(
-            weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=60, seed=0
-        )
-        pts = sample_quotient(spec).points
-        hopf = DistanceEngine(spec.weights, spec.gamma)
-        hopf.distance_matrix(pts)
-        # the patch is live: align still takes the winners
-        with pytest.raises(AssertionError, match="winner path"):
-            hopf.align(pts[0], pts)
+    def test_align_distances_are_the_matrix_entries(self):
+        # align keeps the winners that a matrix drops; its distances from a
+        # row i to the later points are the matrix row, bit for bit
+        pts = np.random.default_rng(24).standard_normal((90, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        for weights in UNIT_WEIGHTS:
+            for gammas in UNIT_GROUPS.values():
+                engine = DistanceEngine(weights, gammas)
+                dist = engine.distance_matrix(pts)
+                for i in range(len(pts) - 1):
+                    row, _ = engine.align(pts[i], pts)
+                    assert np.array_equal(row[i + 1 :], dist[i, i + 1 :])
 
 
 def unit_spec(weights, group, samples):
@@ -894,7 +929,7 @@ class TestGoldenMax:
     )
     @settings(max_examples=200, deadline=None)
     def test_returns_best_evaluated_point(self, coeffs, degree, brackets, iters):
-        # the invariant that lets the engine drop a running maximum
+        # the invariant that lets the oracles drop a running maximum
         c0, *cs = coeffs
         seen_x, seen_f = [], []
 
