@@ -15,7 +15,7 @@ from itertools import combinations
 from math import pi
 
 from .actions import IsometricActionSpec
-from .cover import double_branched_cover
+from .cover import BaseGraphs, double_branched_cover
 from .extents import SMALL_BOUND, extent, is_small
 from .spaces import regenerate, sample_quotient
 
@@ -61,9 +61,11 @@ def check_condition_qprime(
     high_base = None
     if len(finite) >= 2:
         high_base = regenerate(space, 2 * spec.samples)
+    # every pair's covers share the two bases' neighbor graphs and fields
+    graphs = BaseGraphs()
     for a, b in combinations(finite, 2):
         _, certificate = double_branched_cover(
-            space, (a.index, b.index), tol=tol, high_base=high_base
+            space, (a.index, b.index), tol=tol, high_base=high_base, graphs=graphs
         )
         c_small, c_margin = is_small(certificate.xt3_high, tol)
         checks.append(

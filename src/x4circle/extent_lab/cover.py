@@ -2,7 +2,10 @@
 
 The quotient is a 2-sphere-like surface sampled by points with exact
 pairwise distances.  A cover branched over two marked points is built on a
-k-nearest-neighbor graph (k = 12) whose edge weights are the base distances:
+neighbor graph whose edge weights are the base distances: the 12 nearest
+neighbors of each node, densified with every pair closer than
+RADIUS_FACTOR times the median 12th-neighbor distance, which gives about
+50-100 neighbors per node:
 
 * every node away from the branch points is doubled into two sheets;
 * a discrete cut from one branch point to the other switches sheets.  The
@@ -51,6 +54,12 @@ smallness checks consume) between the two resolutions must stay within
 these quotients pass through the branch locus, where the star edges are
 exact, so the statistics converge much faster than raw per-pair graph
 distances, whose fixed-k stretch noise does not vanish with resolution.
+
+The cover carries sigma as its sheet_swap, so validate_metric checks that
+its matrix is exactly sigma-invariant and scans each triangle and its
+sigma-image once.  The neighbor graph and the azimuth fields depend only
+on the base space, so a BaseGraphs instance builds each once however many
+branch pairs use it; check_condition_qprime passes one to all its covers.
 """
 
 from __future__ import annotations
@@ -137,6 +146,35 @@ def _knn_edges(dist: np.ndarray) -> np.ndarray:
     adjacent = dist <= RADIUS_FACTOR * float(np.median(kth))
     adjacent[np.arange(n).repeat(take), nearest.ravel()] = True
     return np.argwhere(np.triu(adjacent | adjacent.T, 1))
+
+
+class BaseGraphs:
+    """Connectivity-checked neighbor graphs and azimuth fields of base
+    spaces, each built the first time a cover asks for it."""
+
+    def __init__(self):
+        self._knn = {}
+        self._fields = {}
+
+    def knn(self, space: SampledMetricSpace) -> np.ndarray:
+        """`_knn_edges` of space; GraphDisconnectedError if it does not
+        connect the samples."""
+        if space not in self._knn:
+            knn = _knn_edges(space.dist)
+            n = space.size
+            adjacency = sp.coo_matrix((np.ones(len(knn)), knn.T), shape=(n, n))
+            n_comp, _ = connected_components(adjacency, directed=False)
+            if n_comp != 1:
+                raise GraphDisconnectedError("neighbor graph is disconnected")
+            self._knn[space] = knn
+        return self._knn[space]
+
+    def field(self, space: SampledMetricSpace, anchor_idx: int):
+        """`_azimuth_field` of space around anchor_idx."""
+        key = (space, anchor_idx)
+        if key not in self._fields:
+            self._fields[key] = _azimuth_field(space, anchor_idx)
+        return self._fields[key]
 
 
 def _azimuth_field(space: SampledMetricSpace, anchor_idx: int):
@@ -239,16 +277,22 @@ def _segment_crossings(
 
 
 def _cut_crossings(
-    space: SampledMetricSpace, branch: tuple[int, int], eu: np.ndarray, ev: np.ndarray
+    space: SampledMetricSpace,
+    branch: tuple[int, int],
+    eu: np.ndarray,
+    ev: np.ndarray,
+    graphs: BaseGraphs | None = None,
 ) -> np.ndarray:
-    """Mod-2 crossing indicator of the branch-to-branch cut for each edge."""
+    """Mod-2 crossing indicator of the branch-to-branch cut for each edge;
+    the azimuth fields come from graphs."""
+    graphs = BaseGraphs() if graphs is None else graphs
     b1, b2 = branch
     if space.dist[b1, b2] < WAYPOINT_THRESHOLD:
-        fields = {b: _azimuth_field(space, b) for b in (b1, b2)}
+        fields = {b: graphs.field(space, b) for b in (b1, b2)}
         return _segment_crossings(space, fields, b1, b2, eu, ev)
 
     mid = _choose_waypoint(space, b1, b2)
-    fields = {b: _azimuth_field(space, b) for b in (b1, mid, b2)}
+    fields = {b: graphs.field(space, b) for b in (b1, mid, b2)}
     crosses = _segment_crossings(space, fields, b1, mid, eu, ev)
     crosses ^= _segment_crossings(space, fields, mid, b2, eu, ev)
     # edges at the waypoint itself carry a side-of-cut bit, so the cut
@@ -262,24 +306,24 @@ def _cut_crossings(
     return crosses
 
 
-def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
+def _build_cover(
+    space: SampledMetricSpace, branch: tuple[int, int], graphs: BaseGraphs | None = None
+):
     """One-resolution cover graph; returns (cover space, node map).
 
     node map is an (n, 2) array sending (base index, sheet) to the cover
     row; branch points map both sheets to their single row.  Sheet 0 keeps
-    the base indices and sheet 1 follows in base order.
+    the base indices and sheet 1 follows in base order.  The neighbor graph
+    and azimuth fields of space come from graphs.
     """
     if space.spec is None:
         raise ValueError("branched covers need a quotient with an action spec")
+    graphs = BaseGraphs() if graphs is None else graphs
     d = space.dist
     n = space.size
     b1, b2 = branch
 
-    knn = _knn_edges(d)
-    adjacency = sp.coo_matrix((np.ones(len(knn)), knn.T), shape=(n, n))
-    n_comp, _ = connected_components(adjacency, directed=False)
-    if n_comp != 1:
-        raise GraphDisconnectedError("neighbor graph is disconnected")
+    knn = graphs.knn(space)
 
     doubled = np.setdiff1d(np.arange(n), branch)
     node_map = np.column_stack([np.arange(n), np.arange(n)])
@@ -290,7 +334,7 @@ def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
     # branch-incident knn edges are superseded by the exact stars, which join
     # each branch point to both lifts of every doubled node and to each other
     eu, ev = knn[~np.isin(knn, branch).any(axis=1)].T
-    flip = _cut_crossings(space, (b1, b2), eu, ev).astype(int)
+    flip = _cut_crossings(space, (b1, b2), eu, ev, graphs).astype(int)
     hub = np.repeat(branch, len(doubled))
     leaf = np.tile(doubled, 2)
     head = np.concatenate([node_map[eu, 0], node_map[eu, 1], hub, hub, [b1]])
@@ -332,6 +376,7 @@ def _build_cover(space: SampledMetricSpace, branch: tuple[int, int]):
         dist=cover_dist,
         marked=cover_marked,
         seed=space.seed,
+        sheet_swap=sigma,
     )
     validate_metric(cover)
     return cover, node_map
@@ -342,6 +387,7 @@ def double_branched_cover(
     branch: tuple[int, int],
     tol: float = 0.02,
     high_base: SampledMetricSpace | None = None,
+    graphs: BaseGraphs | None = None,
 ) -> tuple[SampledMetricSpace, CoverCertificate]:
     """Double cover of the sampled quotient branched over two marked points.
 
@@ -349,7 +395,10 @@ def double_branched_cover(
     resolution, and the CoverCertificate with the observed drift between the
     two resolutions.  Raises ConvergenceError, carrying the failed
     certificate, when the drift exceeds 2 * tol, and ValueError when the
-    branch indices are not distinct marked points.
+    branch indices are not distinct marked points.  high_base, when given,
+    is the twice-resolution base; graphs holds the neighbor graphs and
+    azimuth fields of both bases, and one instance passed to the covers of
+    several branch pairs over the same bases builds each of them once.
     """
     marked_indices = [m.index for m in space.marked]
     b1, b2 = int(branch[0]), int(branch[1])
@@ -358,7 +407,8 @@ def double_branched_cover(
     if b1 == b2 or space.dist[b1, b2] <= 1e-9:
         raise ValueError("branch points coincide")
 
-    low_cover, low_map = _build_cover(space, (b1, b2))
+    graphs = BaseGraphs() if graphs is None else graphs
+    low_cover, low_map = _build_cover(space, (b1, b2), graphs)
 
     if high_base is None:
         high_base = regenerate(space, 2 * space.spec.samples)
@@ -367,7 +417,7 @@ def double_branched_cover(
     pos1 = marked_indices.index(b1)
     pos2 = marked_indices.index(b2)
     branch_high = (high_base.marked[pos1].index, high_base.marked[pos2].index)
-    high_cover, _high_map = _build_cover(high_base, branch_high)
+    high_cover, _high_map = _build_cover(high_base, branch_high, graphs)
 
     certificate = CoverCertificate(
         samples_low=space.spec.samples,

@@ -77,6 +77,18 @@ def trig_taylor(p, q, g0, g1, g2, g3, theta):
     return f, df, d2f
 
 
+def trig_value(p, q, g0, g1, g2, g3, theta):
+    """f of `trig_taylor` alone, by the same expression and so the same
+    bits, without the derivative arrays."""
+    # one expression: numpy reuses its temporaries in place
+    return (
+        g0 * np.cos(p * theta)
+        + g1 * np.sin(p * theta)
+        + g2 * np.cos(q * theta)
+        + g3 * np.sin(q * theta)
+    )
+
+
 def newton_max(taylor, center, width):
     """Safeguarded Newton maximization over every bracket
     [center[k] - width, center[k] + width]: (value, theta).

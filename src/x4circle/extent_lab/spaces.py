@@ -24,7 +24,7 @@ from math import pi, tau
 import numpy as np
 
 from .actions import IsometricActionSpec, circle_matrix
-from .engine import DistanceEngine, newton_max, trig_taylor
+from .engine import DistanceEngine, newton_max, trig_taylor, trig_value
 
 
 MERGE_TOL = 1e-6
@@ -55,7 +55,11 @@ class SampledMetricSpace:
     """Points with their full distance matrix and marked samples.
 
     A space is a quotient exactly when spec, the action spec it was sampled
-    from, is set; spec.samples is then its requested sample count.
+    from, is set; spec.samples is then its requested sample count.  A
+    branched cover sets sheet_swap, the index array of its sheet swap sigma:
+    point i and point sheet_swap[i] are the two lifts of one base point
+    (a branch point is its own image), and validate_metric requires the
+    distances to be exactly invariant under it.
     """
 
     points: np.ndarray
@@ -63,6 +67,7 @@ class SampledMetricSpace:
     marked: list[MarkedPoint]
     seed: int = 0
     spec: IsometricActionSpec | None = None
+    sheet_swap: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -77,8 +82,17 @@ class SampledMetricSpace:
 
 def validate_metric(space: SampledMetricSpace) -> None:
     """Enforce the metric invariants: finite entries, symmetry, zero
-    diagonal, entries in [0, pi], and the triangle inequality (full scan up
-    to 300 points, a million seeded random triples beyond).
+    diagonal, entries in [0, pi], exact invariance under the sheet swap when
+    the space has one, and the triangle inequality (full scan up to
+    FULL_CHECK_LIMIT = 300 points, a million seeded random triples beyond).
+
+    A sheet swap sigma must be an involution of the point indices with
+    d[sigma[i], sigma[j]] == d[i, j] bit for bit; it is compared
+    TRIPLE_CHUNK entries at a time.  The full scan of such a space then
+    runs only at the first point of each orbit {x, sigma x}, with the
+    orbits placed in adjacent positions (_worst_orbit_slack): a skipped
+    pass would evaluate, operation for operation, slacks that a kept pass
+    evaluates, so every triangle is still checked, at half the work.
 
     The random triples are drawn and checked TRIPLE_CHUNK at a time, so the
     check holds O(TRIPLE_CHUNK) extra memory however large the matrix is.
@@ -100,15 +114,42 @@ def validate_metric(space: SampledMetricSpace) -> None:
         raise MetricValidationError("distance matrix has a nonzero diagonal")
     if d.min() < 0 or d.max() > pi + 1e-9:
         raise MetricValidationError("distance entries out of range")
-    if n <= FULL_CHECK_LIMIT:
+    sigma = space.sheet_swap
+    if sigma is not None:
+        _check_sheet_swap(d, sigma)
+    if n > FULL_CHECK_LIMIT:
+        worst = _worst_sampled_slack(d, space.seed)
+    elif sigma is None:
         worst = _worst_full_slack(d)
     else:
-        worst = _worst_sampled_slack(d, space.seed)
+        worst = _worst_orbit_slack(d, sigma)
     if worst > TRIANGLE_TOL:
         raise MetricValidationError("triangle inequality violated")
 
 
-def _worst_full_slack(d: np.ndarray) -> float:
+def _check_sheet_swap(d: np.ndarray, sigma: np.ndarray) -> None:
+    """Refuse a sheet swap that is not an involution of the indices of d,
+    or under which d is not exactly invariant."""
+    n = len(d)
+    sigma = np.asarray(sigma)
+    if (
+        sigma.shape != (n,)
+        or not np.issubdtype(sigma.dtype, np.integer)
+        or np.any((sigma < 0) | (sigma >= n))
+        or not np.array_equal(sigma[sigma], np.arange(n))
+    ):
+        raise MetricValidationError("sheet swap is not an involution of the points")
+    # one row per orbit: the condition at row sigma(i) is the one at row i
+    # with the columns read through sigma
+    rows = np.flatnonzero(np.arange(n) <= sigma)
+    step = max(1, TRIPLE_CHUNK // max(n, 1))
+    for r0 in range(0, len(rows), step):
+        r = rows[r0 : r0 + step]
+        if not np.array_equal(d[sigma[r]].take(sigma, axis=1), d[r]):
+            raise MetricValidationError("distance matrix is not invariant under its sheet swap")
+
+
+def _worst_full_slack(d: np.ndarray, passes=None) -> float:
     """Largest d[i, j] - d[i, k] - d[k, j] over all triples with i != k.
 
     One pass per row i over the entries (k, j) with k, j > i: d is exactly
@@ -118,14 +159,39 @@ def _worst_full_slack(d: np.ndarray) -> float:
     i = min(x, y, z): at (k, j) = (x, y) when i = z is the middle point,
     and at (k, j) = (z, y) when i = x is an end of the long side.  Columns
     j < i would only repeat inequalities of earlier passes.  j = k gives
-    the slack 0 of a repeated point.
+    the slack 0 of a repeated point.  passes, when given, lists the rows
+    whose passes run.
     """
     worst = -np.inf
-    for i in range(len(d) - 1):
+    for i in range(len(d) - 1) if passes is None else passes:
         row = d[i, i + 1 :]
         slack = np.abs(d[i + 1 :, i + 1 :] - row).max(axis=1) - row
         worst = max(worst, float(slack.max()))
     return worst
+
+
+def _worst_orbit_slack(d: np.ndarray, sigma: np.ndarray) -> float:
+    """_worst_full_slack of d with each orbit {x, sigma x} of an involution
+    sigma in adjacent positions, from the passes at each orbit's first
+    position only; d must be exactly sigma-invariant.
+
+    The orbits are ordered by their smaller index.  In the permuted matrix
+    sigma swaps the two positions of each orbit, and every position after
+    the second one of an orbit lies in a later orbit.  So sigma maps each
+    triangle of the pass at a second position i to a triangle whose
+    smallest position is i - 1, and the pass at i - 1 evaluates the same
+    expression of the same entries at (sigma k, sigma j): a skipped pass
+    cannot exceed the kept one, and the result is _worst_full_slack of the
+    permuted matrix bit for bit.  It may differ in the last bits from
+    _worst_full_slack of d itself, since the pass that reaches a triangle
+    fixes which of its short sides is subtracted first.
+    """
+    n = len(d)
+    key = np.minimum(np.arange(n), sigma)
+    order = np.lexsort((np.arange(n), key))
+    # the last position's pass is empty
+    first = np.flatnonzero(np.diff(key[order][:-1], prepend=-1))
+    return _worst_full_slack(d[np.ix_(order, order)], first)
 
 
 def _worst_sampled_slack(d: np.ndarray, seed: int) -> float:
@@ -205,7 +271,8 @@ def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     g(theta) = Re(e^{i psi} a) - Re(e^{-i chi} b) vanishes.  That g is a
     `trig_taylor` polynomial of the half-integer weights (p + q) / 2 and
     (p - q) / 2.  Away from kernel elements its zeros are simple, so |g|
-    has V-shaped valleys: it is scanned over theta for each gamma and every
+    has V-shaped valleys: it is scanned over theta for each gamma, by value
+    alone (`trig_value`, the same bits without the derivatives), and every
     detected valley is polished at once by `newton_max` on -g^2, the
     engine's polish, which near a simple zero steps as Newton on g.
     Genuine roots whose fixed set is a circle are kept (kernel elements
@@ -231,7 +298,7 @@ def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
 
     thetas = np.arange(k_grid) * h
     detect = 8.0 * max_w * pi / k_grid + 1e-9
-    gap = np.abs(trig_taylor(*half, *coef[:, :, None], thetas)[0])
+    gap = np.abs(trig_value(*half, *coef[:, :, None], thetas))
     valleys = (gap <= np.roll(gap, 1, axis=1)) & (gap <= np.roll(gap, -1, axis=1))
     valleys &= (gap < detect) & ~mirror[:, None]
     owner, t_idx = np.nonzero(valleys)

@@ -230,6 +230,7 @@ class TestCoverGraph:
         sigma = np.concatenate([node_map[:, 1], doubled])
         assert np.array_equal(sigma[sigma], np.arange(2 * n - 2))
         assert (graph[sigma][:, sigma] != graph).nnz == 0
+        assert np.array_equal(cover.sheet_swap, sigma)
 
         full = dijkstra(graph, directed=False)
         full = np.minimum(full, full.T)

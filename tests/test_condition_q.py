@@ -2,15 +2,19 @@
 
 from math import pi
 
+import numpy as np
 import pytest
 
 from x4circle.extent_lab import (
     IsometricActionSpec,
     check_condition_qprime,
+    double_branched_cover,
     gamma_binary_dihedral,
     gamma_cyclic,
     sample_quotient,
 )
+from x4circle.extent_lab import condition_q as condition_q_module
+from x4circle.extent_lab import cover as cover_module
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +107,39 @@ class TestApplicability:
         assert report.all_passed
         # the battery measures the quotient that sample_quotient draws from the spec
         assert report.diameter == sample_quotient(spec).diameter()
+
+
+class TestSharedCoverState:
+    def test_graphs_and_fields_are_built_once_per_resolution(self, monkeypatch):
+        calls = {"_knn_edges": 0, "_azimuth_field": 0}
+        for name in calls:
+
+            def counting(*args, _name=name, _original=getattr(cover_module, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cover_module, name, counting)
+        built = []
+        battery_cover = condition_q_module.double_branched_cover
+
+        def recording(space, branch, **kwargs):
+            result = battery_cover(space, branch, **kwargs)
+            built.append((space, branch, kwargs["tol"], result))
+            return result
+
+        monkeypatch.setattr(condition_q_module, "double_branched_cover", recording)
+        spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
+        check_condition_qprime(spec)
+        # three branch pairs, each covered at 50 and 100 samples: one graph
+        # per resolution, and one field per cone point and resolution
+        assert len(built) == 3
+        assert calls == {"_knn_edges": 2, "_azimuth_field": 6}
+
+        monkeypatch.undo()
+        for space, branch, tol, (cover, certificate) in built:
+            alone, alone_certificate = double_branched_cover(space, branch, tol=tol)
+            assert np.array_equal(alone.dist, cover.dist)
+            assert np.array_equal(alone.points, cover.points)
+            assert np.array_equal(alone.sheet_swap, cover.sheet_swap)
+            assert alone.marked == cover.marked
+            assert alone_certificate == certificate

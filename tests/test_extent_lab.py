@@ -12,14 +12,18 @@ the quaternion pair of each group element are checked against the
 smallest-singular-value scan in tests/oracles.py, the exact three-point
 extent against the brute force there, and the metric check's chunked
 random triples against one draw of all of them, and its full scan against
-one that takes every ordered triple.  The batched group checks on gamma
+one that takes every ordered triple.  On branched covers, which carry
+their sheet swap, the scan that keeps one pass per sheet-swap orbit is
+checked against the scan of every pass.  The batched group checks on gamma
 are checked against the one-element-at-a-time loop there.
 """
 
+import dataclasses
 import io
 import json
 import sys
 import tracemalloc
+from itertools import combinations
 from math import gcd, pi
 
 import numpy as np
@@ -49,6 +53,7 @@ from x4circle.extent_lab import (
 from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.cover import _build_cover
+from x4circle.extent_lab.engine import trig_taylor, trig_value
 from x4circle.extent_lab.spaces import SampledMetricSpace
 
 from oracles import (
@@ -87,6 +92,36 @@ def equilateral_space(n: int, seed: int) -> SampledMetricSpace:
     dist = np.full((n, n), 0.5)
     np.fill_diagonal(dist, 0.0)
     return SampledMetricSpace(points=np.zeros((n, 4)), dist=dist, marked=[], seed=seed)
+
+
+def battery_covers(spec: IsometricActionSpec) -> list[SampledMetricSpace]:
+    """The one-resolution covers over every pair of cone points of spec's
+    quotient, as check-q builds them."""
+    base = sample_quotient(spec)
+    pairs = combinations(base.finite_isotropy_marks(), 2)
+    return [_build_cover(base, (a.index, b.index))[0] for a, b in pairs]
+
+
+def orbit_adjacent_order(sigma: np.ndarray) -> list[int]:
+    """Each orbit {x, sigma x} of an involution in adjacent positions,
+    smaller index first, the orbits in the order of their smaller index."""
+    order = []
+    for x, y in enumerate(sigma):
+        if x < y:
+            order += [x, int(y)]
+        elif x == y:
+            order.append(x)
+    return order
+
+
+@pytest.fixture(scope="module")
+def hopf_cover():
+    """(base size, cover) of the first two cone points of Hopf/D3* at 50
+    samples: a 104-node cover."""
+    spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
+    base = sample_quotient(spec)
+    branch = tuple(m.index for m in base.finite_isotropy_marks()[:2])
+    return base.size, _build_cover(base, branch)[0]
 
 
 def hopf_distance(x, y):
@@ -326,6 +361,95 @@ class TestSampling:
             matrices.append(d)
         for d in matrices:
             assert abs(spaces._worst_full_slack(d) - full_triangle_slack(d)) <= 1e-14
+
+    @pytest.mark.parametrize("weights, gamma, samples", [
+        ((1, 1), gamma_binary_dihedral(3), 50),
+        ((1, 1), gamma_binary_dihedral(3), 100),
+        ((2, 3), gamma_trivial(), 100),
+    ])
+    def test_orbit_slack_on_covers_matches_full_scans(self, weights, gamma, samples):
+        spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=samples)
+        covers = battery_covers(spec)
+        assert len(covers) == (3 if len(gamma) > 1 else 1)
+        for cover in covers:
+            d, sigma = cover.dist, cover.sheet_swap
+            worst = spaces._worst_orbit_slack(d, sigma)
+            order = orbit_adjacent_order(sigma)
+            assert worst == spaces._worst_full_slack(d[np.ix_(order, order)])
+            # the pass that reaches a triangle fixes which short side is
+            # subtracted first, so the unpermuted scans agree to rounding
+            assert abs(worst - spaces._worst_full_slack(d)) <= 1e-14
+            assert abs(worst - full_triangle_slack(d)) <= 1e-14
+
+    def test_space_without_sheet_swap_takes_every_pass(self, monkeypatch, hopf_cover):
+        n, cover = hopf_cover
+        passes = []
+        full = spaces._worst_full_slack
+
+        def recording(d, rows=None):
+            passes.append(rows)
+            return full(d, rows)
+
+        monkeypatch.setattr(spaces, "_worst_full_slack", recording)
+        validate_metric(dataclasses.replace(cover, sheet_swap=None))
+        validate_metric(cover)
+        plain, orbit = passes
+        assert plain is None
+        # one pass per orbit: the two branch points and the n - 2 doubled
+        # base points
+        assert len(orbit) == n
+
+    @pytest.mark.parametrize("z", range(8))
+    def test_violation_in_sheet_one_is_refused(self, hopf_cover, z):
+        n, cover = hopf_cover
+        d, sigma = cover.dist.copy(), cover.sheet_swap
+        # a sheet-1 point and its two nearest sheet-1 neighbours: each is
+        # the second point of its orbit, so no kept pass starts at any of
+        # them and only the sigma-image of the triangle is scanned
+        z += n
+        x, y = n + np.argsort(d[z, n:])[1:3]
+        assert all(sigma[v] < v for v in (x, y, z))
+        long_side = d[x, z] + d[z, y] + 2 * spaces.TRIANGLE_TOL
+        for u, v in ((x, y), (sigma[x], sigma[y])):
+            d[u, v] = d[v, u] = long_side
+        with pytest.raises(spaces.MetricValidationError, match="triangle"):
+            validate_metric(dataclasses.replace(cover, dist=d))
+
+    def test_sigma_asymmetric_edit_is_refused(self, hopf_cover):
+        n, cover = hopf_cover
+        d = cover.dist.copy()
+        d[n, n + 1] = d[n + 1, n] = np.nextafter(d[n, n + 1], np.inf)
+        with pytest.raises(spaces.MetricValidationError, match="invariant under its sheet swap"):
+            validate_metric(dataclasses.replace(cover, dist=d))
+        # still a metric: only the sheet swap refuses it
+        validate_metric(dataclasses.replace(cover, dist=d, sheet_swap=None))
+
+    def test_non_involution_is_refused(self, hopf_cover):
+        _, cover = hopf_cover
+        size = cover.size
+        for swap in (np.roll(np.arange(size), 1), cover.sheet_swap[:-1],
+                     cover.sheet_swap.astype(float), cover.sheet_swap + size):
+            with pytest.raises(spaces.MetricValidationError, match="not an involution"):
+                validate_metric(dataclasses.replace(cover, sheet_swap=swap))
+
+    def test_sheet_swap_check_memory_is_bounded(self):
+        # two copies of an 803-point metric swapped by sigma; comparing
+        # d[np.ix_(sigma, sigma)] with d in one piece would trace 41 MB
+        d = sample_round_two_sphere(803, seed=3).dist
+        n = len(d)
+        space = SampledMetricSpace(
+            points=np.zeros((2 * n, 4)),
+            dist=np.block([[d, d], [d, d]]),
+            marked=[],
+            sheet_swap=np.roll(np.arange(2 * n), n),
+        )
+        tracemalloc.start()
+        try:
+            validate_metric(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
 
     def test_metric_validation_memory_is_bounded(self):
         # the chunks bound it: one draw of all the triples traces 38 MB
@@ -909,6 +1033,26 @@ class TestSingularOrbits:
         spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
         assert len(spaces._theta_roots(spec)) == 20
         assert shapes and set(shapes) == {(4, 4)}
+
+    def test_value_scan_is_the_taylor_value(self):
+        coef = np.random.default_rng(7).uniform(-1.0, 1.0, (4, 12, 1))
+        thetas = np.arange(4096) * (2 * pi / 4096)
+        for half in ((1.0, 0.0), (2.5, -0.5), (1.5, 1.5)):
+            value = trig_value(*half, *coef, thetas)
+            assert np.array_equal(value, trig_taylor(*half, *coef, thetas)[0])
+
+    def test_theta_scan_memory_is_bounded(self):
+        # g' and g'' over the whole |Gamma| x 2048 grid took it to 1.27 MB
+        spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
+        spaces._theta_roots(spec)
+        tracemalloc.start()
+        try:
+            roots = spaces._theta_roots(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(roots) == 20
+        assert peak < 800_000
 
 
 class TestGoldenMax:
