@@ -14,6 +14,7 @@ dispatches to one of four structure results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
@@ -333,8 +334,6 @@ def loop_and_spur_pi1(k: int, spur: tuple[int, int]) -> LoopSpurGroup:
 
 
 def _double_cover_descriptor(spur_order: int) -> QuotientDescriptor:
-    from fractions import Fraction
-
     t = InvariantTuple((Fraction(0), Fraction(-1, spur_order), Fraction(1, spur_order)))
     return weights_from_invariants(t)
 

@@ -9,6 +9,10 @@ rejected (the report carries the citation tag), 3 numeric non-convergence.
 Every report embeds the normalized request; feeding a report file back
 through --input re-runs that request and reproduces the report byte for
 byte.
+
+Only the numerical lab (`x4circle.extent_lab`, which loads numpy) is
+imported inside the `extent` and `check-q` handlers, so the algebra
+commands never load numpy; every other layer is imported here, once.
 """
 
 from __future__ import annotations
@@ -17,6 +21,29 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from math import isinf
+
+import jsonschema
+
+from . import serialize
+from .classifier import PAIRWISE_UNEQUAL, classify
+from .invariants import (
+    InvariantTuple,
+    are_equivalent,
+    canonicalize,
+    cyclic_differences,
+    euler_sum,
+    format_rational,
+    is_realizable,
+)
+from .seifert import (
+    abelian_order_two_fibers,
+    euler_number,
+    fundamental_group,
+    normalize,
+    recognize_boundary,
+)
+from .wcp import verify_kernel, weights_from_invariants
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 800
@@ -73,8 +100,6 @@ def _load_input(path: str):
 
 
 def _run_canon(payload, opts):
-    from .invariants import InvariantTuple, canonicalize, is_realizable
-
     t = InvariantTuple(payload["invariants"])
     canonical = canonicalize(t).as_strings()
     # rotated inputs normalize to one payload, so their reports are identical
@@ -82,8 +107,6 @@ def _run_canon(payload, opts):
 
 
 def _run_equiv(payload, opts):
-    from .invariants import InvariantTuple, are_equivalent, canonicalize
-
     left = InvariantTuple(payload["left"])
     right = InvariantTuple(payload["right"])
     normalized = {"left": left.as_strings(), "right": right.as_strings()}
@@ -96,8 +119,6 @@ def _run_equiv(payload, opts):
 
 
 def _run_euler(payload, opts):
-    from .invariants import InvariantTuple, cyclic_differences, euler_sum, format_rational
-
     t = InvariantTuple(payload["invariants"])
     result = {
         "euler_sum": format_rational(euler_sum(t)),
@@ -107,17 +128,6 @@ def _run_euler(payload, opts):
 
 
 def _run_seifert_pi1(payload, opts):
-    from math import isinf
-
-    from . import serialize
-    from .invariants import format_rational
-    from .seifert import (
-        abelian_order_two_fibers,
-        euler_number,
-        fundamental_group,
-        normalize,
-    )
-
     p = serialize.decode_seifert(payload["seifert"])
     result = {
         "presentation": serialize.encode_presentation(fundamental_group(p)),
@@ -131,20 +141,12 @@ def _run_seifert_pi1(payload, opts):
 
 
 def _run_seifert_recognize(payload, opts):
-    from . import serialize
-    from .seifert import recognize_boundary
-
     p = serialize.decode_seifert(payload["seifert"])
     result = serialize.encode_recognition(recognize_boundary(p))
     return {"seifert": serialize.encode_seifert(p)}, result
 
 
 def _run_wcp(payload, opts):
-    from . import serialize
-    from .classifier import PAIRWISE_UNEQUAL
-    from .invariants import InvariantTuple, is_realizable
-    from .wcp import verify_kernel, weights_from_invariants
-
     t = InvariantTuple(payload["invariants"])
     normalized = {"invariants": t.as_strings()}
     if not is_realizable(t):
@@ -158,10 +160,6 @@ def _run_wcp(payload, opts):
 
 
 def _run_classify(payload, opts):
-    from . import serialize
-    from .classifier import classify
-    from .invariants import InvariantTuple
-
     graph = serialize.decode_graph(payload["graph"])
     invariants = None
     normalized = {"graph": serialize.encode_graph(graph)}
@@ -172,7 +170,6 @@ def _run_classify(payload, opts):
 
 
 def _run_extent(payload, opts):
-    from . import serialize
     from .extent_lab import SMALL_BOUND, extent, is_small, sample_quotient
 
     action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
@@ -199,7 +196,6 @@ def _run_extent(payload, opts):
 
 
 def _run_check_q(payload, opts):
-    from . import serialize
     from .extent_lab import check_condition_qprime
 
     action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
@@ -247,7 +243,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return 1
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         sys.stderr.write(f"input is not valid JSON: {exc}\n")
         return 1
 
@@ -289,14 +285,13 @@ def main(argv=None) -> int:
         sys.stderr.write("format must be json or text\n")
         return 1
 
-    import jsonschema
-
-    from .serialize import SCHEMAS, dumps_canonical, render_text
-
     try:
-        jsonschema.validate(raw, SCHEMAS[args.command])
+        jsonschema.validate(raw, serialize.SCHEMAS[args.command])
     except jsonschema.ValidationError as exc:
         sys.stderr.write(f"payload rejected by schema: {exc.message}\n")
+        return 1
+    except RecursionError:  # nesting that json.loads only just parsed
+        sys.stderr.write("payload rejected by schema: nested too deeply\n")
         return 1
 
     # one boundary for the handler and the encoding: a report that cannot be
@@ -307,7 +302,8 @@ def main(argv=None) -> int:
             "request": {"command": args.command, "payload": normalized, "options": vars(opts)},
             "result": result,
         }
-        text = dumps_canonical(report) if opts.format == "json" else render_text(report)
+        render = serialize.dumps_canonical if opts.format == "json" else serialize.render_text
+        text = render(report)
     except Exception as exc:
         mapped = _exception_code(exc)
         if mapped is None:

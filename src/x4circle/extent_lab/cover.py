@@ -281,11 +281,10 @@ def _cut_crossings(
     branch: tuple[int, int],
     eu: np.ndarray,
     ev: np.ndarray,
-    graphs: BaseGraphs | None = None,
+    graphs: BaseGraphs,
 ) -> np.ndarray:
     """Mod-2 crossing indicator of the branch-to-branch cut for each edge;
     the azimuth fields come from graphs."""
-    graphs = BaseGraphs() if graphs is None else graphs
     b1, b2 = branch
     if space.dist[b1, b2] < WAYPOINT_THRESHOLD:
         fields = {b: graphs.field(space, b) for b in (b1, b2)}
@@ -307,18 +306,18 @@ def _cut_crossings(
 
 
 def _build_cover(
-    space: SampledMetricSpace, branch: tuple[int, int], graphs: BaseGraphs | None = None
-):
-    """One-resolution cover graph; returns (cover space, node map).
+    space: SampledMetricSpace, branch: tuple[int, int], graphs: BaseGraphs
+) -> SampledMetricSpace:
+    """One-resolution cover of space branched over the two base indices
+    in branch; the neighbor graph and azimuth fields of space come from
+    graphs.
 
-    node map is an (n, 2) array sending (base index, sheet) to the cover
-    row; branch points map both sheets to their single row.  Sheet 0 keeps
-    the base indices and sheet 1 follows in base order.  The neighbor graph
-    and azimuth fields of space come from graphs.
+    Sheet 0 keeps the base indices and sheet 1 follows in base order, so
+    base point i lifts to cover rows i and sheet_swap[i], which coincide
+    exactly at the branch points.
     """
     if space.spec is None:
         raise ValueError("branched covers need a quotient with an action spec")
-    graphs = BaseGraphs() if graphs is None else graphs
     d = space.dist
     n = space.size
     b1, b2 = branch
@@ -326,28 +325,29 @@ def _build_cover(
     knn = graphs.knn(space)
 
     doubled = np.setdiff1d(np.arange(n), branch)
-    node_map = np.column_stack([np.arange(n), np.arange(n)])
-    node_map[doubled, 1] = n + np.arange(len(doubled))
     size = n + len(doubled)
+    # cover row r lies over base point base[r]; base point i lifts to rows i
+    # and sigma[i], where sigma is the sheet swap
+    base = np.r_[:n, doubled]
+    sigma = base.copy()
+    sigma[doubled] = np.arange(n, size)
 
     # sheet edges stay on their sheet unless they cross the cut; the
     # branch-incident knn edges are superseded by the exact stars, which join
     # each branch point to both lifts of every doubled node and to each other
     eu, ev = knn[~np.isin(knn, branch).any(axis=1)].T
-    flip = _cut_crossings(space, (b1, b2), eu, ev, graphs).astype(int)
+    flip = _cut_crossings(space, (b1, b2), eu, ev, graphs)
+    lift_ev = np.where(flip, sigma[ev], ev)  # the lift of ev joined to eu's sheet-0 lift
     hub = np.repeat(branch, len(doubled))
     leaf = np.tile(doubled, 2)
-    head = np.concatenate([node_map[eu, 0], node_map[eu, 1], hub, hub, [b1]])
-    tail = np.concatenate(
-        [node_map[ev, flip], node_map[ev, 1 - flip], node_map[leaf, 0], node_map[leaf, 1], [b2]]
-    )
+    head = np.concatenate([eu, sigma[eu], hub, hub, [b1]])
+    tail = np.concatenate([lift_ev, sigma[lift_ev], leaf, sigma[leaf], [b2]])
     weight = np.concatenate([d[eu, ev], d[eu, ev], d[hub, leaf], d[hub, leaf], [d[b1, b2]]])
     graph = sp.csr_matrix(
         (np.tile(weight, 2), (np.r_[head, tail], np.r_[tail, head])), shape=(size, size)
     )
     # the sheet swap sigma preserves every edge weight, so each sheet-1 row
     # is its base row read through sigma (module docstring)
-    sigma = np.concatenate([node_map[:, 1], doubled])
     cover_dist = np.empty((size, size))
     cover_dist[:n] = dijkstra(graph, indices=np.arange(n))
     # every index is in range; "clip" only spares the buffer "raise" uses
@@ -367,19 +367,17 @@ def _build_cover(
     for m in space.marked:
         cover_marked.append(MarkedPoint(m.index, f"{m.label}+0", m.isotropy))
         if m.index not in branch:
-            cover_marked.append(
-                MarkedPoint(int(node_map[m.index, 1]), f"{m.label}+1", m.isotropy)
-            )
+            cover_marked.append(MarkedPoint(int(sigma[m.index]), f"{m.label}+1", m.isotropy))
 
     cover = SampledMetricSpace(
-        points=space.points[np.concatenate([np.arange(n), doubled])],
+        points=space.points[base],
         dist=cover_dist,
         marked=cover_marked,
         seed=space.seed,
         sheet_swap=sigma,
     )
     validate_metric(cover)
-    return cover, node_map
+    return cover
 
 
 def double_branched_cover(
@@ -393,12 +391,14 @@ def double_branched_cover(
 
     Returns (cover, certificate): the cover rebuilt at twice the requested
     resolution, and the CoverCertificate with the observed drift between the
-    two resolutions.  Raises ConvergenceError, carrying the failed
-    certificate, when the drift exceeds 2 * tol, and ValueError when the
-    branch indices are not distinct marked points.  high_base, when given,
-    is the twice-resolution base; graphs holds the neighbor graphs and
-    azimuth fields of both bases, and one instance passed to the covers of
-    several branch pairs over the same bases builds each of them once.
+    two resolutions.  Point i of the twice-resolution base lifts to cover
+    rows i and cover.sheet_swap[i], one row for a branch point.  Raises
+    ConvergenceError, carrying the failed certificate, when the drift
+    exceeds 2 * tol, and ValueError when the branch indices are not
+    distinct marked points.  high_base, when given, is the twice-resolution
+    base; graphs holds the neighbor graphs and azimuth fields of both
+    bases, and one instance passed to the covers of several branch pairs
+    over the same bases builds each of them once.
     """
     marked_indices = [m.index for m in space.marked]
     b1, b2 = int(branch[0]), int(branch[1])
@@ -408,7 +408,7 @@ def double_branched_cover(
         raise ValueError("branch points coincide")
 
     graphs = BaseGraphs() if graphs is None else graphs
-    low_cover, low_map = _build_cover(space, (b1, b2), graphs)
+    low_cover = _build_cover(space, (b1, b2), graphs)
 
     if high_base is None:
         high_base = regenerate(space, 2 * space.spec.samples)
@@ -417,7 +417,7 @@ def double_branched_cover(
     pos1 = marked_indices.index(b1)
     pos2 = marked_indices.index(b2)
     branch_high = (high_base.marked[pos1].index, high_base.marked[pos2].index)
-    high_cover, _high_map = _build_cover(high_base, branch_high, graphs)
+    high_cover = _build_cover(high_base, branch_high, graphs)
 
     certificate = CoverCertificate(
         samples_low=space.spec.samples,

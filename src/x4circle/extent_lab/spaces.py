@@ -372,8 +372,9 @@ def _kernel_count(spec: IsometricActionSpec) -> int:
 
 def discover_marked(
     spec: IsometricActionSpec, engine: DistanceEngine
-) -> tuple[np.ndarray, list[str], list[int]]:
-    """Representatives, labels, and isotropy orders of the singular orbits.
+) -> tuple[np.ndarray, list[MarkedPoint]]:
+    """Representatives of the singular orbits, one per row, and their
+    marks: one MarkedPoint per row, whose index is that row.
 
     The coordinate circles are always marked first; loci fixed by nontrivial
     joint rotations follow, found by `_theta_roots` from the quaternion pair
@@ -394,11 +395,9 @@ def discover_marked(
         if all(dist[i, j] > MERGE_TOL for j in keep):
             keep.append(i)
     kernel = _kernel_count(spec)
-    final_reps = []
-    final_labels = []
-    isotropies = []
+    marks = []
     singular_counter = 0
-    for i in keep:
+    for row, i in enumerate(keep):
         stab = _stabilizer_count(spec, reps[i])
         if stab % kernel != 0:
             raise RuntimeError("stabilizer count is not a kernel multiple")
@@ -406,10 +405,8 @@ def discover_marked(
         if label == "singular":
             label = f"singular:{singular_counter}"
             singular_counter += 1
-        final_reps.append(reps[i])
-        final_labels.append(label)
-        isotropies.append(stab // kernel)
-    return np.array(final_reps), final_labels, isotropies
+        marks.append(MarkedPoint(index=row, label=label, isotropy=stab // kernel))
+    return stacked[keep], marks
 
 
 # -- quotient sampling ------------------------------------------------------
@@ -423,26 +420,25 @@ def sample_quotient(spec: IsometricActionSpec) -> SampledMetricSpace:
     a metric space before it is returned.
     """
     engine = DistanceEngine(spec.weights, spec.gamma)
-    marked_reps, labels, isotropies = discover_marked(spec, engine)
-    return _quotient_space(spec, engine, marked_reps, labels, isotropies)
+    return _quotient_space(spec, engine, *discover_marked(spec, engine))
 
 
 def _quotient_space(
     spec: IsometricActionSpec,
     engine: DistanceEngine,
     marked_reps: np.ndarray,
-    labels: list[str],
-    isotropies: list[int],
+    marks: list[MarkedPoint],
     known=None,
 ) -> SampledMetricSpace:
-    """The validated quotient sample of spec with the given singular orbits
-    appended after its random points; known is passed to the engine."""
+    """The validated quotient sample of spec with the singular orbits
+    marked_reps appended after its random points, the k-th row of
+    marked_reps marked as marks[k]; known is passed to the engine."""
     random_points = _sphere_points(spec.samples, spec.seed)
     points = np.vstack([random_points, marked_reps])
     dist = engine.distance_matrix(points, known=known)
     marked = [
-        MarkedPoint(index=spec.samples + i, label=labels[i], isotropy=isotropies[i])
-        for i in range(len(labels))
+        MarkedPoint(index=spec.samples + k, label=m.label, isotropy=m.isotropy)
+        for k, m in enumerate(marks)
     ]
     space = SampledMetricSpace(
         points=points,
@@ -472,15 +468,14 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
     if space.spec is None:
         raise ValueError("cannot regenerate a space without an action spec")
     spec = space.spec.with_samples(samples)
-    marks = [m.index for m in space.marked]
+    rows = [m.index for m in space.marked]
     shared = min(space.spec.samples, samples)
-    old = np.r_[:shared, marks]
+    old = np.r_[:shared, rows]
     block = space.dist if shared == space.spec.samples else space.dist[np.ix_(old, old)]
     return _quotient_space(
         spec,
         DistanceEngine(spec.weights, spec.gamma),
-        space.points[marks],
-        [m.label for m in space.marked],
-        [m.isotropy for m in space.marked],
-        known=(np.r_[:shared, samples : samples + len(marks)], block),
+        space.points[rows],
+        space.marked,
+        known=(np.r_[:shared, samples : samples + len(rows)], block),
     )

@@ -32,6 +32,11 @@ from .wcp import QuotientDescriptor
 
 RATIONAL_PATTERN = r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$"
 
+# canonicalize compares all 2n rotations and reversals of an n-entry tuple,
+# so its cost grows quadratically; longer invariant lists are refused by
+# the schema
+MAX_INVARIANTS = 64
+
 
 def _object(properties: dict, required: list[str]) -> dict:
     return {
@@ -43,7 +48,7 @@ def _object(properties: dict, required: list[str]) -> dict:
 
 
 _RATIONAL = {"type": "string", "pattern": RATIONAL_PATTERN}
-_RATIONAL_LIST = {"type": "array", "items": _RATIONAL, "minItems": 2}
+_RATIONAL_LIST = {"type": "array", "items": _RATIONAL, "minItems": 2, "maxItems": MAX_INVARIANTS}
 _RATIONAL_TRIPLE = {"type": "array", "items": _RATIONAL, "minItems": 3, "maxItems": 3}
 _INTEGER_PAIR = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
 

@@ -30,6 +30,7 @@ from x4circle.extent_lab import cover as cover_module
 from x4circle.extent_lab.cover import (
     K_NEIGHBORS,
     RADIUS_FACTOR,
+    BaseGraphs,
     _build_cover,
     _cut_crossings,
     _knn_edges,
@@ -53,9 +54,16 @@ def dihedral_branch(dihedral_space):
     return marks["singular:0"], marks["singular:1"]
 
 
+def node_map(cover, n):
+    """(n, 2) array of the cover rows of (base index, sheet): sheet 0
+    keeps the base index, sheet 1 is its image under the sheet swap."""
+    return np.column_stack([np.arange(n), cover.sheet_swap[:n]])
+
+
 @pytest.fixture(scope="module")
 def dihedral_low_cover(dihedral_space, dihedral_branch):
-    return _build_cover(dihedral_space, dihedral_branch)
+    cover = _build_cover(dihedral_space, dihedral_branch, BaseGraphs())
+    return cover, node_map(cover, dihedral_space.size)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +162,7 @@ def cover_graph_oracle(space, branch) -> dict:
     eu = np.array([u for u, _ in plain])
     ev = np.array([v for _, v in plain])
     edges = {}
-    for (u, v), crosses in zip(plain, _cut_crossings(space, branch, eu, ev)):
+    for (u, v), crosses in zip(plain, _cut_crossings(space, branch, eu, ev, BaseGraphs())):
         for sheet in (0, 1):
             edges[frozenset((lift[u, sheet], lift[v, sheet ^ int(crosses)]))] = d[u, v]
     for b in branch:
@@ -182,7 +190,7 @@ class TestCoverGraph:
 
         dijkstra = cover_module.dijkstra
         monkeypatch.setattr(cover_module, "dijkstra", recording_dijkstra)
-        _build_cover(space, branch)
+        _build_cover(space, branch, BaseGraphs())
         expected = cover_graph_oracle(space, branch)
 
         (graph,) = graphs
@@ -219,7 +227,8 @@ class TestCoverGraph:
 
         dijkstra = cover_module.dijkstra
         monkeypatch.setattr(cover_module, "dijkstra", recording_dijkstra)
-        cover, node_map = _build_cover(space, branch)
+        cover = _build_cover(space, branch, BaseGraphs())
+        lifts = node_map(cover, space.size)
 
         ((graph, kwargs),) = calls
         assert kwargs.get("directed", True)  # one scan per stored edge
@@ -227,7 +236,7 @@ class TestCoverGraph:
         n = space.size
         assert len(sources) == n
         doubled = np.setdiff1d(np.arange(n), branch)
-        sigma = np.concatenate([node_map[:, 1], doubled])
+        sigma = np.concatenate([lifts[:, 1], doubled])
         assert np.array_equal(sigma[sigma], np.arange(2 * n - 2))
         assert (graph[sigma][:, sigma] != graph).nnz == 0
         assert np.array_equal(cover.sheet_swap, sigma)

@@ -110,6 +110,35 @@ class TestExitCodes:
         monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
         assert cli.main(["canon"]) == 1
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff",  # not UTF-8
+            b'{"invariants": [' + b"1" * 5000 + b', "1"]}',  # past the 4300-digit limit
+            b"[" * 100_000,  # past the recursion limit
+        ],
+        ids=["non-utf8", "5000-digit-integer", "deep-nesting"],
+    )
+    def test_undecodable_input_exits_one(self, capsys, monkeypatch, tmp_path, data):
+        path = tmp_path / "payload.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, monkeypatch, ["canon", "--input", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input is not valid JSON: ") and err.count("\n") == 1
+
+    def test_nesting_the_schema_cannot_walk_exits_one(self, capsys, monkeypatch, tmp_path):
+        # depths just inside what json.loads parses can exhaust the stack in
+        # the schema check instead; which depths do depends on the caller's
+        # stack, so every other depth up to past the parser's limit is tried
+        path = tmp_path / "payload.json"
+        for depth in range(700, 1010, 2):
+            edges = "[" * depth + "]" * depth
+            path.write_text('{"graph": {"vertices": 1, "edges": %s}}' % edges)
+            code, out, err = run_cli(capsys, monkeypatch, ["classify", "--input", str(path)])
+            assert code == 1 and out == "", depth
+            assert err.count("\n") == 1 and "Traceback" not in err, depth
+
     def test_missing_file_is_invalid_input(self, capsys, monkeypatch, tmp_path):
         code, _, err = run_cli(
             capsys, monkeypatch, ["canon", "--input", str(tmp_path / "absent.json")]
@@ -331,6 +360,19 @@ class TestCommandResults:
             assert out == ""
             assert err == "ValueError: presentation has 65 fibers, more than MAX_FIBERS = 64\n"
 
+    @pytest.mark.parametrize("count, expected", [(64, 0), (65, 1)])
+    @pytest.mark.parametrize("command", ["canon", "euler", "equiv"])
+    def test_invariant_budget(self, capsys, monkeypatch, command, count, expected):
+        entries = [str(k) for k in range(count)]
+        payload = (
+            {"left": entries, "right": entries} if command == "equiv" else {"invariants": entries}
+        )
+        code, out, err = run_cli(capsys, monkeypatch, [command], payload)
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert err.startswith("payload rejected by schema: ") and err.count("\n") == 1
+
     def test_seifert_recognize(self, capsys, monkeypatch):
         _, out, _ = run_cli(
             capsys,
@@ -475,6 +517,22 @@ def test_algebra_commands_never_crash(request):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([command])
     assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@given(
+    st.sampled_from(["canon", "equiv", "euler", "seifert-pi1", "seifert-recognize", "wcp",
+                     "classify"]),
+    st.binary(max_size=64),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_arbitrary_input_bytes_never_crash(tmp_path_factory, command, data):
+    path = tmp_path_factory.mktemp("payload") / "payload.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--input", str(path)])
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 

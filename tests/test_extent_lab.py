@@ -52,7 +52,7 @@ from x4circle.extent_lab import (
 )
 from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
-from x4circle.extent_lab.cover import _build_cover
+from x4circle.extent_lab.cover import BaseGraphs, _build_cover
 from x4circle.extent_lab.engine import trig_taylor, trig_value
 from x4circle.extent_lab.spaces import SampledMetricSpace
 
@@ -99,7 +99,7 @@ def battery_covers(spec: IsometricActionSpec) -> list[SampledMetricSpace]:
     quotient, as check-q builds them."""
     base = sample_quotient(spec)
     pairs = combinations(base.finite_isotropy_marks(), 2)
-    return [_build_cover(base, (a.index, b.index))[0] for a, b in pairs]
+    return [_build_cover(base, (a.index, b.index), BaseGraphs()) for a, b in pairs]
 
 
 def orbit_adjacent_order(sigma: np.ndarray) -> list[int]:
@@ -121,7 +121,7 @@ def hopf_cover():
     spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
     base = sample_quotient(spec)
     branch = tuple(m.index for m in base.finite_isotropy_marks()[:2])
-    return base.size, _build_cover(base, branch)[0]
+    return base.size, _build_cover(base, branch, BaseGraphs())
 
 
 def hopf_distance(x, y):
@@ -313,7 +313,7 @@ class TestSampling:
         low = sample_quotient(IsometricActionSpec(weights=(2, 3), samples=100, seed=0))
         high = regenerate(low, 200)
         marks = {m.label: m.index for m in high.marked}
-        cover, _ = _build_cover(high, (marks["z2=0"], marks["z1=0"]))
+        cover = _build_cover(high, (marks["z2=0"], marks["z1=0"]), BaseGraphs())
         assert cover.size == 402
         worst = spaces._worst_sampled_slack(cover.dist, cover.seed)
         assert worst == sampled_triangle_slack(cover.dist, cover.seed)
@@ -332,7 +332,7 @@ class TestSampling:
         low = sample_quotient(spec)
         branch = tuple(m.index for m in low.finite_isotropy_marks()[:2])
         for base, size in ((low, 104), (regenerate(low, 100), 204)):
-            cover, _ = _build_cover(base, branch)
+            cover = _build_cover(base, branch, BaseGraphs())
             assert cover.size == size
             worst = spaces._worst_full_slack(cover.dist)
             assert abs(worst - full_triangle_slack(cover.dist)) <= 1e-14
@@ -627,7 +627,7 @@ class TestFlatPairs:
 
         monkeypatch.setattr(DistanceEngine, "_refine", counting)
         spec = IsometricActionSpec(weights=(2, 3), samples=50)
-        reps, _, _ = spaces.discover_marked(spec, DistanceEngine(spec.weights, spec.gamma))
+        reps, _ = spaces.discover_marked(spec, DistanceEngine(spec.weights, spec.gamma))
         assert len(reps) == 2
         # the 5 x 5 matrix of the coordinate circles and 3 roots aligns its
         # 10 upper pairs only; their 6 flat pairs (A = B = 0) refine no cell,
@@ -979,10 +979,10 @@ class TestSingularOrbits:
             # the fixed circles are orbits, so each root lies on its oracle's
             dist = engine.distance_matrix(np.vstack([roots, oracle]))
             assert np.max(np.diag(dist[: len(roots), len(roots) :])) <= 1e-12
-        reps, labels, isotropies = spaces.discover_marked(spec, engine)
+        reps, marks = spaces.discover_marked(spec, engine)
         monkeypatch.setattr(spaces, "_theta_roots", svd_theta_roots)
-        oracle_reps, oracle_labels, oracle_isotropies = spaces.discover_marked(spec, engine)
-        assert (labels, isotropies) == (oracle_labels, oracle_isotropies)
+        oracle_reps, oracle_marks = spaces.discover_marked(spec, engine)
+        assert marks == oracle_marks
         dist = engine.distance_matrix(np.vstack([reps, oracle_reps]))
         assert np.max(np.diag(dist[: len(reps), len(reps) :])) <= 1e-12
 

@@ -1,5 +1,6 @@
 """The public namespaces of the package and of its numerical lab."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -81,14 +82,32 @@ def test_unknown_lab_name_raises_attribute_error():
         x4circle.extent_lab.no_such_name  # noqa: B018
 
 
-# runs in a fresh interpreter: the test session has loaded scipy already
-SCIPY_PROBE = """
+# every algebra command, then one schema reject, then the lab commands; runs
+# in a fresh interpreter, since the test session has loaded numpy and scipy
+BOUNDARY_PROBE = """
 import io, json, sys
-import x4circle.extent_lab
 from x4circle import cli
 
-payload = json.dumps({"action": {"weights": [1, 1], "gamma": "binary-dihedral:3"}})
+requests = [
+    ("canon", {"invariants": ["0", "-1/2", "1/2"]}),
+    ("equiv", {"left": ["0", "1/2"], "right": ["1/2", "0"]}),
+    ("euler", {"invariants": ["1/2", "1/3"]}),
+    ("seifert-pi1", {"seifert": {"fibers": [[2, 1], [3, 1]]}}),
+    ("seifert-recognize", {"seifert": {"fibers": [[2, 1], [2, -1]]}}),
+    ("wcp", {"invariants": ["0", "-1/2", "1/2"]}),
+    ("classify", {"graph": {"vertices": 2, "edges": [{"loop": 0, "order": 2}]}}),
+    ("canon", {"invariants": ["1/2"]}),
+]
 out = sys.stdout
+for command, payload in requests:
+    sys.stdin, sys.stdout = io.StringIO(json.dumps(payload)), io.StringIO()
+    code = cli.main([command])
+    sys.stdout = out
+    print(command, code, "numpy" in sys.modules)
+
+import x4circle.extent_lab
+
+payload = json.dumps({"action": {"weights": [1, 1], "gamma": "binary-dihedral:3"}})
 for argv in (["extent", "--samples", "50"], ["check-q", "--samples", "50"]):
     sys.stdin, sys.stdout = io.StringIO(payload), io.StringIO()
     code = cli.main(argv)
@@ -97,12 +116,51 @@ for argv in (["extent", "--samples", "50"], ["check-q", "--samples", "50"]):
 """
 
 
-def test_only_a_cover_loads_scipy():
+@pytest.fixture(scope="module")
+def boundary_probe() -> list[str]:
     src = pathlib.Path(x4circle.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", BOUNDARY_PROBE], env=env, capture_output=True, text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n") == ["extent 0 False", "check-q 0 True", ""]
+    return done.stdout.split("\n")
+
+
+def test_algebra_commands_never_load_numpy(boundary_probe):
+    assert boundary_probe[:8] == [
+        "canon 0 False",
+        "equiv 0 False",
+        "euler 0 False",
+        "seifert-pi1 0 False",
+        "seifert-recognize 0 False",
+        "wcp 0 False",
+        "classify 0 False",
+        "canon 1 False",
+    ]
+
+
+def test_only_a_cover_loads_scipy(boundary_probe):
+    assert boundary_probe[8:] == ["extent 0 False", "check-q 0 True", ""]
+
+
+def test_only_the_lab_is_imported_inside_functions():
+    # every other layer is imported once, at the top of its module
+    root = pathlib.Path(x4circle.__file__).parent
+    local = []
+    for path in sorted(root.rglob("*.py")):
+        package = ".".join(path.relative_to(root.parent).parent.parts)
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    local += [(path.name, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    parts = package.split(".")[: len(package.split(".")) + 1 - node.level]
+                    name = node.module if not node.level else ".".join(parts + [node.module])
+                    local.append((path.name, name))
+    assert {name for _, name in local} == {"x4circle.extent_lab"}, local
+    assert sorted(file for file, _ in local) == ["cli.py", "cli.py", "serialize.py"]
