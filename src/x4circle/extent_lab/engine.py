@@ -26,7 +26,12 @@ competing bump is within max_w^2 (h/2)^2 / 2 = pi^2/(2*64^2) < 1.3e-3 of its
 true peak; refining every grid-local maximum within CANDIDATE_MARGIN = 5e-3
 of the per-pair best therefore never misses the global optimum.  The grid
 is scanned once: the same block products give the per-pair best and the
-grid-local maxima near it.
+grid-local maxima near it.  Each 64-cell block is written into one
+(66, pairs) buffer, the block with its two neighbouring cells, reused for
+every block and gamma of a call.  One threshold pass into one bool buffer
+marks the cells within CANDIDATE_MARGIN of the running peak, a few per
+pair, and only those cells are tested against their neighbours and for a
+flat pair.
 
 The polish, `newton_max` on `trig_taylor`, is a safeguarded Newton
 iteration on f' in the bracket of the two neighbouring grid cells; the
@@ -134,11 +139,16 @@ class DistanceEngine:
         self.grid_size = GRID_PER_WEIGHT * self.max_weight
         self.step = 2.0 * pi / self.grid_size
         theta = np.arange(self.grid_size) * self.step
-        self.trig = np.empty((4, self.grid_size))
-        self.trig[0] = np.cos(self.p * theta)
-        self.trig[1] = np.sin(self.p * theta)
-        self.trig[2] = np.cos(self.q * theta)
-        self.trig[3] = np.sin(self.q * theta)
+        trig = np.empty((4, self.grid_size))
+        trig[0] = np.cos(self.p * theta)
+        trig[1] = np.sin(self.p * theta)
+        trig[2] = np.cos(self.q * theta)
+        trig[3] = np.sin(self.q * theta)
+        # each 64-cell block with its two wrap-around neighbours, (66, 4)
+        self.trig_blocks = [
+            trig[:, np.arange(t0 - 1, t0 + 65) % self.grid_size].T
+            for t0 in range(0, self.grid_size, 64)
+        ]
 
     # -- helpers ---------------------------------------------------------
 
@@ -208,6 +218,13 @@ class DistanceEngine:
         m_grid = self.grid_size
         best = np.full(flat, -np.inf)
         scans = []
+        # one block product and one threshold mask, reused by every block
+        # and gamma
+        f_block = np.empty((66, flat))
+        above = np.empty((64, flat), dtype=bool)
+        mid = f_block[1:-1]
+        # the block's cells, and those one row above and below, flattened
+        lower, centre, upper = (f_block[r : r + 64].reshape(-1) for r in range(3))
 
         for gi in range(len(self.gammas)):
             # np.multiply keeps the factor order (see `_unit_sums`)
@@ -218,27 +235,26 @@ class DistanceEngine:
             # refining all its cells, it takes its grid value, 0, at the theta
             # where polishing its last cell ends: that cell itself
             constant = (av == 0) & (bv == 0)
+            varies = ~constant
             cand_t, cand_f, cand_v = [], [], []
-            for t0 in range(0, m_grid, 64):
-                idx = np.arange(t0 - 1, t0 + 65) % m_grid
-                f_block = self.trig[:, idx].T @ g_rows
-                mid = f_block[1:-1]
+            for t0, trig_block in zip(range(0, m_grid, 64), self.trig_blocks):
+                np.matmul(trig_block, g_rows, out=f_block)
                 np.maximum(best, mid.max(axis=0), out=best)
-                local = (
-                    (mid >= f_block[:-2])
-                    & (mid >= f_block[2:])
-                    & (mid >= best - CANDIDATE_MARGIN)
-                    & ~constant
-                )
-                tt, ff = np.nonzero(local)
-                cand_t.append(tt + t0)
-                cand_f.append(ff)
-                cand_v.append(mid[tt, ff])
+                np.greater_equal(mid, best - CANDIDATE_MARGIN, out=above)
+                # only the few cells near the peak are tested further
+                k = np.flatnonzero(above)
+                value = centre.take(k)
+                tt, ff = np.divmod(k, flat)
+                local = (value >= lower.take(k)) & (value >= upper.take(k)) & varies.take(ff)
+                cand_t.append(tt[local] + t0)
+                cand_f.append(ff[local])
+                cand_v.append(value[local])
             f_idx = np.concatenate(cand_f)
             scans.append((
                 np.concatenate(cand_t), f_idx, np.concatenate(cand_v),
                 g_rows[:, f_idx], np.nonzero(constant)[0],
             ))
+        del f_block, above, mid, lower, centre, upper  # freed before the polish
 
         thresh = best - CANDIDATE_MARGIN
         win_val = np.full(flat, -np.inf)

@@ -20,7 +20,11 @@ triple rather than each triangle inequality once, general-weight alignments come
 a 256-per-weight grid with golden-section polish of every grid-local
 maximum, evaluated in complex exponentials, rather than from a coarse grid,
 a candidate margin and Newton steps, unit-weight distance matrices keep
-each pair's winner by masked writes rather than a running maximum, and the
+each pair's winner by masked writes rather than a running maximum, the
+general-weight grid scan builds four full-size masks per block and one
+2-D nonzero rather than one threshold pass whose few cells are tested
+alone, the heuristic extent runs each restart's ascent alone rather than
+all restarts in one sweep, and the
 group checks on gamma run one element or pair at a time rather than
 batched.  The golden-section search is this module's own, so no oracle
 shares a solver with the code it checks.  The unit round 2-sphere, whose distances are plain great-circle
@@ -42,7 +46,7 @@ from x4circle.extent_lab.actions import (
     circle_generator,
     circle_matrix,
 )
-from x4circle.extent_lab.engine import ROW_CHUNK
+from x4circle.extent_lab.engine import CANDIDATE_MARGIN, ROW_CHUNK, DistanceEngine
 from x4circle.extent_lab.spaces import (
     RANDOM_TRIPLES,
     ROOT_TOL,
@@ -332,6 +336,114 @@ def winner_path_distance_matrix(weights, gammas, points) -> np.ndarray:
             win_val[wins] = value[wins]
         out[rows, cols] = out[cols, rows] = np.arccos(np.clip(win_val, -1.0, 1.0))
     return out
+
+
+class MaskScanEngine(DistanceEngine):
+    """The engine with its general-weight grid scan in the masked form.
+
+    Each 64-cell block is a fresh (66, pairs) product, and its candidates
+    are the nonzero cells of the four full-size masks "at least the left
+    neighbour", "at least the right neighbour", "within CANDIDATE_MARGIN of
+    the running peak" and "not a flat pair", in row-major order.  The
+    refinement after the scan is the engine's.
+    """
+
+    def _grid_alignments(self, a1, a2, v1, v2, cols):
+        flat = len(cols)
+        m_grid = self.grid_size
+        theta = np.arange(m_grid) * self.step
+        trig = np.array([np.cos(self.p * theta), np.sin(self.p * theta),
+                         np.cos(self.q * theta), np.sin(self.q * theta)])
+        best = np.full(flat, -np.inf)
+        scans = []
+        for gi in range(len(self.gammas)):
+            av = np.multiply(a1, v1[gi].take(cols))
+            bv = np.multiply(a2, v2[gi].take(cols))
+            g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
+            constant = (av == 0) & (bv == 0)
+            cand_t, cand_f, cand_v = [], [], []
+            for t0 in range(0, m_grid, 64):
+                idx = np.arange(t0 - 1, t0 + 65) % m_grid
+                f_block = trig[:, idx].T @ g_rows
+                mid = f_block[1:-1]
+                np.maximum(best, mid.max(axis=0), out=best)
+                local = (
+                    (mid >= f_block[:-2])
+                    & (mid >= f_block[2:])
+                    & (mid >= best - CANDIDATE_MARGIN)
+                    & ~constant
+                )
+                tt, ff = np.nonzero(local)
+                cand_t.append(tt + t0)
+                cand_f.append(ff)
+                cand_v.append(mid[tt, ff])
+            f_idx = np.concatenate(cand_f)
+            scans.append((
+                np.concatenate(cand_t), f_idx, np.concatenate(cand_v),
+                g_rows[:, f_idx], np.nonzero(constant)[0],
+            ))
+
+        thresh = best - CANDIDATE_MARGIN
+        win_val = np.full(flat, -np.inf)
+        win_gamma = np.zeros(flat, dtype=int)
+        win_theta = np.zeros(flat)
+        for gi, (t_idx, f_idx, grid_f, g_cand, flat_f) in enumerate(scans):
+            keep = grid_f >= thresh[f_idx]
+            t_idx = t_idx[keep]
+            f_idx = np.concatenate([f_idx[keep], flat_f[thresh[flat_f] <= 0.0]])
+            if not len(f_idx):
+                continue
+            refined = np.zeros(len(f_idx))
+            theta = np.full(len(f_idx), (m_grid - 1) * self.step)
+            if len(t_idx):
+                refined[: len(t_idx)], theta[: len(t_idx)] = self._refine(
+                    *g_cand[:, keep], t_idx
+                )
+            top = np.full(flat, -np.inf)
+            np.maximum.at(top, f_idx, refined)
+            wins = (refined == top[f_idx]) & (refined > win_val[f_idx])
+            won = f_idx[wins]
+            win_val[won] = refined[wins]
+            win_gamma[won] = gi
+            win_theta[won] = theta[wins]
+        np.maximum(best, win_val, out=best)
+        return best, win_gamma, win_theta
+
+
+def serial_heuristic_extent(d: np.ndarray, q: int, seed: int, restarts: int):
+    """(value, witness) of the heuristic xt_q, one restart at a time.
+
+    Each restart draws q start indices from the generator seeded with
+    seed + 7919 q and exchanges one position at a time for the first
+    maximiser of d[:, others].sum(axis=1), when that strictly beats the
+    current index, until a sweep over the positions changes nothing.  A
+    later restart wins only when its mean pairwise distance exceeds the
+    best by more than 1e-15; the witness is the winner sorted, and the
+    value its mean pairwise distance.
+    """
+    rng = np.random.default_rng(seed + 7919 * q)
+
+    def mean(idx):
+        pairs = list(combinations(idx, 2))
+        return sum((d[a, b] for a, b in pairs), 0.0) / len(pairs) if pairs else 0.0
+
+    best_val, best_idx = -1.0, None
+    for _ in range(restarts):
+        idx = rng.integers(0, len(d), size=q)
+        improved = True
+        while improved:
+            improved = False
+            for pos in range(q):
+                score = d[:, np.delete(idx, pos)].sum(axis=1)
+                top = int(np.argmax(score))
+                if score[top] > score[idx[pos]]:
+                    idx[pos] = top
+                    improved = True
+        val = mean(idx)
+        if val > best_val + 1e-15:
+            best_val, best_idx = val, idx
+    witness = tuple(sorted(int(v) for v in best_idx))
+    return float(mean(witness)), witness
 
 
 def _complex_pair(x):

@@ -53,10 +53,11 @@ from x4circle.extent_lab import (
 from x4circle.extent_lab import extents, spaces
 from x4circle.extent_lab.actions import circle_matrix
 from x4circle.extent_lab.cover import BaseGraphs, _build_cover
-from x4circle.extent_lab.engine import trig_taylor, trig_value
+from x4circle.extent_lab.engine import ROW_CHUNK, trig_taylor, trig_value
 from x4circle.extent_lab.spaces import SampledMetricSpace
 
 from oracles import (
+    MaskScanEngine,
     brute_force_extent_three,
     full_triangle_slack,
     golden_grid_alignments,
@@ -65,6 +66,7 @@ from oracles import (
     sample_round_two_sphere,
     sampled_triangle_slack,
     sampled_triples,
+    serial_heuristic_extent,
     svd_theta_roots,
     two_sided_matrix,
     winner_path_distance_matrix,
@@ -92,6 +94,15 @@ def equilateral_space(n: int, seed: int) -> SampledMetricSpace:
     dist = np.full((n, n), 0.5)
     np.fill_diagonal(dist, 0.0)
     return SampledMetricSpace(points=np.zeros((n, 4)), dist=dist, marked=[], seed=seed)
+
+
+def plain_scan_limit() -> int:
+    """The most points whose complete triangle scan without a sheet swap
+    reads at most FULL_SCAN_ENTRIES entries: (n - 1 - i)^2 in pass i."""
+    n = 2
+    while n * (n + 1) * (2 * n + 1) // 6 <= spaces.FULL_SCAN_ENTRIES:
+        n += 1
+    return n
 
 
 def battery_covers(spec: IsometricActionSpec) -> list[SampledMetricSpace]:
@@ -269,7 +280,9 @@ class TestSampling:
         with pytest.raises(spaces.MetricValidationError, match=message):
             validate_metric(sp)
 
-    @pytest.mark.parametrize("n", [spaces.FULL_CHECK_LIMIT, spaces.FULL_CHECK_LIMIT + 1])
+    # either side of the scan's entry budget, and of the fixed 300-point
+    # limit it replaced, which the budget must not lower
+    @pytest.mark.parametrize("n", [300, 301, plain_scan_limit(), plain_scan_limit() + 1])
     @pytest.mark.parametrize("excess, refused", [(1e-12, True), (-1e-12, False)])
     def test_planted_triangle_violation(self, n, excess, refused):
         sp = equilateral_space(n, seed=4)
@@ -282,6 +295,44 @@ class TestSampling:
                 validate_metric(sp)
         else:
             validate_metric(sp)
+
+    def test_scan_choice_follows_the_entry_budget(self, monkeypatch):
+        taken = []
+        full, sampled = spaces._worst_full_slack, spaces._worst_sampled_slack
+
+        def recording_full(d, passes=None):
+            taken.append("full")
+            return full(d, passes)
+
+        def recording_sampled(d, seed):
+            taken.append("sampled")
+            return sampled(d, seed)
+
+        monkeypatch.setattr(spaces, "_worst_full_slack", recording_full)
+        monkeypatch.setattr(spaces, "_worst_sampled_slack", recording_sampled)
+        limit = plain_scan_limit()
+        assert limit >= 300  # never fewer complete scans than a fixed 300
+        for n in (limit, limit + 1):
+            validate_metric(equilateral_space(n, seed=0))
+        assert taken == ["full", "sampled"]
+
+        # two copies of one space swapped by sigma: the orbit scan takes the
+        # passes 0, 2, 4, ... of the orbit-adjacent order
+        def entries(n):
+            return sum((n - 1 - i) ** 2 for i in range(0, n, 2))
+
+        half = next(
+            h for h in range(limit // 2, limit) if entries(2 * h + 2) > spaces.FULL_SCAN_ENTRIES
+        )
+        assert 2 * half > limit
+        taken.clear()
+        for h in (half, half + 1):
+            d = equilateral_space(h, seed=0).dist
+            validate_metric(SampledMetricSpace(
+                points=np.zeros((2 * h, 4)), dist=np.block([[d, d], [d, d]]), marked=[],
+                sheet_swap=np.roll(np.arange(2 * h), h),
+            ))
+        assert taken == ["full", "sampled"]
 
     def test_random_path_reaches_the_last_triple(self):
         n = 1200
@@ -338,7 +389,7 @@ class TestSampling:
             assert abs(worst - full_triangle_slack(cover.dist)) <= 1e-14
 
     def test_full_slack_on_synthetic_matrices_matches_oracle(self):
-        n = spaces.FULL_CHECK_LIMIT
+        n = plain_scan_limit()
         # a metric, whose worst slack is the rounding left at near-degenerate
         # triples, and uniform entries, whose worst slack is a violation
         upper = np.triu(np.random.default_rng(n).uniform(0.0, pi, (n, n)), 1)
@@ -952,6 +1003,90 @@ class TestGridSolver:
         assert sum(steps) < 6 * sum(candidates)
 
 
+def record_refines(engine):
+    """Record the coefficients and grid cells of each `_refine` call of
+    engine, as one flat array per call; returns the list."""
+    calls = []
+    refine = engine._refine
+
+    def recording(g0, g1, g2, g3, t_idx):
+        calls.append(np.concatenate([g0, g1, g2, g3, t_idx]))
+        return refine(g0, g1, g2, g3, t_idx)
+
+    engine._refine = recording
+    return calls
+
+
+def assert_same_scans(engine, oracle, pts, rows):
+    """engine and oracle give the same matrix of pts and alignments of
+    pts[rows], bit for bit, from the same candidates in the same order."""
+    calls, oracle_calls = record_refines(engine), record_refines(oracle)
+    assert np.array_equal(engine.distance_matrix(pts), oracle.distance_matrix(pts))
+    for i in rows:
+        for got, want in zip(engine.align(pts[i], pts), oracle.align(pts[i], pts)):
+            assert np.array_equal(got, want)
+    assert len(calls) == len(oracle_calls) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
+
+
+class TestThresholdScan:
+    """The grid scan's threshold pass against the masked scan of oracles.py,
+    bit for bit: the same candidates in the same order, so the same
+    matrices, winners and thetas."""
+
+    @pytest.mark.parametrize(
+        "weights, gamma",
+        [
+            ((2, 3), gamma_trivial()),
+            ((1, 2), gamma_trivial()),
+            ((2, 5), gamma_trivial()),
+            ((3, -5), gamma_trivial()),
+            ((2, 3), lens_group(5, 2)),
+        ],
+        ids=["(2,3)", "(1,2)", "(2,5)", "(3,-5)", "(2,3)/lens(5,2)"],
+    )
+    def test_matches_masked_scan(self, weights, gamma):
+        # 70 samples and the marks: two row chunks, and the coordinate
+        # circles z2 = 0 and z1 = 0 make a flat pair (A = B = 0)
+        sp = sample_quotient(IsometricActionSpec(weights=weights, gamma=gamma, samples=70, seed=3))
+        assert sp.size > ROW_CHUNK
+        engine, oracle = DistanceEngine(weights, gamma), MaskScanEngine(weights, gamma)
+        assert_same_scans(engine, oracle, sp.points, (0, 17, *(m.index for m in sp.marked)))
+
+    def test_flat_pairs_match_masked_scan(self):
+        # both coordinate circles twice over, among random points: every
+        # pair of z2 = 0 with z1 = 0 points is flat for every gamma of Z_5
+        # acting diagonally
+        pts = np.random.default_rng(27).standard_normal((40, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        circles = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
+        pts = np.concatenate([circles, pts, circles])
+        for weights, gamma in (((2, 3), gamma_trivial()), ((2, 3), lens_group(5, 2))):
+            engine, oracle = DistanceEngine(weights, gamma), MaskScanEngine(weights, gamma)
+            assert_same_scans(engine, oracle, pts, range(4))
+
+    def test_no_pairs(self):
+        engine = DistanceEngine((2, 3), gamma_trivial())
+        empty = np.zeros(0, dtype=complex)
+        v = np.zeros((1, 3), dtype=complex)
+        best, gamma_idx, theta = engine._grid_alignments(empty, empty, v, v, np.zeros(0, dtype=int))
+        assert best.shape == gamma_idx.shape == theta.shape == (0,)
+
+    def test_matrix_memory_is_bounded(self):
+        # one 64-row chunk of a 400-point matrix aligns 23,520 pairs, whose
+        # (66, pairs) block is 12.4 MB; the masked scan traced 31.4 MB
+        pts = np.random.default_rng(0).standard_normal((400, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        engine = DistanceEngine((2, 3), gamma_trivial())
+        tracemalloc.start()
+        try:
+            engine.distance_matrix(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 10**6
+
+
 # conjugates both coordinates: det +1 and gamma J gamma^T = -J, so
 # R(theta) c fixes a 2-plane at every theta
 MIRROR = np.diag([1.0, -1.0, 1.0, -1.0])
@@ -1154,6 +1289,47 @@ class TestExtents:
         assert report.method == "heuristic"
         assert report.value == report.witness_average(sp)
         assert type(report.value) is float
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: equilateral_space(1, seed=0),
+            lambda: equilateral_space(3, seed=5),
+            lambda: matrix_space(symmetric_from(
+                np.random.default_rng(4).integers(0, 4, 45).astype(float), 10)),
+            lambda: sample_round_two_sphere(60, seed=3),
+            lambda: sample_quotient(IsometricActionSpec(weights=(2, 5), samples=320, seed=13)),
+        ],
+        ids=["one-point", "equilateral-3", "integer-ties-10", "round-s2-60", "weights25-320"],
+    )
+    def test_heuristic_matches_serial_ascent(self, build, q):
+        sp = build()
+        report = extent(sp, q, method="heuristic")
+        value, witness = serial_heuristic_extent(sp.dist, q, sp.seed, extents.RESTARTS)
+        assert report.value == value and report.witness == witness
+
+    def test_heuristic_starts_repeat_indices(self):
+        # the spaces above with n < q, or few points, start restarts at a
+        # repeated index, which the batched sweep must move like the serial
+        for n, q, seed in ((3, 5, 5), (10, 4, 0), (60, 5, 3)):
+            rng = np.random.default_rng(seed + 7919 * q)
+            starts = [rng.integers(0, n, size=q) for _ in range(extents.RESTARTS)]
+            assert any(len(set(s)) < q for s in starts)
+
+    def test_heuristic_memory_is_bounded(self):
+        # the sweep holds a score and a row block of RESTARTS x n entries;
+        # one restart at a time traced 0.04 MB
+        n = 1000
+        sp = sample_round_two_sphere(n, seed=3)
+        for q in (3, 5):
+            tracemalloc.start()
+            try:
+                extent(sp, q, method="heuristic")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * extents.RESTARTS * n * 8
 
     def test_hopf_is_small(self):
         sp = sample_quotient(IsometricActionSpec(weights=(1, 1), samples=150, seed=1))

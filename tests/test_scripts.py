@@ -102,3 +102,32 @@ def test_qprime_battery_continues_after_failed_certificate(monkeypatch, capsys):
     assert float(drift.removeprefix("drift=")) > 0.002
     assert rows[1][-1] == "pass"
     assert result == 1
+
+
+def test_bench_default(monkeypatch, capsys, tmp_path):
+    from x4circle.extent_lab import cover, extents
+
+    traced = cover._build_cover, extents.extent
+    args = ("--pr", "7", "--samples", "50", "--out", str(tmp_path))
+    for label in ("a", "b"):
+        module, result, _ = run_main(monkeypatch, capsys, "bench_default", *args, "--label", label)
+        assert result == 0
+    data = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert set(data) == {"samples", "cases", "runs"} and data["samples"] == 50
+    assert data["cases"] == list(module.CASES)
+    # a second label is added beside the first
+    assert set(data["runs"]) == {"a", "b"}
+    for run in data["runs"].values():
+        assert set(run) == {"host_slowdown", "calibrations", "blas_env", "requests"}
+        assert run["host_slowdown"] > 0 and run["calibrations"] == 5 * len(module.CASES)
+        assert set(run["requests"]) == set(data["cases"])
+        for name, outcome in run["requests"].items():
+            assert set(outcome) == {"exit_code", "wall_s", "wall_ref_s", "layers", "absent"}
+            assert outcome["exit_code"] == 0 and outcome["absent"] == []
+            layers = outcome["layers"]
+            assert layers["cli.main.s"] <= outcome["wall_s"]
+            assert layers["extents.extent.calls"] >= 1
+            covers = layers["cover.double_branched_cover.calls"]
+            assert covers == 0 if name.startswith("extent/") else covers > 0
+    # the tracer is gone once the run ends
+    assert (cover._build_cover, extents.extent) == traced
