@@ -2,23 +2,29 @@
 
 Four requests go through `x4circle.cli.main` once each: `extent` (q = 3)
 and `check-q`, on Hopf weights (1, 1) with the binary dihedral group D3*
-and on weights (2, 3), at --samples points (800, the CLI default) and
+and on weights (2, 3), at SAMPLES = 800 points (the CLI default) and
 sampling seed 0.  Each request runs under the span tracer of
 perfbench/tracing.py, so its wall time comes with the seconds, calls and
 work counts of every layer beneath it.  Before each request the lab
 calibration kernel of perfbench/calibrate.py is timed a few times; the
-host slowdown is its mean time over its time on the reference host, and
-each wall time is also given divided by it (`wall_ref_s`).  These are
-single recorded runs, not gated closed-loop runs: on a shared host the
-same request can take 30-100% longer from one minute to the next.
+host slowdown, its mean time over its time on the reference host, is
+stored beside the run as a note on the host.  It is not divided out: a
+few milliseconds of kernel timings cannot track the load during a
+request of 10-20 s.  These are single recorded runs, not gated
+closed-loop runs: on a shared host the same request can take 30-100%
+longer from one minute to the next, so the wall times of two runs are
+no measured gain, and runs from different sessions are not comparable
+at all.  The per-layer work counts do not depend on the host, so they
+compare across runs.
 
 The run is stored in BENCH_<pr>.json under --label, beside the runs the
-file already holds, so one file can keep a parent run and a change run:
-run the script once with PYTHONPATH pointing at each checkout's src.
-Reports are not checked here; the exit code of each request is recorded.
+file already holds, so one file can keep a parent run and a change run,
+recorded one after the other: run the script once with PYTHONPATH
+pointing at each checkout's src.  Reports are not checked here; the exit
+code of each request is recorded.
 
 Usage:
-    PYTHONPATH=src python3 scripts/bench_default.py --pr N [--label change] [--samples 800] [--out DIR]
+    PYTHONPATH=src python3 scripts/bench_default.py --pr N [--label change] [--out DIR]
 """
 
 import argparse
@@ -45,15 +51,16 @@ CASES = {
     "check-q/football-23": ("check-q", {"action": FOOTBALL_23}),
 }
 CALIBRATIONS = 5  # kernel timings before each request
+SAMPLES = 800
 
 
-def run_case(cli, command: str, payload: dict, samples: int) -> tuple[object, float]:
+def run_case(cli, command: str, payload: dict) -> tuple[object, float]:
     """(exit code, wall seconds) of one request, its report discarded."""
     saved = sys.stdin, sys.stdout
     sys.stdin, sys.stdout = io.StringIO(json.dumps(payload)), io.StringIO()
     t0 = time.perf_counter()
     try:
-        code = cli.main([command, "--samples", str(samples), "--seed", "0"])
+        code = cli.main([command, "--samples", str(SAMPLES), "--seed", "0"])
     except SystemExit as exc:
         code = exc.code
     finally:
@@ -62,7 +69,7 @@ def run_case(cli, command: str, payload: dict, samples: int) -> tuple[object, fl
     return code, wall
 
 
-def bench(samples: int) -> dict:
+def bench() -> dict:
     """One traced request per case, with the host slowdown around them."""
     # load every traced module first: a module first imported while the
     # tracer installs keeps wrappers that uninstalling does not restore
@@ -81,16 +88,13 @@ def bench(samples: int) -> dict:
         tracer.install()
         try:
             tracer.request = 0
-            code, wall = run_case(cli, command, payload, samples)
+            code, wall = run_case(cli, command, payload)
         finally:
             tracer.uninstall()
         layers, absent = tracer.summarize(1)
         requests[name] = {"exit_code": code, "wall_s": wall, "layers": layers, "absent": absent}
-    slowdown = statistics.fmean(calibrator.samples) / calibrate.REFERENCE_S["lab"]
-    for outcome in requests.values():
-        outcome["wall_ref_s"] = outcome["wall_s"] / slowdown
     return {
-        "host_slowdown": slowdown,
+        "host_slowdown": statistics.fmean(calibrator.samples) / calibrate.REFERENCE_S["lab"],
         "calibrations": len(calibrator.samples),
         "blas_env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "requests": requests,
@@ -101,21 +105,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
     parser.add_argument("--label", default="change", help="name of this run in the file")
-    parser.add_argument("--samples", type=int, default=800)
     parser.add_argument("--out", type=pathlib.Path, default=ROOT, help="directory of the file")
     args = parser.parse_args()
 
     path = args.out / f"BENCH_{args.pr}.json"
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"runs": {}}
-    if data.get("samples", args.samples) != args.samples:
-        parser.error(f"{path.name} holds runs at {data['samples']} samples")
-    data["samples"] = args.samples
     data["cases"] = list(CASES)
-    data["runs"][args.label] = run = bench(args.samples)
+    data["runs"][args.label] = run = bench()
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for name, outcome in run["requests"].items():
-        print(f"{name:<22} exit {outcome['exit_code']}  {outcome['wall_s']:8.3f} s"
-              f"  ({outcome['wall_ref_s']:.3f} s on the reference host)")
+        print(f"{name:<22} exit {outcome['exit_code']}  {outcome['wall_s']:8.3f} s")
     print(f"host slowdown {run['host_slowdown']:.3g}x; wrote {path}")
     return 0 if all(o["exit_code"] == 0 for o in run["requests"].values()) else 1
 

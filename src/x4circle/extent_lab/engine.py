@@ -206,13 +206,24 @@ class DistanceEngine:
         weights, by one grid scan and Newton polish: the maximal
         <x, R(theta) gamma y> with the winning gamma index and theta.
 
+        The scan (`_grid_candidates`) gives the per-pair grid peak and each
+        gamma's candidates; the final margin is applied after the last gamma.
+        The winner is the best polished candidate; the value also admits the
+        grid maximum, whose cell is always among the candidates.
+        """
+        best, scans = self._grid_candidates(a1, a2, v1, v2, cols)
+        return self._pick_alignments(best, scans)
+
+    def _grid_candidates(self, a1, a2, v1, v2, cols):
+        """(per-pair grid peak, one candidate list per gamma) of the grid scan.
+
         Each product of a gamma's coefficients with a 64-cell block of the
         grid (plus its two wrap-around neighbours) raises the per-pair grid
         peak and yields the block's grid-local maxima within CANDIDATE_MARGIN
         of the peak so far.  The peak only grows, so those cover every
-        candidate of the final margin, which is applied after the last gamma.
-        The winner is the best polished candidate; the value also admits the
-        grid maximum, whose cell is always among the candidates.
+        candidate of the final margin.  A gamma's list holds the candidate
+        cells, their pairs, grid values and coefficient columns, and the
+        pairs that are flat under it.
         """
         flat = len(cols)
         m_grid = self.grid_size
@@ -254,8 +265,13 @@ class DistanceEngine:
                 np.concatenate(cand_t), f_idx, np.concatenate(cand_v),
                 g_rows[:, f_idx], np.nonzero(constant)[0],
             ))
-        del f_block, above, mid, lower, centre, upper  # freed before the polish
+        return best, scans
 
+    def _pick_alignments(self, best, scans):
+        """(value, gamma index, theta) per pair from `_grid_candidates`' scan:
+        the candidates within CANDIDATE_MARGIN of the final grid peak are
+        polished, and the first gamma with the best polished value wins."""
+        flat = len(best)
         thresh = best - CANDIDATE_MARGIN
         win_val = np.full(flat, -np.inf)
         win_gamma = np.zeros(flat, dtype=int)
@@ -268,7 +284,7 @@ class DistanceEngine:
             if not len(f_idx):
                 continue
             refined = np.zeros(len(f_idx))
-            theta = np.full(len(f_idx), (m_grid - 1) * self.step)
+            theta = np.full(len(f_idx), (self.grid_size - 1) * self.step)
             if len(t_idx):
                 refined[: len(t_idx)], theta[: len(t_idx)] = self._refine(
                     *g_cand[:, keep], t_idx

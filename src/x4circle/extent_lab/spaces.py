@@ -121,15 +121,17 @@ def validate_metric(space: SampledMetricSpace) -> None:
     if d.min() < 0 or d.max() > pi + 1e-9:
         raise MetricValidationError("distance entries out of range")
     sigma = space.sheet_swap
-    if sigma is not None:
+    if sigma is None:
+        order, passes = None, np.arange(n - 1)
+    else:
         _check_sheet_swap(d, sigma)
-    passes = np.arange(n - 1) if sigma is None else _orbit_order(sigma)[1]
+        order, passes = _orbit_order(sigma)
     if np.sum((n - 1 - passes) ** 2) > FULL_SCAN_ENTRIES:
         worst = _worst_sampled_slack(d, space.seed)
-    elif sigma is None:
+    elif order is None:
         worst = _worst_full_slack(d)
     else:
-        worst = _worst_orbit_slack(d, sigma)
+        worst = _worst_orbit_slack(d, order, passes)
     if worst > TRIANGLE_TOL:
         raise MetricValidationError("triangle inequality violated")
 
@@ -177,10 +179,11 @@ def _worst_full_slack(d: np.ndarray, passes=None) -> float:
     return worst
 
 
-def _worst_orbit_slack(d: np.ndarray, sigma: np.ndarray) -> float:
+def _worst_orbit_slack(d: np.ndarray, order: np.ndarray, first: np.ndarray) -> float:
     """_worst_full_slack of d with each orbit {x, sigma x} of an involution
     sigma in adjacent positions, from the passes at each orbit's first
-    position only; d must be exactly sigma-invariant.
+    position only: (order, first) is _orbit_order(sigma), and d must be
+    exactly sigma-invariant.
 
     The orbits are ordered by their smaller index.  In the permuted matrix
     sigma swaps the two positions of each orbit, and every position after
@@ -193,7 +196,6 @@ def _worst_orbit_slack(d: np.ndarray, sigma: np.ndarray) -> float:
     _worst_full_slack of d itself, since the pass that reaches a triangle
     fixes which of its short sides is subtracted first.
     """
-    order, first = _orbit_order(sigma)
     return _worst_full_slack(d[np.ix_(order, order)], first)
 
 

@@ -344,11 +344,12 @@ class MaskScanEngine(DistanceEngine):
     Each 64-cell block is a fresh (66, pairs) product, and its candidates
     are the nonzero cells of the four full-size masks "at least the left
     neighbour", "at least the right neighbour", "within CANDIDATE_MARGIN of
-    the running peak" and "not a flat pair", in row-major order.  The
-    refinement after the scan is the engine's.
+    the running peak" and "not a flat pair", in row-major order.  Only the
+    scan is replaced; the pick of the winners (`_pick_alignments`) is the
+    engine's.
     """
 
-    def _grid_alignments(self, a1, a2, v1, v2, cols):
+    def _grid_candidates(self, a1, a2, v1, v2, cols):
         flat = len(cols)
         m_grid = self.grid_size
         theta = np.arange(m_grid) * self.step
@@ -382,32 +383,7 @@ class MaskScanEngine(DistanceEngine):
                 np.concatenate(cand_t), f_idx, np.concatenate(cand_v),
                 g_rows[:, f_idx], np.nonzero(constant)[0],
             ))
-
-        thresh = best - CANDIDATE_MARGIN
-        win_val = np.full(flat, -np.inf)
-        win_gamma = np.zeros(flat, dtype=int)
-        win_theta = np.zeros(flat)
-        for gi, (t_idx, f_idx, grid_f, g_cand, flat_f) in enumerate(scans):
-            keep = grid_f >= thresh[f_idx]
-            t_idx = t_idx[keep]
-            f_idx = np.concatenate([f_idx[keep], flat_f[thresh[flat_f] <= 0.0]])
-            if not len(f_idx):
-                continue
-            refined = np.zeros(len(f_idx))
-            theta = np.full(len(f_idx), (m_grid - 1) * self.step)
-            if len(t_idx):
-                refined[: len(t_idx)], theta[: len(t_idx)] = self._refine(
-                    *g_cand[:, keep], t_idx
-                )
-            top = np.full(flat, -np.inf)
-            np.maximum.at(top, f_idx, refined)
-            wins = (refined == top[f_idx]) & (refined > win_val[f_idx])
-            won = f_idx[wins]
-            win_val[won] = refined[wins]
-            win_gamma[won] = gi
-            win_theta[won] = theta[wins]
-        np.maximum(best, win_val, out=best)
-        return best, win_gamma, win_theta
+        return best, scans
 
 
 def serial_heuristic_extent(d: np.ndarray, q: int, seed: int, restarts: int):
