@@ -15,6 +15,7 @@ with the Hopf weights (1, 1) and normalize the torus for diagonal actions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from math import cos, gcd, pi, sin
 
@@ -23,6 +24,9 @@ import numpy as np
 
 ORTHOGONALITY_TOL = 1e-12
 GROUP_TOL = 1e-9
+# most elements of a group: the closure check of validate_gamma holds
+# (|Gamma|, |Gamma|, 4, 4) temporaries of 128 |Gamma|^2 bytes (34 MB here)
+MAX_GROUP_ORDER = 512
 
 
 def rotation_block(phi: float) -> np.ndarray:
@@ -78,19 +82,24 @@ def gamma_binary_dihedral(m: int) -> np.ndarray:
     return np.concatenate([cyc, _right_j_matrix() @ cyc])
 
 
+def _check_group_order(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {order} exceeds the limit of {MAX_GROUP_ORDER} elements")
+
+
 def parse_gamma(value) -> np.ndarray:
     """Parse the JSON form: "trivial" | "cyclic:m" | "binary-dihedral:m" |
-    {"matrices": [...]}."""
+    {"matrices": [...]}, m in ASCII digits without a leading zero.  A
+    preset of order (m, or 4m) above MAX_GROUP_ORDER is refused unbuilt."""
     if isinstance(value, str):
         if value == "trivial":
             return gamma_trivial()
-        head, sep, tail = value.partition(":")
-        if sep and tail.isdigit():
-            if head == "cyclic":
-                return gamma_cyclic(int(tail))
-            if head == "binary-dihedral":
-                return gamma_binary_dihedral(int(tail))
-        raise ValueError(f"unknown group preset {value!r}")
+        preset = re.fullmatch(r"(cyclic|binary-dihedral):([1-9][0-9]*)", value)
+        if preset is None:
+            raise ValueError(f"unknown group preset {value!r}")
+        cyclic, m = preset[1] == "cyclic", int(preset[2])
+        _check_group_order(m if cyclic else 4 * m)
+        return gamma_cyclic(m) if cyclic else gamma_binary_dihedral(m)
     if isinstance(value, dict) and "matrices" in value:
         return np.asarray(value["matrices"], dtype=float)
     raise ValueError("gamma must be a preset string or {'matrices': [...]}")
@@ -99,13 +108,14 @@ def parse_gamma(value) -> np.ndarray:
 def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     """Reject element lists that do not define a group extending the action.
 
-    Checks, in order: shape, finite entries, orthogonality (1e-12),
-    orientation preservation, presence of the identity, distinctness,
-    closure under composition, and normalization of the circle
-    (gamma J gamma^T = +-J).
+    Checks, in order: shape, at most MAX_GROUP_ORDER elements, finite
+    entries, orthogonality (1e-12), orientation preservation, presence of
+    the identity, distinctness, closure under composition, and
+    normalization of the circle (gamma J gamma^T = +-J).
     """
     if gammas.ndim != 3 or gammas.shape[1:] != (4, 4):
         raise ValueError("gamma must have shape (count, 4, 4)")
+    _check_group_order(len(gammas))
     # NaN fails every comparison below, so it must be refused first
     if not np.all(np.isfinite(gammas)):
         raise ValueError("gamma entries must be finite")

@@ -245,7 +245,7 @@ def _choose_waypoint(space: SampledMetricSpace, b1: int, b2: int) -> int:
 
 def _segment_crossings(
     space: SampledMetricSpace,
-    fields: dict,
+    graphs: BaseGraphs,
     i: int,
     j: int,
     eu: np.ndarray,
@@ -257,14 +257,14 @@ def _segment_crossings(
     interval spans the direction of the opposite endpoint (sign test
     within the short-way lens) and the crossing radius interpolated from
     both endpoints stays inside the segment.  Edges touching i or j are
-    never reported as crossing.  fields maps i and j to their azimuth
-    fields.
+    never reported as crossing.  The azimuth fields of i and j come from
+    graphs.
     """
     d = space.dist
     crosses = (eu != i) & (eu != j) & (ev != i) & (ev != j)
     radii = []
     for a, b in ((i, j), (j, i)):
-        psi, alpha = fields[a]
+        psi, alpha = graphs.field(space, a)
         qu = _shortway(psi[eu] - psi[b], alpha)
         qv = _shortway(psi[ev] - psi[b], alpha)
         crosses &= (qu * qv < 0.0) & (np.abs(qu) + np.abs(qv) <= 0.5 * alpha)
@@ -284,19 +284,18 @@ def _cut_crossings(
     graphs: BaseGraphs,
 ) -> np.ndarray:
     """Mod-2 crossing indicator of the branch-to-branch cut for each edge;
-    the azimuth fields come from graphs."""
+    its segments and the waypoint's side bit read the azimuth fields from
+    graphs."""
     b1, b2 = branch
     if space.dist[b1, b2] < WAYPOINT_THRESHOLD:
-        fields = {b: graphs.field(space, b) for b in (b1, b2)}
-        return _segment_crossings(space, fields, b1, b2, eu, ev)
+        return _segment_crossings(space, graphs, b1, b2, eu, ev)
 
     mid = _choose_waypoint(space, b1, b2)
-    fields = {b: graphs.field(space, b) for b in (b1, mid, b2)}
-    crosses = _segment_crossings(space, fields, b1, mid, eu, ev)
-    crosses ^= _segment_crossings(space, fields, mid, b2, eu, ev)
+    crosses = _segment_crossings(space, graphs, b1, mid, eu, ev)
+    crosses ^= _segment_crossings(space, graphs, mid, b2, eu, ev)
     # edges at the waypoint itself carry a side-of-cut bit, so the cut
     # runs through the waypoint node without leaving a gap
-    psi, alpha = fields[mid]
+    psi, alpha = graphs.field(space, mid)
     span = (psi[b2] - psi[b1]) % alpha
     incident = (eu == mid) | (ev == mid)
     other = np.where(eu == mid, ev, eu)

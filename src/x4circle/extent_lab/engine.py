@@ -191,14 +191,18 @@ class DistanceEngine:
             np.maximum(best, np.abs(s), out=best)
         return best
 
-    def _unit_sums(self, a1, a2, v1, v2, cols):
-        """S = A' + B' of every pair for each gamma in turn (unit weights)."""
+    def _gamma_products(self, a1, a2, v1, v2, cols):
+        """(A, B) of f (module docstring) for every pair of `_best_values`'
+        flat list, one gamma at a time."""
         for gi in range(len(self.gammas)):
             # np.multiply, not `*`: numpy reuses a large temporary right
             # operand as the output with the factors swapped, which moves
             # the last bit of the fused complex product
-            av = np.multiply(a1, v1[gi].take(cols))
-            bv = np.multiply(a2, v2[gi].take(cols))
+            yield np.multiply(a1, v1[gi].take(cols)), np.multiply(a2, v2[gi].take(cols))
+
+    def _unit_sums(self, a1, a2, v1, v2, cols):
+        """S = A' + B' of each `_gamma_products` pair (unit weights)."""
+        for av, bv in self._gamma_products(a1, a2, v1, v2, cols):
             yield (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
 
     def _grid_alignments(self, a1, a2, v1, v2, cols):
@@ -237,10 +241,7 @@ class DistanceEngine:
         # the block's cells, and those one row above and below, flattened
         lower, centre, upper = (f_block[r : r + 64].reshape(-1) for r in range(3))
 
-        for gi in range(len(self.gammas)):
-            # np.multiply keeps the factor order (see `_unit_sums`)
-            av = np.multiply(a1, v1[gi].take(cols))
-            bv = np.multiply(a2, v2[gi].take(cols))
+        for av, bv in self._gamma_products(a1, a2, v1, v2, cols):
             g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
             # a flat pair (A = B = 0) has f == 0 at every theta: instead of
             # refining all its cells, it takes its grid value, 0, at the theta

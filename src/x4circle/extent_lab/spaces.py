@@ -92,13 +92,11 @@ def validate_metric(space: SampledMetricSpace) -> None:
     n^3/6, up to about 415), a million seeded random triples beyond.  The
     complete scan checks every triple the sampled one draws.
 
-    A sheet swap sigma must be an involution of the point indices with
-    d[sigma[i], sigma[j]] == d[i, j] bit for bit; it is compared
-    TRIPLE_CHUNK entries at a time.  The full scan of such a space then
-    runs only at the first point of each orbit {x, sigma x}, with the
-    orbits placed in adjacent positions (_worst_orbit_slack): a skipped
-    pass would evaluate, operation for operation, slacks that a kept pass
-    evaluates, so every triangle is still checked, at half the work.
+    Every space is scanned as one with a sheet swap sigma, a plain space
+    with the trivial swap sigma = arange(n), by `_worst_full_slack` on d
+    in `_orbit_order(sigma)`.  A given sheet swap must be an involution of
+    the point indices with d[sigma[i], sigma[j]] == d[i, j] bit for bit;
+    it is compared TRIPLE_CHUNK entries at a time.
 
     The random triples are drawn and checked TRIPLE_CHUNK at a time, so the
     check holds O(TRIPLE_CHUNK) extra memory however large the matrix is.
@@ -120,18 +118,13 @@ def validate_metric(space: SampledMetricSpace) -> None:
         raise MetricValidationError("distance matrix has a nonzero diagonal")
     if d.min() < 0 or d.max() > pi + 1e-9:
         raise MetricValidationError("distance entries out of range")
-    sigma = space.sheet_swap
-    if sigma is None:
-        order, passes = None, np.arange(n - 1)
-    else:
-        _check_sheet_swap(d, sigma)
-        order, passes = _orbit_order(sigma)
+    if space.sheet_swap is not None:
+        _check_sheet_swap(d, space.sheet_swap)
+    order, passes = _orbit_order(np.arange(n) if space.sheet_swap is None else space.sheet_swap)
     if np.sum((n - 1 - passes) ** 2) > FULL_SCAN_ENTRIES:
         worst = _worst_sampled_slack(d, space.seed)
-    elif order is None:
-        worst = _worst_full_slack(d)
     else:
-        worst = _worst_orbit_slack(d, order, passes)
+        worst = _worst_full_slack(d[np.ix_(order, order)], passes)
     if worst > TRIANGLE_TOL:
         raise MetricValidationError("triangle inequality violated")
 
@@ -158,8 +151,9 @@ def _check_sheet_swap(d: np.ndarray, sigma: np.ndarray) -> None:
             raise MetricValidationError("distance matrix is not invariant under its sheet swap")
 
 
-def _worst_full_slack(d: np.ndarray, passes=None) -> float:
-    """Largest d[i, j] - d[i, k] - d[k, j] over all triples with i != k.
+def _worst_full_slack(d: np.ndarray, passes: np.ndarray) -> float:
+    """Largest d[i, j] - d[i, k] - d[k, j] over all triples with i != k,
+    from the passes at the rows in passes.
 
     One pass per row i over the entries (k, j) with k, j > i: d is exactly
     symmetric, so |d[i, j] - d[k, j]| - d[i, k] checks the long sides ij
@@ -168,41 +162,35 @@ def _worst_full_slack(d: np.ndarray, passes=None) -> float:
     i = min(x, y, z): at (k, j) = (x, y) when i = z is the middle point,
     and at (k, j) = (z, y) when i = x is an end of the long side.  Columns
     j < i would only repeat inequalities of earlier passes.  j = k gives
-    the slack 0 of a repeated point.  passes, when given, lists the rows
-    whose passes run.
+    the slack 0 of a repeated point.  passes = arange(n - 1) runs every
+    pass; `_orbit_order` skips those a sheet swap makes redundant.
     """
     worst = -np.inf
-    for i in range(len(d) - 1) if passes is None else passes:
+    for i in passes:
         row = d[i, i + 1 :]
         slack = np.abs(d[i + 1 :, i + 1 :] - row).max(axis=1) - row
         worst = max(worst, float(slack.max()))
     return worst
 
 
-def _worst_orbit_slack(d: np.ndarray, order: np.ndarray, first: np.ndarray) -> float:
-    """_worst_full_slack of d with each orbit {x, sigma x} of an involution
-    sigma in adjacent positions, from the passes at each orbit's first
-    position only: (order, first) is _orbit_order(sigma), and d must be
-    exactly sigma-invariant.
+def _orbit_order(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, passes) of the triangle scan under the involution sigma:
+    each orbit {x, sigma x} in adjacent positions, ordered by its smaller
+    index, and the first position of each orbit that has a pass; for the
+    trivial sigma = arange(n), the identity and the passes 0 ... n - 2.
 
-    The orbits are ordered by their smaller index.  In the permuted matrix
+    Let d be exactly sigma-invariant and permuted into this order.  Then
     sigma swaps the two positions of each orbit, and every position after
     the second one of an orbit lies in a later orbit.  So sigma maps each
     triangle of the pass at a second position i to a triangle whose
     smallest position is i - 1, and the pass at i - 1 evaluates the same
     expression of the same entries at (sigma k, sigma j): a skipped pass
-    cannot exceed the kept one, and the result is _worst_full_slack of the
-    permuted matrix bit for bit.  It may differ in the last bits from
-    _worst_full_slack of d itself, since the pass that reaches a triangle
-    fixes which of its short sides is subtracted first.
+    cannot exceed the kept one, and `_worst_full_slack` over these passes
+    is that over every pass of the permuted matrix, bit for bit.  It may
+    differ in the last bits from the scan of d in its own order, since the
+    pass that reaches a triangle fixes which of its short sides is
+    subtracted first.
     """
-    return _worst_full_slack(d[np.ix_(order, order)], first)
-
-
-def _orbit_order(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of _worst_orbit_slack: each orbit {x, sigma x} of the
-    involution sigma in adjacent positions, ordered by its smaller index,
-    and the first position of each orbit that has a pass."""
     n = len(sigma)
     key = np.minimum(np.arange(n), sigma)
     order = np.lexsort((np.arange(n), key))

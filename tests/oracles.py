@@ -16,7 +16,9 @@ rationals rather than from integer arithmetic, the worst triangle
 slack of the metric check's random triples comes from one draw of all of
 them gathered by 2-D fancy indexing rather than from chunked draws read
 through the flattened matrix, the full triangle scan takes every ordered
-triple rather than each triangle inequality once, general-weight alignments come from
+triple rather than each triangle inequality once, the scan of a space
+without a sheet swap reads d one row pair at a time in its own order
+rather than one pass per row of a copy in orbit order, general-weight alignments come from
 a 256-per-weight grid with golden-section polish of every grid-local
 maximum, evaluated in complex exponentials, rather than from a coarse grid,
 a candidate margin and Newton steps, unit-weight distance matrices keep
@@ -42,6 +44,7 @@ import numpy as np
 
 from x4circle.extent_lab.actions import (
     GROUP_TOL,
+    MAX_GROUP_ORDER,
     ORTHOGONALITY_TOL,
     circle_generator,
     circle_matrix,
@@ -233,10 +236,26 @@ def full_triangle_slack(d: np.ndarray) -> float:
     return max(float((d[i][None, :] - d[i][:, None] - d).max()) for i in range(len(d)))
 
 
+def row_scan_slack(d: np.ndarray) -> float:
+    """Worst |d[k, j] - d[i, j]| - d[i, k] over i < k and j > i, one pair
+    (i, k) at a time, of d in its own order: the complete triangle scan of
+    a space without a sheet swap, read row by row with no permutation."""
+    n = len(d)
+    worst = -np.inf
+    for i in range(n - 1):
+        for k in range(i + 1, n):
+            worst = max(worst, float(np.abs(d[k, i + 1 :] - d[i, i + 1 :]).max() - d[i, k]))
+    return worst
+
+
 def loop_validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     """validate_gamma's checks and messages, one element or pair at a time."""
     if gammas.ndim != 3 or gammas.shape[1:] != (4, 4):
         raise ValueError("gamma must have shape (count, 4, 4)")
+    if len(gammas) > MAX_GROUP_ORDER:
+        raise ValueError(
+            f"group order {len(gammas)} exceeds the limit of {MAX_GROUP_ORDER} elements"
+        )
     if not np.all(np.isfinite(gammas)):
         raise ValueError("gamma entries must be finite")
     g = len(gammas)

@@ -200,6 +200,40 @@ class TestExitCodes:
         assert out == ""
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("preset, order", [
+        ("cyclic:1000000000000000", 10**15),
+        ("binary-dihedral:1000000000000000", 4 * 10**15),
+    ])
+    def test_oversized_group_preset_exits_one_unbuilt(self, capsys, monkeypatch, preset, order):
+        import numpy as np
+
+        from x4circle.extent_lab import actions
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group element array was allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        payload = {"action": {"weights": [1, 1], "gamma": preset}, "q": 3}
+        code, out, err = run_cli(capsys, monkeypatch, ["extent", "--samples", "50"], payload)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"ValueError: group order {order} exceeds the limit of "
+            f"{actions.MAX_GROUP_ORDER} elements\n"
+        )
+
+    def test_oversized_group_list_exits_one(self, capsys, monkeypatch):
+        from x4circle.extent_lab.actions import MAX_GROUP_ORDER
+
+        eye = [[float(i == j) for j in range(4)] for i in range(4)]
+        gamma = {"matrices": [eye] * (MAX_GROUP_ORDER + 1)}
+        payload = {"action": {"weights": [1, 1], "gamma": gamma}}
+        code, out, err = run_cli(capsys, monkeypatch, ["check-q", "--samples", "50"], payload)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"ValueError: group order {MAX_GROUP_ORDER + 1} exceeds")
+        assert err.count("\n") == 1
+
     def test_unencodable_report_exits_one(self, capsys, monkeypatch):
         # the weights of this triple pass Python's 4300-digit int-to-string
         # limit, so the report cannot be written out

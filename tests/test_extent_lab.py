@@ -12,7 +12,8 @@ the quaternion pair of each group element are checked against the
 smallest-singular-value scan in tests/oracles.py, the exact three-point
 extent against the brute force there, and the metric check's chunked
 random triples against one draw of all of them, and its full scan against
-one that takes every ordered triple.  On branched covers, which carry
+one that takes every ordered triple and, on plain quotients, against the
+direct row scan there bit for bit.  On branched covers, which carry
 their sheet swap, the scan that keeps one pass per sheet-swap orbit is
 checked against the scan of every pass.  The batched group checks on gamma
 are checked against the one-element-at-a-time loop there.
@@ -51,7 +52,7 @@ from x4circle.extent_lab import (
     write_distance_matrix,
 )
 from x4circle.extent_lab import extents, spaces
-from x4circle.extent_lab.actions import circle_matrix
+from x4circle.extent_lab.actions import MAX_GROUP_ORDER, circle_matrix
 from x4circle.extent_lab.cover import BaseGraphs, _build_cover
 from x4circle.extent_lab.engine import ROW_CHUNK, trig_taylor, trig_value
 from x4circle.extent_lab.spaces import SampledMetricSpace
@@ -63,6 +64,7 @@ from oracles import (
     golden_grid_alignments,
     golden_max,
     loop_validate_gamma,
+    row_scan_slack,
     sample_round_two_sphere,
     sampled_triangle_slack,
     sampled_triples,
@@ -181,6 +183,15 @@ GAMMA_CASES = {
     "binary-dihedral": (gamma_binary_dihedral(3), (1, 1), None),
     "binary-dihedral-48": (gamma_binary_dihedral(12), (1, 1), None),
     "swap-hopf": (np.stack([np.eye(4), _swap_planes()]), (1, 1), None),
+    # a list past the order bound is refused before its closure check; one
+    # at the bound reaches the later checks
+    "oversized": (
+        np.repeat(np.eye(4)[None], MAX_GROUP_ORDER + 1, axis=0), (1, 1),
+        f"group order {MAX_GROUP_ORDER + 1} exceeds the limit",
+    ),
+    "at-the-bound": (
+        np.repeat(np.eye(4)[None], MAX_GROUP_ORDER, axis=0), (1, 1), "gamma contains duplicate",
+    ),
 }
 
 
@@ -210,6 +221,26 @@ class TestActionSpec:
         assert len(gamma_binary_dihedral(3)) == 12
         assert len(parse_gamma("binary-dihedral:2")) == 8
         assert np.allclose(parse_gamma("cyclic:4"), gamma_cyclic(4))
+
+    # ASCII digits without a leading zero, after an exact preset name
+    @pytest.mark.parametrize("preset", [
+        "cyclic:0", "binary-dihedral:0", "cyclic:007", "cyclic:\u0663", "cyclic:\u00b3",
+        "cyclic:", "cyclic:+3", "cyclic:-3", "cyclic:3 ", "cyclic:3\n", " cyclic:3",
+        "Cyclic:3", "dihedral:3", "cyclic:3:1", "trivial:1",
+    ])
+    def test_gamma_preset_grammar(self, preset):
+        with pytest.raises(ValueError, match="^unknown group preset"):
+            parse_gamma(preset)
+
+    def test_gamma_preset_order_bound(self):
+        assert len(parse_gamma(f"cyclic:{MAX_GROUP_ORDER}")) == MAX_GROUP_ORDER
+        assert len(parse_gamma(f"binary-dihedral:{MAX_GROUP_ORDER // 4}")) == MAX_GROUP_ORDER
+        for preset, order in (
+            (f"cyclic:{MAX_GROUP_ORDER + 1}", MAX_GROUP_ORDER + 1),
+            (f"binary-dihedral:{MAX_GROUP_ORDER // 4 + 1}", MAX_GROUP_ORDER + 4),
+        ):
+            with pytest.raises(ValueError, match=f"^group order {order} exceeds"):
+                parse_gamma(preset)
 
     def test_gamma_matrix_form(self):
         mats = [m.tolist() for m in gamma_cyclic(3)]
@@ -300,7 +331,7 @@ class TestSampling:
         taken = []
         full, sampled = spaces._worst_full_slack, spaces._worst_sampled_slack
 
-        def recording_full(d, passes=None):
+        def recording_full(d, passes):
             taken.append("full")
             return full(d, passes)
 
@@ -385,7 +416,7 @@ class TestSampling:
         for base, size in ((low, 104), (regenerate(low, 100), 204)):
             cover = _build_cover(base, branch, BaseGraphs())
             assert cover.size == size
-            worst = spaces._worst_full_slack(cover.dist)
+            worst = spaces._worst_full_slack(cover.dist, np.arange(size - 1))
             assert abs(worst - full_triangle_slack(cover.dist)) <= 1e-14
 
     def test_full_slack_on_synthetic_matrices_matches_oracle(self):
@@ -411,7 +442,8 @@ class TestSampling:
             assert full_triangle_slack(d) == pytest.approx(0.1, abs=1e-15)
             matrices.append(d)
         for d in matrices:
-            assert abs(spaces._worst_full_slack(d) - full_triangle_slack(d)) <= 1e-14
+            worst = spaces._worst_full_slack(d, np.arange(len(d) - 1))
+            assert abs(worst - full_triangle_slack(d)) <= 1e-14
 
     @pytest.mark.parametrize("weights, gamma, samples", [
         ((1, 1), gamma_binary_dihedral(3), 50),
@@ -424,12 +456,14 @@ class TestSampling:
         assert len(covers) == (3 if len(gamma) > 1 else 1)
         for cover in covers:
             d, sigma = cover.dist, cover.sheet_swap
-            worst = spaces._worst_orbit_slack(d, *spaces._orbit_order(sigma))
-            order = orbit_adjacent_order(sigma)
-            assert worst == spaces._worst_full_slack(d[np.ix_(order, order)])
+            order, first = spaces._orbit_order(sigma)
+            worst = spaces._worst_full_slack(d[np.ix_(order, order)], first)
+            every = np.arange(len(d) - 1)
+            adjacent = orbit_adjacent_order(sigma)
+            assert worst == spaces._worst_full_slack(d[np.ix_(adjacent, adjacent)], every)
             # the pass that reaches a triangle fixes which short side is
             # subtracted first, so the unpermuted scans agree to rounding
-            assert abs(worst - spaces._worst_full_slack(d)) <= 1e-14
+            assert abs(worst - spaces._worst_full_slack(d, every)) <= 1e-14
             assert abs(worst - full_triangle_slack(d)) <= 1e-14
 
     def test_space_without_sheet_swap_takes_every_pass(self, monkeypatch, hopf_cover):
@@ -437,7 +471,7 @@ class TestSampling:
         passes = []
         full = spaces._worst_full_slack
 
-        def recording(d, rows=None):
+        def recording(d, rows):
             passes.append(rows)
             return full(d, rows)
 
@@ -445,10 +479,34 @@ class TestSampling:
         validate_metric(dataclasses.replace(cover, sheet_swap=None))
         validate_metric(cover)
         plain, orbit = passes
-        assert plain is None
+        assert np.array_equal(plain, np.arange(cover.size - 1))
         # one pass per orbit: the two branch points and the n - 2 doubled
         # base points
         assert len(orbit) == n
+
+    @pytest.mark.parametrize("weights, gamma", [
+        ((1, 1), gamma_binary_dihedral(3)),
+        ((2, 3), gamma_trivial()),
+    ])
+    def test_plain_quotient_scan_is_the_row_scan(self, monkeypatch, weights, gamma):
+        # a plain space is scanned as one with the trivial sheet swap: the
+        # identity order and every pass, so its worst slack is that of the
+        # direct row scan, bit for bit
+        space = sample_quotient(IsometricActionSpec(weights=weights, gamma=gamma, samples=100))
+        scans = []
+        full = spaces._worst_full_slack
+
+        def recording(d, rows):
+            worst = full(d, rows)
+            scans.append((d, rows, worst))
+            return worst
+
+        monkeypatch.setattr(spaces, "_worst_full_slack", recording)
+        validate_metric(space)
+        [(scanned, rows, worst)] = scans
+        assert np.array_equal(scanned, space.dist)
+        assert np.array_equal(rows, np.arange(space.size - 1))
+        assert worst == row_scan_slack(space.dist)
 
     @pytest.mark.parametrize("z", range(8))
     def test_violation_in_sheet_one_is_refused(self, hopf_cover, z):
@@ -822,7 +880,7 @@ class TestValuePath:
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
     def test_fresh_matrix_is_the_winner_paths(self, weights, group):
         # 400 points: six full row chunks and a partial one, each chunk
-        # large enough for numpy to reuse temporaries (see `_unit_sums`)
+        # large enough for numpy to reuse temporaries (see `_gamma_products`)
         pts = np.random.default_rng(32).standard_normal((400, 4))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         dist = DistanceEngine(weights, UNIT_GROUPS[group]).distance_matrix(pts)
