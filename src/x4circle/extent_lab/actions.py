@@ -24,9 +24,16 @@ import numpy as np
 
 ORTHOGONALITY_TOL = 1e-12
 GROUP_TOL = 1e-9
-# most elements of a group: the closure check of validate_gamma holds
-# (|Gamma|, |Gamma|, 4, 4) temporaries of 128 |Gamma|^2 bytes (34 MB here)
+# most elements of a group: the closure check of validate_gamma takes
+# |Gamma| Gram products of 16 |Gamma|^2 flops each, about 0.8 s and 2.4 MB
+# at this bound on a 2-vCPU VM (one BLAS thread)
 MAX_GROUP_ORDER = 512
+# theta values per unit of max(|p|, |q|) in the scan for singular orbits
+THETA_GRID_PER_WEIGHT = 2048
+# most cells of that scan, |Gamma| THETA_GRID_PER_WEIGHT max(|p|, |q|): it
+# holds 18-32 bytes per cell, about 270 MB here, and admits every preset at
+# unit weights and the trivial group up to max(|p|, |q|) = 4096
+MAX_THETA_CELLS = 2**23
 
 
 def rotation_block(phi: float) -> np.ndarray:
@@ -139,11 +146,17 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     for i in range(g):
         if np.any(np.max(np.abs(gammas[i + 1:] - gammas[i]), axis=(1, 2)) <= GROUP_TOL):
             raise ValueError("gamma contains duplicate elements")
+    # orthogonal a, b have <a, b> = 4 - |a - b|^2 / 2 (Frobenius), so an
+    # element within GROUP_TOL of a product, entry by entry, has inner
+    # product above 4 - 8 GROUP_TOL^2 with it: only the elements above
+    # 4 - 1e-6 are compared entry by entry
+    flat = gammas.reshape(g, 16)
     for i in range(g):
-        prod = gammas[i] @ gammas
-        # distance from each product gammas[i] @ gammas[j] to its nearest element
-        gap = np.min(np.max(np.abs(prod[:, None] - gammas), axis=(2, 3)), axis=1)
-        if np.any(gap > GROUP_TOL):
+        prod = (gammas[i] @ gammas).reshape(g, 16)
+        j, k = np.nonzero(prod @ flat.T > 4.0 - 1e-6)
+        matched = np.zeros(g, dtype=bool)
+        matched[j[np.max(np.abs(prod[j] - flat[k]), axis=1) <= GROUP_TOL]] = True
+        if not matched.all():
             raise ValueError("gamma is not closed under composition")
     j_gen = circle_generator(p, q)
     conj = gammas @ j_gen @ transposed
@@ -163,7 +176,8 @@ class IsometricActionSpec:
 
     weights: coprime nonzero pair (p, q).
     gamma: (count, 4, 4) array of orthogonal matrices forming a finite group
-      that normalizes the circle; validated at construction.
+      that normalizes the circle; validated at construction, once its theta
+      scan is found to fit in MAX_THETA_CELLS.
     samples: number of quasi-uniform sample points (at least 50).
     seed: RNG seed; together with the rest of the spec it determines every
       reported number bit for bit.
@@ -183,6 +197,14 @@ class IsometricActionSpec:
             raise ValueError(f"weights {(p, q)} are not coprime")
         self.weights = (p, q)
         self.gamma = np.asarray(self.gamma, dtype=float)
+        # before validate_gamma, whose last check builds J from the weights
+        count = len(self.gamma) if self.gamma.ndim == 3 else 0
+        cells = count * THETA_GRID_PER_WEIGHT * max(abs(p), abs(q))
+        if cells > MAX_THETA_CELLS:
+            raise ValueError(
+                f"weights {(p, q)} with {count} group elements need {cells} "
+                f"theta-scan cells, over the limit of {MAX_THETA_CELLS}"
+            )
         validate_gamma(self.gamma, p, q)
         self.samples = int(self.samples)
         if self.samples < 50:

@@ -16,9 +16,9 @@ RADIUS_FACTOR times the median 12th-neighbor distance, which gives about
   spans the direction toward the opposite endpoint and the interpolated
   crossing radius stays inside the segment;
 * the branch points stay single and are joined to every node of both
-  sheets by their exact base distances, so certified quantities (the
-  lifted branch distance, extremal triples through the branch locus) ride
-  on exact edges.
+  sheets by their exact base distances: these stars reach every lift
+  whatever the cut does, and certified quantities (the lifted branch
+  distance, extremal triples through the branch locus) ride on exact edges.
 
 The angular span tests are sign tests against per-node azimuth fields, so
 the crossing set is the indicator of a fixed curve and the sheet
@@ -46,14 +46,15 @@ the branch points, maps each edge to an edge of the same weight, so it is
 an isometry of the cover graph: d(sigma u, v) = d(u, sigma v).  Every
 path and its sigma-image add the same weights in the same order, so each
 sheet-1 row is its base row read through sigma, bit for bit, and the
-mirrored matrix equals the all-sources one.  Every reported cover is
-recomputed at twice the sampling resolution; the drift of its extremal
-statistics (the maximum distance and the third extent, which downstream
-smallness checks consume) between the two resolutions must stay within
-2 * tol, else a ConvergenceError is raised.  Extremal configurations of
-these quotients pass through the branch locus, where the star edges are
-exact, so the statistics converge much faster than raw per-pair graph
-distances, whose fixed-k stretch noise does not vanish with resolution.
+mirrored matrix equals the all-sources one, zero diagonal included.
+Every reported cover is recomputed at twice the sampling resolution; the
+drift of its extremal statistics (the maximum distance and the third
+extent, which downstream smallness checks consume) between the two
+resolutions must stay within 2 * tol, else a ConvergenceError is raised.
+Extremal configurations of these quotients pass through the branch
+locus, where the star edges are exact, so the statistics converge much
+faster than raw per-pair graph distances, whose fixed-k stretch noise
+does not vanish with resolution.
 
 The cover carries sigma as its sheet_swap, so validate_metric checks that
 its matrix is exactly sigma-invariant and scans each triangle and its
@@ -256,12 +257,11 @@ def _segment_crossings(
     An edge crosses when, seen from each segment endpoint, its angular
     interval spans the direction of the opposite endpoint (sign test
     within the short-way lens) and the crossing radius interpolated from
-    both endpoints stays inside the segment.  Edges touching i or j are
-    never reported as crossing.  The azimuth fields of i and j come from
-    graphs.
+    both endpoints stays inside the segment.  The azimuth fields of i and j
+    come from graphs.
     """
     d = space.dist
-    crosses = (eu != i) & (eu != j) & (ev != i) & (ev != j)
+    crosses = np.ones(len(eu), dtype=bool)
     radii = []
     for a, b in ((i, j), (j, i)):
         psi, alpha = graphs.field(space, a)
@@ -351,8 +351,6 @@ def _build_cover(
     cover_dist[:n] = dijkstra(graph, indices=np.arange(n))
     # every index is in range; "clip" only spares the buffer "raise" uses
     np.take(cover_dist[doubled], sigma, axis=1, out=cover_dist[n:], mode="clip")
-    if not np.all(np.isfinite(cover_dist)):
-        raise GraphDisconnectedError("cover graph is disconnected")
     # symmetrise in place, 256 rows at a time: np.minimum(c, c.T) would
     # allocate a second size x size matrix
     for r0 in range(0, size, 256):
@@ -360,7 +358,6 @@ def _build_cover(
         m = np.minimum(cover_dist[r0:r1, r0:], cover_dist[r0:, r0:r1].T)
         cover_dist[r0:r1, r0:] = m
         cover_dist[r0:, r0:r1] = m.T
-    np.fill_diagonal(cover_dist, 0.0)
 
     cover_marked = []
     for m in space.marked:

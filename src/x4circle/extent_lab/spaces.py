@@ -23,7 +23,7 @@ from math import pi, tau
 
 import numpy as np
 
-from .actions import IsometricActionSpec, circle_matrix
+from .actions import THETA_GRID_PER_WEIGHT, IsometricActionSpec, circle_matrix
 from .engine import DistanceEngine, newton_max, trig_taylor, trig_value
 
 
@@ -274,21 +274,21 @@ def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     chi = (p - q) theta / 2, so R(theta) gamma fixes a 2-plane exactly when
     g(theta) = Re(e^{i psi} a) - Re(e^{-i chi} b) vanishes.  That g is a
     `trig_taylor` polynomial of the half-integer weights (p + q) / 2 and
-    (p - q) / 2.  Away from kernel elements its zeros are simple, so |g|
-    has V-shaped valleys: it is scanned over theta for each gamma, by value
-    alone (`trig_value`, the same bits without the derivatives), and every
-    detected valley is polished at once by `newton_max` on -g^2, the
-    engine's polish, which near a simple zero steps as Newton on g.
-    Genuine roots whose fixed set is a circle are kept (kernel elements
-    fixing all of S^3 are skipped; they contribute to isotropy
-    normalization instead).  A mirror gamma, for which g vanishes at every
-    theta, fixes a 2-plane along the whole circle; it marks a mirror curve
-    rather than isolated orbits and is skipped.  Roots come in the order of
-    spec.gamma, then of theta.
+    (p - q) / 2.  Kernel elements (`_kernel_elements`, which fix all of S^3
+    or a coordinate circle) and mirror elements (g vanishes at every theta:
+    a mirror curve, not isolated orbits) are masked out before the scan.
+    For every other gamma the zeros of g are simple, so |g| has V-shaped
+    valleys: it is scanned over theta by value alone (`trig_value`, the
+    same bits without the derivatives), and every detected valley is
+    polished at once by `newton_max` on -g^2, the engine's polish, which
+    near a simple zero steps as Newton on g.  A root is kept where
+    R(theta) gamma - I is singular: the +1 eigenspace of an element of
+    SO(4) has even dimension, so it is a circle.  Roots come in the order
+    of spec.gamma, then of theta.
     """
     p, q = spec.weights
     max_w = max(abs(p), abs(q))
-    k_grid = 2048 * max_w
+    k_grid = THETA_GRID_PER_WEIGHT * max_w
     h = tau / k_grid
     eye = np.eye(4)
 
@@ -299,12 +299,14 @@ def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     # sin(psi) vanishes when p + q = 0, and sin(chi) when p = q
     live = np.array([True, p + q != 0, True, p != q])
     mirror = np.all(np.abs(coef[live]) <= ROOT_TOL, axis=0)
+    scanned = np.flatnonzero(~(mirror | _kernel_elements(spec)))
+    coef = coef[:, scanned]
 
     thetas = np.arange(k_grid) * h
     detect = 8.0 * max_w * pi / k_grid + 1e-9
     gap = np.abs(trig_value(*half, *coef[:, :, None], thetas))
     valleys = (gap <= np.roll(gap, 1, axis=1)) & (gap <= np.roll(gap, -1, axis=1))
-    valleys &= (gap < detect) & ~mirror[:, None]
+    valleys &= gap < detect
     owner, t_idx = np.nonzero(valleys)
     valley_coef = coef[:, owner]
 
@@ -315,15 +317,10 @@ def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
     _, roots = newton_max(neg_square, thetas[t_idx], h)
 
     reps: list[np.ndarray] = []
-    for theta_star, gamma in zip(roots, spec.gamma[owner]):
-        fixed = circle_matrix(p, q, theta_star) @ gamma
-        if np.max(np.abs(fixed - eye)) < 1e-6:
-            continue  # kernel element: fixes everything
-        _, svals, vt = np.linalg.svd(fixed - eye)
+    for theta_star, gamma in zip(roots, spec.gamma[scanned[owner]]):
+        _, svals, vt = np.linalg.svd(circle_matrix(p, q, theta_star) @ gamma - eye)
         if svals[-1] > ROOT_TOL:
             continue  # a shallow valley of |g|, not a zero
-        if svals[-2] > 1e-5:
-            continue  # isolated +1 eigenvector cannot happen in SO(4)
         rep = vt[-1]
         lead = np.nonzero(np.abs(rep) > 1e-8)[0][0]
         if rep[lead] < 0:
@@ -357,21 +354,18 @@ def _stabilizer_count(spec: IsometricActionSpec, x: np.ndarray) -> int:
     return count
 
 
-_GENERIC_PROBES = (
-    np.array([0.5377519909, -0.3616707624, 0.6612823052, 0.3678327414]),
-    np.array([0.1739406507, 0.8325569561, -0.2881956200, 0.4401225868]),
-    np.array([-0.6218804037, 0.2905338206, 0.5148500216, 0.5115842666]),
-)
-
-
-def _kernel_count(spec: IsometricActionSpec) -> int:
-    counts = []
-    for probe in _GENERIC_PROBES:
-        counts.append(_stabilizer_count(spec, probe / np.linalg.norm(probe)))
-    kernel = min(counts)
-    if kernel < 1:
-        raise RuntimeError("action kernel count must be at least 1")
-    return kernel
+def _kernel_elements(spec: IsometricActionSpec) -> np.ndarray:
+    """Mask of the kernel elements, the gamma with R(theta) gamma = I for
+    some theta.  Such a gamma is R(-theta): its blocks turn by a = -p theta
+    and b = -q theta mod 2 pi, so with integers u p + v q = 1 it is
+    R(u a + v b)."""
+    p, q = spec.weights
+    u = pow(p, -1, abs(q))
+    v = (1 - u * p) // q
+    a = np.arctan2(spec.gamma[:, 1, 0], spec.gamma[:, 0, 0])
+    b = np.arctan2(spec.gamma[:, 3, 2], spec.gamma[:, 2, 2])
+    rotations = np.array([circle_matrix(p, q, theta) for theta in u * a + v * b])
+    return np.max(np.abs(rotations - spec.gamma), axis=(1, 2)) < MATCH_TOL
 
 
 def discover_marked(
@@ -387,7 +381,7 @@ def discover_marked(
     = -J with R(theta) gamma fixing a 2-plane at every theta, such as
     diag(1, -1, 1, -1)) contributes no root: its fixed loci sweep a mirror
     curve of the quotient, not isolated singular orbits.  It still counts
-    in the isotropy orders of the marked points.
+    in the isotropy orders, stabilizer counts over the kernel's order.
     """
     roots = _theta_roots(spec)
     reps = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])] + roots
@@ -398,7 +392,7 @@ def discover_marked(
     for i in range(len(reps)):
         if all(dist[i, j] > MERGE_TOL for j in keep):
             keep.append(i)
-    kernel = _kernel_count(spec)
+    kernel = int(_kernel_elements(spec).sum())
     marks = []
     singular_counter = 0
     for row, i in enumerate(keep):

@@ -11,6 +11,7 @@ requests yield identical report files.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any
 
 from .classifier import (
@@ -180,12 +181,7 @@ def encode_presentation(g: GroupPresentation) -> dict:
 
 
 def encode_recognition(r: BoundaryRecognition) -> dict:
-    return {
-        "label": r.label,
-        "order": r.order,
-        "admissible": r.admissible,
-        "description": r.describe(),
-    }
+    return {**asdict(r), "description": r.describe()}
 
 
 def encode_descriptor(d: QuotientDescriptor) -> dict:
@@ -306,13 +302,6 @@ def encode_classification(result) -> dict:
 # numerical lab reports (imports deferred: numpy stays out of algebra-only runs)
 
 
-def encode_marked(space) -> list[dict]:
-    return [
-        {"index": m.index, "label": m.label, "isotropy": m.isotropy}
-        for m in space.marked
-    ]
-
-
 def encode_space_summary(space) -> dict:
     """Summary of a sampled quotient, the only kind of space a report describes."""
     return {
@@ -320,40 +309,21 @@ def encode_space_summary(space) -> dict:
         "size": space.size,
         "seed": space.seed,
         "diameter": space.diameter(),
-        "marked": encode_marked(space),
+        "marked": [asdict(m) for m in space.marked],
     }
 
 
 def encode_extent_report(report, space) -> dict:
+    # a list, not asdict's tuple, so the text rendering lists the witness
     return {
-        "q": report.q,
-        "value": report.value,
+        **asdict(report),
         "witness": list(report.witness),
         "witness_average": report.witness_average(space),
-        "method": report.method,
-        "restarts": report.restarts,
-        "sample_size": report.sample_size,
-    }
-
-
-def encode_check_item(item) -> dict:
-    return {
-        "name": item.name,
-        "applicable": item.applicable,
-        "passed": item.passed,
-        "margin": item.margin,
-        "details": item.details,
     }
 
 
 def encode_qprime_report(report) -> dict:
-    return {
-        "all_passed": report.all_passed,
-        "cone_points": report.cone_points,
-        "diameter": report.diameter,
-        "tol": report.tol,
-        "checks": [encode_check_item(c) for c in report.checks],
-    }
+    return {**asdict(report), "all_passed": report.all_passed}
 
 
 def decode_action(obj: dict, samples: int, seed: int):

@@ -26,9 +26,11 @@ each pair's winner by masked writes rather than a running maximum, the
 general-weight grid scan builds four full-size masks per block and one
 2-D nonzero rather than one threshold pass whose few cells are tested
 alone, the heuristic extent runs each restart's ascent alone rather than
-all restarts in one sweep, and the
+all restarts in one sweep, the
 group checks on gamma run one element or pair at a time rather than
-batched.  The golden-section search is this module's own, so no oracle
+batched, and the action's kernel is counted as the fewest stabilizing
+pairs (gamma, theta) at three generic points rather than read from the
+block angles of each gamma.  The golden-section search is this module's own, so no oracle
 shares a solver with the code it checks.  The unit round 2-sphere, whose distances are plain great-circle
 angles, is a space with known extents that no action spec describes.
 """
@@ -54,6 +56,7 @@ from x4circle.extent_lab.spaces import (
     RANDOM_TRIPLES,
     ROOT_TOL,
     SampledMetricSpace,
+    _stabilizer_count,
     validate_metric,
 )
 from x4circle.invariants import InvariantTuple
@@ -152,7 +155,9 @@ def svd_theta_roots(spec) -> list[np.ndarray]:
     Scans sigma_min(R(theta) gamma - I) with a 4x4 SVD at 2048 * max|w|
     values of theta for each gamma, polishes every valley with golden-section
     search on -sigma_min, and keeps the roots whose fixed set is a circle,
-    in the order of spec.gamma, then of theta.  Mirror elements, fixing a
+    in the order of spec.gamma, then of theta.  A gamma with a root where
+    R(theta) gamma = I acts trivially: its other roots fix coordinate
+    circles, and none of its roots is kept.  Mirror elements, fixing a
     2-plane at every theta, would flood it with valleys; never pass one.
     """
     p, q = spec.weights
@@ -185,14 +190,13 @@ def svd_theta_roots(spec) -> list[np.ndarray]:
         lambda theta: -sigma_min(theta, gammas), centers - h, centers + h, 60
     )
 
+    fixed = [circle_matrix(p, q, theta_star) @ gamma for theta_star, gamma in zip(roots, gammas)]
+    kernel = {k for k, f in zip(owner, fixed) if np.max(np.abs(f - eye)) < 1e-6}
     reps = []
-    for value, theta_star, gamma in zip(neg_sigma, roots, gammas):
-        if -value > ROOT_TOL:
+    for value, f, k in zip(neg_sigma, fixed, owner):
+        if -value > ROOT_TOL or k in kernel:
             continue
-        fixed = circle_matrix(p, q, theta_star) @ gamma
-        if np.max(np.abs(fixed - eye)) < 1e-6:
-            continue
-        _, svals, vt = np.linalg.svd(fixed - eye)
+        _, svals, vt = np.linalg.svd(f - eye)
         if svals[-2] > 1e-5:
             continue
         rep = vt[-1]
@@ -201,6 +205,23 @@ def svd_theta_roots(spec) -> list[np.ndarray]:
             rep = -rep
         reps.append(rep / np.linalg.norm(rep))
     return reps
+
+
+_GENERIC_PROBES = np.array([
+    [0.5377519909, -0.3616707624, 0.6612823052, 0.3678327414],
+    [0.1739406507, 0.8325569561, -0.2881956200, 0.4401225868],
+    [-0.6218804037, 0.2905338206, 0.5148500216, 0.5115842666],
+])
+
+
+def probe_kernel_count(spec) -> int:
+    """Number of kernel elements of the action, as the fewest pairs
+    (gamma, theta) with R(theta) gamma x = x over three generic points x:
+    at a point with trivial isotropy only the kernel elements stabilize,
+    each at one theta."""
+    return min(
+        _stabilizer_count(spec, probe / np.linalg.norm(probe)) for probe in _GENERIC_PROBES
+    )
 
 
 def sample_round_two_sphere(samples: int, seed: int = 0) -> SampledMetricSpace:

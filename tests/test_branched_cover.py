@@ -247,6 +247,22 @@ class TestCoverGraph:
         assert np.array_equal(cover.dist, full)
 
 
+    @pytest.mark.parametrize("fixture, labels", [
+        ("dihedral_space", ("singular:0", "singular:1")),
+        ("football_space", ("z2=0", "z1=0")),
+    ])
+    def test_stars_reach_every_lift_with_zero_diagonal(self, request, monkeypatch, fixture, labels):
+        # every doubled node has a star edge to both branch points, and
+        # Dijkstra leaves exact zeros at its sources; validate_metric is
+        # bypassed, so this reads the matrix as _build_cover assembles it
+        space = request.getfixturevalue(fixture)
+        marks = {m.label: m.index for m in space.marked}
+        monkeypatch.setattr(cover_module, "validate_metric", lambda space: None)
+        cover = _build_cover(space, (marks[labels[0]], marks[labels[1]]), BaseGraphs())
+        assert np.all(np.isfinite(cover.dist))
+        assert np.all(np.diag(cover.dist) == 0.0)
+
+
 class TestSheetGluing:
     def test_cover_shape(self, dihedral_space, dihedral_branch, dihedral_low_cover):
         cover, node_map = dihedral_low_cover

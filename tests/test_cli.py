@@ -234,6 +234,27 @@ class TestExitCodes:
         assert err.startswith(f"ValueError: group order {MAX_GROUP_ORDER + 1} exceeds")
         assert err.count("\n") == 1
 
+    # 1000000007 and 2000003 took np.arange(grid_size) in DistanceEngine to a
+    # MemoryError, and 10**400 overflowed a float in the circle generator
+    @pytest.mark.parametrize("weight", [1000000007, 2000003, 10**400])
+    @pytest.mark.parametrize("command", ["extent", "check-q"])
+    def test_oversized_weights_exit_one_unsampled(self, capsys, monkeypatch, command, weight):
+        from x4circle.extent_lab import DistanceEngine
+        from x4circle.extent_lab.actions import MAX_THETA_CELLS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a distance engine was built")
+
+        monkeypatch.setattr(DistanceEngine, "__init__", refuse)
+        payload = {"action": {"weights": [1, weight]}}
+        code, out, err = run_cli(capsys, monkeypatch, [command, "--samples", "50"], payload)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"ValueError: weights {(1, weight)} with 1 group elements need {2048 * weight} "
+            f"theta-scan cells, over the limit of {MAX_THETA_CELLS}\n"
+        )
+
     def test_unencodable_report_exits_one(self, capsys, monkeypatch):
         # the weights of this triple pass Python's 4300-digit int-to-string
         # limit, so the report cannot be written out

@@ -52,7 +52,13 @@ from x4circle.extent_lab import (
     write_distance_matrix,
 )
 from x4circle.extent_lab import extents, spaces
-from x4circle.extent_lab.actions import MAX_GROUP_ORDER, circle_matrix
+from x4circle.extent_lab.actions import (
+    GROUP_TOL,
+    MAX_GROUP_ORDER,
+    MAX_THETA_CELLS,
+    THETA_GRID_PER_WEIGHT,
+    circle_matrix,
+)
 from x4circle.extent_lab.cover import BaseGraphs, _build_cover
 from x4circle.extent_lab.engine import ROW_CHUNK, trig_taylor, trig_value
 from x4circle.extent_lab.spaces import SampledMetricSpace
@@ -64,6 +70,7 @@ from oracles import (
     golden_grid_alignments,
     golden_max,
     loop_validate_gamma,
+    probe_kernel_count,
     row_scan_slack,
     sample_round_two_sphere,
     sampled_triangle_slack,
@@ -179,6 +186,13 @@ GAMMA_CASES = {
         np.concatenate([gamma_cyclic(3), gamma_cyclic(3)[1:2]]), (1, 1), "gamma contains"
     ),
     "dropped-element": (gamma_binary_dihedral(3)[:-1], (1, 1), "gamma is not closed"),
+    # a turn by pi + t squares to a turn by 2 t, which misses I by sin(2 t)
+    "near-miss": (
+        np.stack([np.eye(4), circle_matrix(1, -1, pi + GROUP_TOL)]), (1, 1), "gamma is not closed"
+    ),
+    "within-tolerance": (
+        np.stack([np.eye(4), circle_matrix(1, -1, pi + GROUP_TOL / 4)]), (1, 1), None
+    ),
     "not-normalizing": (np.stack([np.eye(4), _swap_planes()]), (2, 3), "gamma element does"),
     "binary-dihedral": (gamma_binary_dihedral(3), (1, 1), None),
     "binary-dihedral-48": (gamma_binary_dihedral(12), (1, 1), None),
@@ -273,6 +287,28 @@ class TestActionSpec:
             assert message is None
         else:
             assert message is not None and message.startswith(start)
+
+    def test_closure_check_memory_is_bounded(self):
+        # each product meets only the elements of Gram inner product above
+        # 4 - 1e-6; a (|Gamma|, |Gamma|, 4, 4) gap array per element peaked
+        # at 67 MB here; the spec also checks that the theta scan of every
+        # preset fits at unit weights
+        gammas = gamma_binary_dihedral(MAX_GROUP_ORDER // 4)
+        tracemalloc.start()
+        try:
+            IsometricActionSpec(weights=(1, 1), gamma=gammas, samples=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 10**6
+
+    def test_theta_cell_budget(self):
+        # specs at the budget are constructed, never sampled
+        top = MAX_THETA_CELLS // THETA_GRID_PER_WEIGHT
+        for gammas, weight in ((gamma_trivial(), top), (gamma_cyclic(8), top // 8)):
+            IsometricActionSpec(weights=(1, weight), gamma=gammas, samples=50)
+            with pytest.raises(ValueError, match="theta-scan cells, over the limit"):
+                IsometricActionSpec(weights=(1, weight + 1), gamma=gammas, samples=50)
 
 
 class TestSampling:
@@ -735,13 +771,13 @@ class TestFlatPairs:
             return refine(self, g0, g1, g2, g3, t_idx)
 
         monkeypatch.setattr(DistanceEngine, "_refine", counting)
-        spec = IsometricActionSpec(weights=(2, 3), samples=50)
+        spec = IsometricActionSpec(weights=(1, 2), gamma=lens_group(3, 1), samples=50)
         reps, _ = spaces.discover_marked(spec, DistanceEngine(spec.weights, spec.gamma))
         assert len(reps) == 2
-        # the 5 x 5 matrix of the coordinate circles and 3 roots aligns its
-        # 10 upper pairs only; their 6 flat pairs (A = B = 0) refine no cell,
-        # and the other 4 send 11 grid cells to the polish
-        assert sum(candidates) == 11
+        # the 8 x 8 matrix of the coordinate circles and 6 roots aligns its
+        # 28 upper pairs only; their 15 flat pairs (A = B = 0) refine no
+        # cell, and the other 13 send 69 grid cells to the polish
+        assert sum(candidates) == 69
 
 
 UNIT_WEIGHTS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -1179,6 +1215,25 @@ class TestSingularOrbits:
         dist = engine.distance_matrix(np.vstack([reps, oracle_reps]))
         assert np.max(np.diag(dist[: len(reps), len(reps) :])) <= 1e-12
 
+    def test_kernel_elements_match_the_probe_count(self):
+        weights = UNIT_WEIGHTS + [
+            (1, 2), (2, 1), (2, 3), (3, 2), (2, -3), (1, 3), (2, 5), (3, 4), (3, 5)
+        ]
+        cases = [(w, gamma_cyclic(m)) for w in weights for m in range(1, 13)]
+        cases += [(w, gamma_binary_dihedral(m)) for w in UNIT_WEIGHTS for m in range(1, 9)]
+        cases += [(w, g) for g, w, start in GAMMA_CASES.values() if start is None]
+        for w, gammas in cases:
+            spec = IsometricActionSpec(weights=w, gamma=gammas, samples=50)
+            assert spaces._kernel_elements(spec).sum() == probe_kernel_count(spec), (w, len(gammas))
+        # at weights (1, -1) every element of cyclic:m is some R(theta), and
+        # at weights (1, 1) so is -I = R(pi), element 3 of D3*
+        for w, gammas, kernel in (
+            ((1, -1), gamma_cyclic(12), list(range(12))),
+            ((1, 1), gamma_binary_dihedral(3), [0, 3]),
+        ):
+            spec = IsometricActionSpec(weights=w, gamma=gammas, samples=50)
+            assert np.flatnonzero(spaces._kernel_elements(spec)).tolist() == kernel
+
     @pytest.mark.parametrize(
         "gammas",
         [gamma_cyclic(m) for m in range(1, 7)]
@@ -1198,13 +1253,14 @@ class TestSingularOrbits:
 
     @pytest.mark.parametrize(
         "weights, roots, isotropies",
-        [((1, 1), 0, [2, 2]), ((1, -1), 0, [2, 2]), ((2, 3), 3, [4, 6])],
+        [((1, 1), 0, [2, 2]), ((1, -1), 0, [2, 2]), ((2, 3), 0, [4, 6])],
     )
     def test_mirror_element_is_skipped(self, weights, roots, isotropies, capsys, monkeypatch):
         gammas = [np.eye(4).tolist(), MIRROR.tolist()]
         action = {"weights": list(weights), "gamma": {"matrices": gammas}}
         spec = IsometricActionSpec(weights=weights, gamma=parse_gamma(action["gamma"]), samples=50)
-        # the roots of gamma = I only: the coordinate circles of R(theta)
+        # gamma = I is a kernel element and the mirror marks no orbit, so
+        # neither is scanned
         assert len(spaces._theta_roots(spec)) == roots
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"action": action, "q": 3})))
         assert cli.main(["extent", "--samples", "50"]) == 0

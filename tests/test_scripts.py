@@ -134,3 +134,15 @@ def test_bench_default(monkeypatch, capsys, tmp_path):
             assert covers == 0 if name.startswith("extent/") else covers > 0
     # the tracer is gone once the run ends
     assert (cover._build_cover, extents.extent) == traced
+
+
+def test_pool_digest_repeats(monkeypatch, capsys):
+    # the algebra pool answers its 512 requests in about 2 s
+    digests = []
+    for _ in range(2):
+        _, result, lines = run_main(monkeypatch, capsys, "pool_digest", "--workload", "algebra-mix")
+        assert result == 0
+        ((workload, digest),) = [line.split() for line in lines]
+        assert workload == "algebra-mix" and len(digest) == 64
+        digests.append(digest)
+    assert digests[0] == digests[1]

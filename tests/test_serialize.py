@@ -166,3 +166,42 @@ class TestTextRendering:
             "  y: 2",
             "c: []",
         ]
+
+
+class TestLabReportKeys:
+    """Each lab report object carries its dataclass's fields under their own
+    names, plus the keys that are not fields."""
+
+    def test_keys_are_the_fields_plus_the_derived_ones(self):
+        from dataclasses import fields
+
+        from x4circle.extent_lab import IsometricActionSpec, extent, sample_quotient
+        from x4circle.extent_lab.condition_q import CheckItem, ConditionQPrimeReport
+        from x4circle.extent_lab.extents import ExtentReport
+        from x4circle.extent_lab.spaces import MarkedPoint
+
+        def names(cls, *added):
+            return {f.name for f in fields(cls)} | set(added)
+
+        space = sample_quotient(IsometricActionSpec(weights=(1, 1), samples=50))
+        marked = serialize.encode_space_summary(space)["marked"]
+        assert len(marked) == 2
+        assert all(set(m) == names(MarkedPoint) == {"index", "label", "isotropy"} for m in marked)
+
+        report = serialize.encode_extent_report(extent(space, 3), space)
+        assert set(report) == names(ExtentReport, "witness_average") == {
+            "q", "value", "witness", "witness_average", "method", "restarts", "sample_size"
+        }
+        assert isinstance(report["witness"], list)
+
+        item = CheckItem("quotient-small", True, False, -0.5, "xt3 1.5")
+        qprime = serialize.encode_qprime_report(ConditionQPrimeReport([item], 2, 1.5, 0.02))
+        assert set(qprime) == names(ConditionQPrimeReport, "all_passed") == {
+            "all_passed", "cone_points", "diameter", "tol", "checks"
+        }
+        assert qprime["all_passed"] is False
+        assert qprime["checks"] == [{
+            "name": "quotient-small", "applicable": True, "passed": False,
+            "margin": -0.5, "details": "xt3 1.5",
+        }]
+        assert set(qprime["checks"][0]) == names(CheckItem)
