@@ -2,24 +2,34 @@
 
 The circle acts on S^3 in C^2 = R^4 by theta . (z1, z2) =
 (e^{i p theta} z1, e^{i q theta} z2) with coprime nonzero weights (p, q).
-A finite isometry group Gamma extends the action exactly when every element
-normalizes the circle: conjugation must carry the infinitesimal generator J
-to +-J.  The joint transformations {R(theta) gamma} then form a compact
-group, so the orbit distance is a true metric on the quotient.
+A finite isometry group Gamma is accepted when every element commutes with
+the circle: conjugation must fix the infinitesimal generator J.  The lab
+samples S^3/Gamma with the circle acting on it; lifted to S^3, the circle
+and Gamma normalize each other, and a connected group that normalizes a
+finite group centralizes it.  An element with gamma J gamma^T = -J is
+refused, since the circle would not act on S^3/Gamma.  The joint
+transformations {R(theta) gamma} form a compact group, so the orbit
+distance is a true metric on the quotient.
 
 Presets: the trivial group; the cyclic group of order m acting by
 (z1, z2) -> (zeta z1, conj(zeta) z2); and the binary dihedral group of
 order 4m.  Both presets are right quaternion multiplications, which commute
-with the Hopf weights (1, 1) and normalize the torus for diagonal actions.
+with the Hopf weights (1, 1).  The cyclic preset is diagonal, so it commutes
+with every weight pair; the binary dihedral preset commutes with no other
+weights, and at (1, -1) its commuting embedding is c gamma c with
+c = diag(1, 1, 1, -1).
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass, field
 from math import cos, gcd, pi, sin
 
 import numpy as np
+
+from .engine import GRID_PER_WEIGHT
 
 
 ORTHOGONALITY_TOL = 1e-12
@@ -28,12 +38,10 @@ GROUP_TOL = 1e-9
 # |Gamma| Gram products of 16 |Gamma|^2 flops each, about 0.8 s and 2.4 MB
 # at this bound on a 2-vCPU VM (one BLAS thread)
 MAX_GROUP_ORDER = 512
-# theta values per unit of max(|p|, |q|) in the scan for singular orbits
-THETA_GRID_PER_WEIGHT = 2048
-# most cells of that scan, |Gamma| THETA_GRID_PER_WEIGHT max(|p|, |q|): it
-# holds 18-32 bytes per cell, about 270 MB here, and admits every preset at
-# unit weights and the trivial group up to max(|p|, |q|) = 4096
-MAX_THETA_CELLS = 2**23
+# most grid cells the distance engine scans per pair of points,
+# |Gamma| GRID_PER_WEIGHT max(|p|, |q|): it admits every preset at unit
+# weights and the trivial group up to max(|p|, |q|) = 4096
+MAX_GRID_CELLS = 2**18
 
 
 def rotation_block(phi: float) -> np.ndarray:
@@ -118,7 +126,7 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     Checks, in order: shape, at most MAX_GROUP_ORDER elements, finite
     entries, orthogonality (1e-12), orientation preservation, presence of
     the identity, distinctness, closure under composition, and
-    normalization of the circle (gamma J gamma^T = +-J).
+    commutation with the circle (gamma J gamma^T = J, within GROUP_TOL).
     """
     if gammas.ndim != 3 or gammas.shape[1:] != (4, 4):
         raise ValueError("gamma must have shape (count, 4, 4)")
@@ -159,14 +167,10 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
         if not matched.all():
             raise ValueError("gamma is not closed under composition")
     j_gen = circle_generator(p, q)
-    conj = gammas @ j_gen @ transposed
-    off = np.minimum(
-        np.max(np.abs(conj - j_gen), axis=(1, 2)), np.max(np.abs(conj + j_gen), axis=(1, 2))
-    )
-    if np.any(off > GROUP_TOL):
+    if np.any(np.abs(gammas @ j_gen @ transposed - j_gen) > GROUP_TOL):
         raise ValueError(
-            "gamma element does not normalize the circle action "
-            "(gamma J gamma^T must be +-J)"
+            "gamma element does not commute with the circle action "
+            "(gamma J gamma^T must be J)"
         )
 
 
@@ -176,8 +180,8 @@ class IsometricActionSpec:
 
     weights: coprime nonzero pair (p, q).
     gamma: (count, 4, 4) array of orthogonal matrices forming a finite group
-      that normalizes the circle; validated at construction, once its theta
-      scan is found to fit in MAX_THETA_CELLS.
+      that commutes with the circle; validated at construction, once the
+      engine's grid is found to fit in MAX_GRID_CELLS.
     samples: number of quasi-uniform sample points (at least 50).
     seed: RNG seed; together with the rest of the spec it determines every
       reported number bit for bit.
@@ -199,19 +203,26 @@ class IsometricActionSpec:
         self.gamma = np.asarray(self.gamma, dtype=float)
         # before validate_gamma, whose last check builds J from the weights
         count = len(self.gamma) if self.gamma.ndim == 3 else 0
-        cells = count * THETA_GRID_PER_WEIGHT * max(abs(p), abs(q))
-        if cells > MAX_THETA_CELLS:
+        cells = count * GRID_PER_WEIGHT * max(abs(p), abs(q))
+        if cells > MAX_GRID_CELLS:
             raise ValueError(
                 f"weights {(p, q)} with {count} group elements need {cells} "
-                f"theta-scan cells, over the limit of {MAX_THETA_CELLS}"
+                f"engine grid cells per pair, over the limit of {MAX_GRID_CELLS}"
             )
         validate_gamma(self.gamma, p, q)
-        self.samples = int(self.samples)
-        if self.samples < 50:
-            raise ValueError("at least 50 sample points are required")
+        self.samples = _sample_count(self.samples)
         self.seed = int(self.seed)
 
     def with_samples(self, samples: int) -> "IsometricActionSpec":
-        return IsometricActionSpec(
-            weights=self.weights, gamma=self.gamma, samples=samples, seed=self.seed
-        )
+        """This action at another sample count.  Its gamma, validated at
+        construction, is shared and not checked again."""
+        out = copy.copy(self)
+        out.samples = _sample_count(samples)
+        return out
+
+
+def _sample_count(samples) -> int:
+    samples = int(samples)
+    if samples < 50:
+        raise ValueError("at least 50 sample points are required")
+    return samples

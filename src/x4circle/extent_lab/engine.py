@@ -33,9 +33,8 @@ marks the cells within CANDIDATE_MARGIN of the running peak, a few per
 pair, and only those cells are tested against their neighbours and for a
 flat pair.
 
-The polish, `newton_max` on `trig_taylor`, is a safeguarded Newton
-iteration on f' in the bracket of the two neighbouring grid cells; the
-fixed-locus search of spaces.py polishes its roots with the same routine.
+The polish, `DistanceEngine._refine` on `_taylor`, is a safeguarded Newton
+iteration on f' in the bracket of the two neighbouring grid cells.
 Each step shrinks the bracket by the sign of f', takes the Newton step
 theta - f'/f'' when f'' < 0 and the step lands in the closed bracket,
 and bisects otherwise.  A candidate stops once its
@@ -71,66 +70,6 @@ NEWTON_TOL = 1e-13  # radians
 ROW_CHUNK = 64  # distance-matrix rows aligned per batch
 
 
-def trig_taylor(p, q, g0, g1, g2, g3, theta):
-    """f = g0 cos(p t) + g1 sin(p t) + g2 cos(q t) + g3 sin(q t) at
-    t = theta, with its first and second derivatives."""
-    cp, sp = np.cos(p * theta), np.sin(p * theta)
-    cq, sq = np.cos(q * theta), np.sin(q * theta)
-    f = g0 * cp + g1 * sp + g2 * cq + g3 * sq
-    df = p * (g1 * cp - g0 * sp) + q * (g3 * cq - g2 * sq)
-    d2f = -p * p * (g0 * cp + g1 * sp) - q * q * (g2 * cq + g3 * sq)
-    return f, df, d2f
-
-
-def trig_value(p, q, g0, g1, g2, g3, theta):
-    """f of `trig_taylor` alone, by the same expression and so the same
-    bits, without the derivative arrays."""
-    # one expression: numpy reuses its temporaries in place
-    return (
-        g0 * np.cos(p * theta)
-        + g1 * np.sin(p * theta)
-        + g2 * np.cos(q * theta)
-        + g3 * np.sin(q * theta)
-    )
-
-
-def newton_max(taylor, center, width):
-    """Safeguarded Newton maximization over every bracket
-    [center[k] - width, center[k] + width]: (value, theta).
-
-    taylor(k, t) gives the value and first two derivatives of the
-    functions of candidates k at t.  Each candidate starts at its center,
-    and the largest value evaluated is returned with the theta where it
-    was.  Only the candidates whose last step moved are evaluated again.
-    """
-    theta = np.array(center, dtype=float)
-    lo, hi = theta - width, theta + width
-    value = np.full(len(theta), -np.inf)
-    arg = theta.copy()
-    live = np.arange(len(theta))
-    for _ in range(NEWTON_ITERS):
-        t = theta[live]
-        f, df, d2f = taylor(live, t)
-        better = f > value[live]
-        value[live[better]] = f[better]
-        arg[live[better]] = t[better]
-        # the maximum lies on the rising side of t
-        t_lo = np.where(df > 0, t, lo[live])
-        t_hi = np.where(df < 0, t, hi[live])
-        lo[live], hi[live] = t_lo, t_hi
-        concave = d2f < 0
-        newton = t - np.divide(df, d2f, out=np.zeros_like(df), where=concave)
-        # a closed bracket: once converged, the step may round onto an
-        # end, and bisecting instead would throw the converged t away
-        take = concave & (newton >= t_lo) & (newton <= t_hi)
-        step_to = np.where(take, newton, 0.5 * (t_lo + t_hi))
-        theta[live] = step_to
-        live = live[(np.abs(step_to - t) >= NEWTON_TOL) & (df != 0)]
-        if not len(live):
-            break
-    return value, arg
-
-
 class DistanceEngine:
     def __init__(self, weights: tuple[int, int], gammas: np.ndarray):
         self.p, self.q = int(weights[0]), int(weights[1])
@@ -163,16 +102,51 @@ class DistanceEngine:
         return self._complex_parts(moved)
 
     def _taylor(self, g0, g1, g2, g3, theta):
-        """`trig_taylor` with this engine's weights."""
-        return trig_taylor(self.p, self.q, g0, g1, g2, g3, theta)
+        """f = g0 cos(p t) + g1 sin(p t) + g2 cos(q t) + g3 sin(q t) at
+        t = theta, with its first and second derivatives."""
+        p, q = self.p, self.q
+        cp, sp = np.cos(p * theta), np.sin(p * theta)
+        cq, sq = np.cos(q * theta), np.sin(q * theta)
+        f = g0 * cp + g1 * sp + g2 * cq + g3 * sq
+        df = p * (g1 * cp - g0 * sp) + q * (g3 * cq - g2 * sq)
+        d2f = -p * p * (g0 * cp + g1 * sp) - q * q * (g2 * cq + g3 * sq)
+        return f, df, d2f
 
     def _refine(self, g0, g1, g2, g3, t_idx):
-        """`newton_max` of `_taylor` around grid cells t_idx: (value, theta)."""
-        return newton_max(
-            lambda k, t: self._taylor(g0[k], g1[k], g2[k], g3[k], t),
-            t_idx * self.step,
-            self.step,
-        )
+        """Safeguarded Newton maximization of each candidate's f, the
+        `_taylor` of coefficients (g0[k], g1[k], g2[k], g3[k]), over the
+        bracket of the two cells around grid cell t_idx[k]: (value, theta).
+
+        Each candidate starts at its cell, and the largest value evaluated
+        is returned with the theta where it was.  Only the candidates whose
+        last step moved are evaluated again.
+        """
+        theta = t_idx * self.step
+        lo, hi = theta - self.step, theta + self.step
+        value = np.full(len(theta), -np.inf)
+        arg = theta.copy()
+        live = np.arange(len(theta))
+        for _ in range(NEWTON_ITERS):
+            t = theta[live]
+            f, df, d2f = self._taylor(g0[live], g1[live], g2[live], g3[live], t)
+            better = f > value[live]
+            value[live[better]] = f[better]
+            arg[live[better]] = t[better]
+            # the maximum lies on the rising side of t
+            t_lo = np.where(df > 0, t, lo[live])
+            t_hi = np.where(df < 0, t, hi[live])
+            lo[live], hi[live] = t_lo, t_hi
+            concave = d2f < 0
+            newton = t - np.divide(df, d2f, out=np.zeros_like(df), where=concave)
+            # a closed bracket: once converged, the step may round onto an
+            # end, and bisecting instead would throw the converged t away
+            take = concave & (newton >= t_lo) & (newton <= t_hi)
+            step_to = np.where(take, newton, 0.5 * (t_lo + t_hi))
+            theta[live] = step_to
+            live = live[(np.abs(step_to - t) >= NEWTON_TOL) & (df != 0)]
+            if not len(live):
+                break
+        return value, arg
 
     def _best_values(self, a1, a2, v1, v2, cols):
         """The maximal <x, R(theta) gamma y> of each pair in a flat list.

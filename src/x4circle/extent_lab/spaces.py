@@ -2,8 +2,8 @@
 
 sample_quotient draws N quasi-uniform seeded points on S^3, appends exact
 representatives of the singular orbits (the coordinate circles z2 = 0 and
-z1 = 0, plus every isolated circle fixed by some R(theta) gamma, located
-by a theta scan polished with the engine's Newton routine), and
+z1 = 0, plus, at unit weights, the eigenlines of each group element: the
+circles fixed by some R(theta) gamma), and
 evaluates the full quotient distance matrix with the orbit-distance
 engine.  Sampling at 2N reuses the same Gaussian stream, so the first N
 random points of the finer space coincide with the coarser ones; the
@@ -23,12 +23,11 @@ from math import pi, tau
 
 import numpy as np
 
-from .actions import THETA_GRID_PER_WEIGHT, IsometricActionSpec, circle_matrix
-from .engine import DistanceEngine, newton_max, trig_taylor, trig_value
+from .actions import IsometricActionSpec, circle_matrix
+from .engine import DistanceEngine
 
 
 MERGE_TOL = 1e-6
-ROOT_TOL = 1e-7
 MATCH_TOL = 1e-6
 TRIANGLE_TOL = 1e-9
 # entries the complete triangle scan may read before the sampled check is
@@ -221,111 +220,36 @@ def _sphere_points(count: int, seed: int) -> np.ndarray:
 # -- singular-orbit discovery ---------------------------------------------
 
 
-def _hamilton(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Quaternion product xy in the basis (1, i, j, k)."""
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    return np.array(
-        [
-            x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3,
-            x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2,
-            x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1,
-            x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0,
-        ]
-    )
+def _eigenlines(spec: IsometricActionSpec) -> list[np.ndarray]:
+    """Unit vectors spanning the isolated circles fixed by some R(theta)
+    gamma, in the order of spec.gamma, then of theta in [0, 2 pi).
 
-
-def _pair_basis() -> np.ndarray:
-    """basis[m, n] is the matrix of x -> e_m x conj(e_n), where a point
-    (z1, z2) is the quaternion z1 + z2 j and e = (1, i, j, k)."""
-    e = np.eye(4)
-    conj = np.array([1.0, -1.0, -1.0, -1.0])
-    basis = np.empty((4, 4, 4, 4))
-    for m in range(4):
-        for n in range(4):
-            for c in range(4):
-                basis[m, n, :, c] = _hamilton(_hamilton(e[m], e[c]), conj * e[n])
-    return basis
-
-
-_PAIR_BASIS = _pair_basis()
-
-
-def _quaternion_pair(gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit quaternions (a, b) with gamma x = a x conj(b) for every gamma.
-
-    The 16 matrices of x -> e_m x conj(e_n) are orthogonal with squared
-    Frobenius norm 4, so the coefficients <gamma, .>/4 form the rank-one
-    matrix a b^T; a is its largest column normalized, and b = (a b^T)^T a.
-    The pair is unique up to a joint sign.
-    """
-    coef = np.einsum("mnab,gab->gmn", _PAIR_BASIS, gammas) / 4.0
-    col = np.argmax(np.linalg.norm(coef, axis=1), axis=1)
-    a = coef[np.arange(len(coef)), :, col]
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    return a, np.einsum("gmn,gm->gn", coef, a)
-
-
-def _theta_roots(spec: IsometricActionSpec) -> list[np.ndarray]:
-    """Unit vectors spanning loci fixed by R(theta) gamma for some theta.
-
-    Writing gamma x = a x conj(b) for unit quaternions (a, b), R(theta) is
-    x -> e^{i psi} x e^{i chi} with psi = (p + q) theta / 2 and
-    chi = (p - q) theta / 2, so R(theta) gamma fixes a 2-plane exactly when
-    g(theta) = Re(e^{i psi} a) - Re(e^{-i chi} b) vanishes.  That g is a
-    `trig_taylor` polynomial of the half-integer weights (p + q) / 2 and
-    (p - q) / 2.  Kernel elements (`_kernel_elements`, which fix all of S^3
-    or a coordinate circle) and mirror elements (g vanishes at every theta:
-    a mirror curve, not isolated orbits) are masked out before the scan.
-    For every other gamma the zeros of g are simple, so |g| has V-shaped
-    valleys: it is scanned over theta by value alone (`trig_value`, the
-    same bits without the derivatives), and every detected valley is
-    polished at once by `newton_max` on -g^2, the engine's polish, which
-    near a simple zero steps as Newton on g.  A root is kept where
-    R(theta) gamma - I is singular: the +1 eigenspace of an element of
-    SO(4) has even dimension, so it is a circle.  Roots come in the order
-    of spec.gamma, then of theta.
+    Every gamma commutes with the circle.  When |p| != |q| the circle's
+    centralizer in SO(4) is the diagonal torus, so Gamma is diagonal, and
+    R(theta) gamma fixes a point off the coordinate circles only when it is
+    I: there is no other fixed circle.  At unit weights, with
+    c = diag(1, 1, 1, -1) when p = -q and c = I otherwise, c R(theta) c is
+    the scalar e^{i p theta}, so c gamma c is complex-linear in (z1, z2), a
+    unitary 2 x 2 matrix M.  An eigenvector v of M with eigenvalue lambda
+    spans a circle fixed by R(theta) gamma at theta = -arg(lambda) / p, with
+    representative c (Re v1, Im v1, Re v2, Im v2).  Kernel elements
+    (`_kernel_elements`), each some R(theta), fix every orbit and are
+    skipped; every other gamma has two distinct eigenvalues, since equal
+    ones would make M a scalar and gamma some R(theta).
     """
     p, q = spec.weights
-    max_w = max(abs(p), abs(q))
-    k_grid = THETA_GRID_PER_WEIGHT * max_w
-    h = tau / k_grid
-    eye = np.eye(4)
-
-    a, b = _quaternion_pair(spec.gamma)
-    # g = coef . (cos psi, sin psi, cos chi, sin chi)
-    coef = np.column_stack([a[:, 0], -a[:, 1], -b[:, 0], -b[:, 1]]).T
-    half = ((p + q) / 2, (p - q) / 2)
-    # sin(psi) vanishes when p + q = 0, and sin(chi) when p = q
-    live = np.array([True, p + q != 0, True, p != q])
-    mirror = np.all(np.abs(coef[live]) <= ROOT_TOL, axis=0)
-    scanned = np.flatnonzero(~(mirror | _kernel_elements(spec)))
-    coef = coef[:, scanned]
-
-    thetas = np.arange(k_grid) * h
-    detect = 8.0 * max_w * pi / k_grid + 1e-9
-    gap = np.abs(trig_value(*half, *coef[:, :, None], thetas))
-    valleys = (gap <= np.roll(gap, 1, axis=1)) & (gap <= np.roll(gap, -1, axis=1))
-    valleys &= gap < detect
-    owner, t_idx = np.nonzero(valleys)
-    valley_coef = coef[:, owner]
-
-    def neg_square(k, theta):
-        g, dg, d2g = trig_taylor(*half, *valley_coef[:, k], theta)
-        return -g * g, -2.0 * g * dg, -2.0 * (dg * dg + g * d2g)
-
-    _, roots = newton_max(neg_square, thetas[t_idx], h)
-
+    if abs(p) != abs(q):
+        return []
+    c = np.diag([1.0, 1.0, 1.0, -1.0 if p == -q else 1.0])
+    moved = c @ spec.gamma[~_kernel_elements(spec)] @ c
+    # column b of M is the image of the b-th complex basis vector
+    eigvals, eigvecs = np.linalg.eig(moved[:, 0::2, 0::2] + 1j * moved[:, 1::2, 0::2])
     reps: list[np.ndarray] = []
-    for theta_star, gamma in zip(roots, spec.gamma[scanned[owner]]):
-        _, svals, vt = np.linalg.svd(circle_matrix(p, q, theta_star) @ gamma - eye)
-        if svals[-1] > ROOT_TOL:
-            continue  # a shallow valley of |g|, not a zero
-        rep = vt[-1]
-        lead = np.nonzero(np.abs(rep) > 1e-8)[0][0]
-        if rep[lead] < 0:
-            rep = -rep
-        reps.append(rep / np.linalg.norm(rep))
+    for thetas, vecs in zip(np.mod(-np.angle(eigvals) / p, tau), eigvecs):
+        for k in np.argsort(thetas):
+            v1, v2 = vecs[:, k]
+            rep = c @ np.array([v1.real, v1.imag, v2.real, v2.imag])
+            reps.append(rep / np.linalg.norm(rep))
     return reps
 
 
@@ -374,16 +298,13 @@ def discover_marked(
     """Representatives of the singular orbits, one per row, and their
     marks: one MarkedPoint per row, whose index is that row.
 
-    The coordinate circles are always marked first; loci fixed by nontrivial
-    joint rotations follow, found by `_theta_roots` from the quaternion pair
-    of each gamma.  Representatives at quotient distance below 1e-6 are
-    merged, keeping the earliest label.  A mirror element (gamma J gamma^T
-    = -J with R(theta) gamma fixing a 2-plane at every theta, such as
-    diag(1, -1, 1, -1)) contributes no root: its fixed loci sweep a mirror
-    curve of the quotient, not isolated singular orbits.  It still counts
-    in the isotropy orders, stabilizer counts over the kernel's order.
+    The coordinate circles are always marked first; the circles fixed by
+    nontrivial joint rotations follow, the eigenlines of each gamma
+    (`_eigenlines`).  Representatives at quotient distance below 1e-6 are
+    merged, keeping the earliest label.  Isotropy orders are stabilizer
+    counts over the kernel's order.
     """
-    roots = _theta_roots(spec)
+    roots = _eigenlines(spec)
     reps = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])] + roots
     labels = ["z2=0", "z1=0"] + ["singular"] * len(roots)
     stacked = np.array(reps)

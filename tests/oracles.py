@@ -5,9 +5,9 @@ invariant tuples is decided by a word search over the move generators,
 group orders come from Smith normal form of freshly assembled relation
 matrices rather than closed formulas, the singular orbits come from a
 smallest-singular-value scan polished by golden-section search rather than
-from the quaternion pair of each group element polished by Newton steps,
+from the eigenvectors of each group element's complex 2 x 2 matrix,
 quaternion products are written in the complex coordinates
-(z1, z2) <-> z1 + z2 j rather than through the basis (1, i, j, k), the
+(z1, z2) <-> z1 + z2 j, the
 exact three-point extent is a row-by-row brute force rather than a
 branch-and-bound search over cells, the Smith diagonal comes from
 determinantal divisors (gcds of minors) rather than row and column
@@ -54,12 +54,15 @@ from x4circle.extent_lab.actions import (
 from x4circle.extent_lab.engine import CANDIDATE_MARGIN, ROW_CHUNK, DistanceEngine
 from x4circle.extent_lab.spaces import (
     RANDOM_TRIPLES,
-    ROOT_TOL,
     SampledMetricSpace,
     _stabilizer_count,
     validate_metric,
 )
 from x4circle.invariants import InvariantTuple
+
+
+# largest sigma_min of R(theta) gamma - I at a polished root of `svd_theta_roots`
+ROOT_TOL = 1e-7
 
 
 def _abs_bound(t: InvariantTuple) -> Fraction:
@@ -157,8 +160,7 @@ def svd_theta_roots(spec) -> list[np.ndarray]:
     search on -sigma_min, and keeps the roots whose fixed set is a circle,
     in the order of spec.gamma, then of theta.  A gamma with a root where
     R(theta) gamma = I acts trivially: its other roots fix coordinate
-    circles, and none of its roots is kept.  Mirror elements, fixing a
-    2-plane at every theta, would flood it with valleys; never pass one.
+    circles, and none of its roots is kept.
     """
     p, q = spec.weights
     max_w = max(abs(p), abs(q))
@@ -302,11 +304,10 @@ def loop_validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
                 raise ValueError("gamma is not closed under composition")
     j_gen = circle_generator(p, q)
     for m in gammas:
-        conj = m @ j_gen @ m.T
-        if min(np.max(np.abs(conj - j_gen)), np.max(np.abs(conj + j_gen))) > GROUP_TOL:
+        if np.max(np.abs(m @ j_gen @ m.T - j_gen)) > GROUP_TOL:
             raise ValueError(
-                "gamma element does not normalize the circle action "
-                "(gamma J gamma^T must be +-J)"
+                "gamma element does not commute with the circle action "
+                "(gamma J gamma^T must be J)"
             )
 
 

@@ -240,7 +240,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["extent", "check-q"])
     def test_oversized_weights_exit_one_unsampled(self, capsys, monkeypatch, command, weight):
         from x4circle.extent_lab import DistanceEngine
-        from x4circle.extent_lab.actions import MAX_THETA_CELLS
+        from x4circle.extent_lab.actions import MAX_GRID_CELLS
 
         def refuse(*args, **kwargs):
             raise AssertionError("a distance engine was built")
@@ -251,8 +251,8 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == (
-            f"ValueError: weights {(1, weight)} with 1 group elements need {2048 * weight} "
-            f"theta-scan cells, over the limit of {MAX_THETA_CELLS}\n"
+            f"ValueError: weights {(1, weight)} with 1 group elements need {64 * weight} "
+            f"engine grid cells per pair, over the limit of {MAX_GRID_CELLS}\n"
         )
 
     def test_unencodable_report_exits_one(self, capsys, monkeypatch):
@@ -607,7 +607,7 @@ LAB_REQUESTS = st.tuples(
 @given(LAB_REQUESTS)
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_lab_commands_never_crash(request):
-    # a group that does not normalize the circle is refused with exit 1
+    # a group that does not commute with the circle is refused with exit 1
     command, weights, gamma, seed = request
     payload = {"action": {"weights": list(weights), "gamma": gamma}}
     out, err = io.StringIO(), io.StringIO()

@@ -7,8 +7,8 @@ weights in that closed form and every other weight pair by a grid scan
 with Newton polish; the tests check each path against the other, against
 an independent theta scan built from the circle matrices, against a finer
 grid with golden-section polish in tests/oracles.py, and against
-arccos |<x, y>| written out here.  The singular orbits found from
-the quaternion pair of each group element are checked against the
+arccos |<x, y>| written out here.  The singular orbits read off the
+eigenlines of each group element are checked against the
 smallest-singular-value scan in tests/oracles.py, the exact three-point
 extent against the brute force there, and the metric check's chunked
 random triples against one draw of all of them, and its full scan against
@@ -51,16 +51,15 @@ from x4circle.extent_lab import (
     validate_metric,
     write_distance_matrix,
 )
-from x4circle.extent_lab import extents, spaces
+from x4circle.extent_lab import actions, extents, spaces
 from x4circle.extent_lab.actions import (
     GROUP_TOL,
+    MAX_GRID_CELLS,
     MAX_GROUP_ORDER,
-    MAX_THETA_CELLS,
-    THETA_GRID_PER_WEIGHT,
     circle_matrix,
 )
 from x4circle.extent_lab.cover import BaseGraphs, _build_cover
-from x4circle.extent_lab.engine import ROW_CHUNK, trig_taylor, trig_value
+from x4circle.extent_lab.engine import GRID_PER_WEIGHT, ROW_CHUNK
 from x4circle.extent_lab.spaces import SampledMetricSpace
 
 from oracles import (
@@ -168,6 +167,19 @@ def _swap_planes() -> np.ndarray:
     return np.eye(4)[[2, 3, 0, 1]]
 
 
+# conjugates both coordinates: det +1 and gamma J gamma^T = -J
+MIRROR = np.diag([1.0, -1.0, 1.0, -1.0])
+# conjugates z2: at weights (p, -p), c R(theta) c is the scalar e^{i p theta}
+CONJ_Z2 = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def commuting(weights, gammas):
+    """A group of right quaternion multiplications, which commute with the
+    circle at weights (p, p), as one that commutes at unit weights: its
+    conjugate by CONJ_Z2 when the weights have opposite signs."""
+    return CONJ_Z2 @ gammas @ CONJ_Z2 if weights[0] == -weights[1] else gammas
+
+
 # (elements, weights, the start of the message; None for a valid group)
 GAMMA_CASES = {
     "shape": (np.zeros((2, 3, 3)), (1, 1), "gamma must have shape"),
@@ -194,6 +206,8 @@ GAMMA_CASES = {
         np.stack([np.eye(4), circle_matrix(1, -1, pi + GROUP_TOL / 4)]), (1, 1), None
     ),
     "not-normalizing": (np.stack([np.eye(4), _swap_planes()]), (2, 3), "gamma element does"),
+    # gamma J gamma^T = -J: the circle would not act on S^3/Gamma
+    "anticommuting": (np.stack([np.eye(4), MIRROR]), (1, 1), "gamma element does not commute"),
     "binary-dihedral": (gamma_binary_dihedral(3), (1, 1), None),
     "binary-dihedral-48": (gamma_binary_dihedral(12), (1, 1), None),
     "swap-hopf": (np.stack([np.eye(4), _swap_planes()]), (1, 1), None),
@@ -291,7 +305,7 @@ class TestActionSpec:
     def test_closure_check_memory_is_bounded(self):
         # each product meets only the elements of Gram inner product above
         # 4 - 1e-6; a (|Gamma|, |Gamma|, 4, 4) gap array per element peaked
-        # at 67 MB here; the spec also checks that the theta scan of every
+        # at 67 MB here; the spec also checks that the engine grid of every
         # preset fits at unit weights
         gammas = gamma_binary_dihedral(MAX_GROUP_ORDER // 4)
         tracemalloc.start()
@@ -303,11 +317,13 @@ class TestActionSpec:
         assert peak < 6 * 10**6
 
     def test_theta_cell_budget(self):
-        # specs at the budget are constructed, never sampled
-        top = MAX_THETA_CELLS // THETA_GRID_PER_WEIGHT
+        # specs at the budget of engine grid cells are constructed, never
+        # sampled
+        top = MAX_GRID_CELLS // GRID_PER_WEIGHT
+        assert top == 4096
         for gammas, weight in ((gamma_trivial(), top), (gamma_cyclic(8), top // 8)):
             IsometricActionSpec(weights=(1, weight), gamma=gammas, samples=50)
-            with pytest.raises(ValueError, match="theta-scan cells, over the limit"):
+            with pytest.raises(ValueError, match="engine grid cells per pair, over the limit"):
                 IsometricActionSpec(weights=(1, weight + 1), gamma=gammas, samples=50)
 
 
@@ -658,6 +674,23 @@ class TestSampling:
             assert np.array_equal(high.dist, fresh.dist)
             assert high.marked == fresh.marked
 
+    def test_regenerate_validates_gamma_once(self, monkeypatch):
+        # the spec at the new sample count shares the validated gamma
+        low = sample_quotient(
+            IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
+        )
+        calls = []
+        check = actions.validate_gamma
+        monkeypatch.setattr(actions, "validate_gamma", lambda *a: calls.append(a) or check(*a))
+        high = regenerate(low, 100)
+        assert calls == []
+        assert high.spec.samples == 100 and high.spec.gamma is low.spec.gamma
+        # the sample floor is still checked, and the patch is live
+        with pytest.raises(ValueError, match="at least 50 sample points"):
+            low.spec.with_samples(49)
+        IsometricActionSpec(weights=(1, 1), samples=50)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("low_samples, samples", [(60, 120), (100, 200), (60, 90)])
     def test_regenerate_aligns_only_fresh_pairs(self, monkeypatch, low_samples, samples):
         low = sample_quotient(
@@ -772,11 +805,18 @@ class TestFlatPairs:
 
         monkeypatch.setattr(DistanceEngine, "_refine", counting)
         spec = IsometricActionSpec(weights=(1, 2), gamma=lens_group(3, 1), samples=50)
-        reps, _ = spaces.discover_marked(spec, DistanceEngine(spec.weights, spec.gamma))
+        engine = DistanceEngine(spec.weights, spec.gamma)
+        # a diagonal group has no eigenline to mark, and the one pair of the
+        # coordinate circles is flat
+        reps, _ = spaces.discover_marked(spec, engine)
+        assert len(reps) == 2 and candidates == []
+        # the oracle's 6 roots lie on the coordinate circles: the 8 x 8
+        # matrix aligns its 28 upper pairs only; their 15 flat pairs
+        # (A = B = 0) refine no cell, and the other 13 send 69 grid cells
+        # to the polish
+        monkeypatch.setattr(spaces, "_eigenlines", svd_theta_roots)
+        reps, _ = spaces.discover_marked(spec, engine)
         assert len(reps) == 2
-        # the 8 x 8 matrix of the coordinate circles and 6 roots aligns its
-        # 28 upper pairs only; their 15 flat pairs (A = B = 0) refine no
-        # cell, and the other 13 send 69 grid cells to the polish
         assert sum(candidates) == 69
 
 
@@ -903,9 +943,16 @@ class TestClosedForm:
                     assert np.array_equal(row[i + 1 :], dist[i, i + 1 :])
 
 
+def unit_group(weights, group):
+    """UNIT_GROUPS[group] at weights, a binary dihedral group through its
+    commuting embedding (`commuting`)."""
+    gammas = UNIT_GROUPS[group]
+    return commuting(weights, gammas) if group.startswith("binary-dihedral") else gammas
+
+
 def unit_spec(weights, group, samples):
     return IsometricActionSpec(
-        weights=weights, gamma=UNIT_GROUPS[group], samples=samples, seed=31
+        weights=weights, gamma=unit_group(weights, group), samples=samples, seed=31
     )
 
 
@@ -929,13 +976,13 @@ class TestValuePath:
         # regenerate copies the distances it has and aligns the rest
         low = sample_quotient(unit_spec(weights, group, 80))
         for space in (low, regenerate(low, 150), regenerate(low, 50)):
-            oracle = winner_path_distance_matrix(weights, UNIT_GROUPS[group], space.points)
+            oracle = winner_path_distance_matrix(weights, low.spec.gamma, space.points)
             assert np.array_equal(space.dist, oracle)
 
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
     def test_scattered_known_block_is_the_winner_paths(self, weights, group):
-        gammas = UNIT_GROUPS[group]
+        gammas = unit_group(weights, group)
         sp = sample_quotient(unit_spec(weights, group, 80))
         index = np.arange(0, sp.size, 2)
         dist = DistanceEngine(weights, gammas).distance_matrix(
@@ -953,8 +1000,9 @@ def lens_group(m, k):
     return out
 
 
+# binary-dihedral:2 at weights (1, -1) is its commuting embedding
 ORACLE_SPECS = {
-    f"{w}/{g}": (w, parse_gamma(g))
+    f"{w}/{g}": (w, commuting(w, parse_gamma(g)) if g.startswith("binary") else parse_gamma(g))
     for w, g in [
         ((1, 1), "trivial"),
         ((1, 1), "cyclic:3"),
@@ -1181,18 +1229,7 @@ class TestThresholdScan:
         assert peak < 24 * 10**6
 
 
-# conjugates both coordinates: det +1 and gamma J gamma^T = -J, so
-# R(theta) c fixes a 2-plane at every theta
-MIRROR = np.diag([1.0, -1.0, 1.0, -1.0])
-
-
-def random_rotation(seed):
-    """A random element of SO(4): QR of a seeded Gaussian, det fixed to +1."""
-    q_mat, r_mat = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
-    q_mat = q_mat * np.sign(np.diag(r_mat))
-    if np.linalg.det(q_mat) < 0:
-        q_mat[:, 0] = -q_mat[:, 0]
-    return q_mat
+COORDINATE_CIRCLES = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 
 
 class TestSingularOrbits:
@@ -1201,26 +1238,52 @@ class TestSingularOrbits:
         weights, gammas = ORACLE_SPECS[name]
         spec = IsometricActionSpec(weights=weights, gamma=gammas, samples=50)
         engine = DistanceEngine(spec.weights, spec.gamma)
-        roots = spaces._theta_roots(spec)
+        roots = spaces._eigenlines(spec)
         oracle = svd_theta_roots(spec)
-        assert len(roots) == len(oracle)
-        if roots:
-            # the fixed circles are orbits, so each root lies on its oracle's
-            dist = engine.distance_matrix(np.vstack([roots, oracle]))
-            assert np.max(np.diag(dist[: len(roots), len(roots) :])) <= 1e-12
+        if abs(weights[0]) != abs(weights[1]):
+            # Gamma is diagonal: every circle the oracle finds is a
+            # coordinate circle
+            assert roots == []
+            if oracle:
+                dist = engine.distance_matrix(np.vstack([COORDINATE_CIRCLES, oracle]))
+                assert np.max(np.min(dist[:2, 2:], axis=0)) <= 1e-12
+        else:
+            assert len(roots) == len(oracle)
+            if roots:
+                # the fixed circles are orbits, so each root lies on its oracle's
+                dist = engine.distance_matrix(np.vstack([roots, oracle]))
+                assert np.max(np.diag(dist[: len(roots), len(roots) :])) <= 1e-12
         reps, marks = spaces.discover_marked(spec, engine)
-        monkeypatch.setattr(spaces, "_theta_roots", svd_theta_roots)
+        monkeypatch.setattr(spaces, "_eigenlines", svd_theta_roots)
         oracle_reps, oracle_marks = spaces.discover_marked(spec, engine)
         assert marks == oracle_marks
         dist = engine.distance_matrix(np.vstack([reps, oracle_reps]))
         assert np.max(np.diag(dist[: len(reps), len(reps) :])) <= 1e-12
+
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_eigenline_marks_in_the_oracle_order(self, weights, m, monkeypatch):
+        # D_m*: the coordinate circles are one orbit, the order-m axis, and
+        # the two classes of half-turn axes follow in the oracle's theta order
+        spec = IsometricActionSpec(
+            weights=weights, gamma=commuting(weights, gamma_binary_dihedral(m)), samples=50
+        )
+        engine = DistanceEngine(spec.weights, spec.gamma)
+        _, marks = spaces.discover_marked(spec, engine)
+        monkeypatch.setattr(spaces, "_eigenlines", svd_theta_roots)
+        _, oracle_marks = spaces.discover_marked(spec, engine)
+        got = [(mark.label, mark.isotropy) for mark in marks]
+        assert got == [(mark.label, mark.isotropy) for mark in oracle_marks]
+        assert got == [("z2=0", m), ("singular:0", 2), ("singular:1", 2)]
 
     def test_kernel_elements_match_the_probe_count(self):
         weights = UNIT_WEIGHTS + [
             (1, 2), (2, 1), (2, 3), (3, 2), (2, -3), (1, 3), (2, 5), (3, 4), (3, 5)
         ]
         cases = [(w, gamma_cyclic(m)) for w in weights for m in range(1, 13)]
-        cases += [(w, gamma_binary_dihedral(m)) for w in UNIT_WEIGHTS for m in range(1, 9)]
+        cases += [
+            (w, commuting(w, gamma_binary_dihedral(m))) for w in UNIT_WEIGHTS for m in range(1, 9)
+        ]
         cases += [(w, g) for g, w, start in GAMMA_CASES.values() if start is None]
         for w, gammas in cases:
             spec = IsometricActionSpec(weights=w, gamma=gammas, samples=50)
@@ -1240,68 +1303,34 @@ class TestSingularOrbits:
         + [gamma_binary_dihedral(m) for m in range(1, 6)],
     )
     def test_quaternion_pair_of_presets(self, gammas):
-        a, b = spaces._quaternion_pair(gammas)
-        for gamma, left, right in zip(gammas, a, b):
-            assert np.max(np.abs(two_sided_matrix(left, right) - gamma)) <= 1e-12
+        # every preset element is x -> x conj(b) with b = conj(gamma 1), so
+        # the presets commute with the Hopf weights
+        for gamma in gammas:
+            b = gamma[:, 0] * np.array([1.0, -1.0, -1.0, -1.0])
+            assert np.max(np.abs(two_sided_matrix(np.eye(4)[0], b) - gamma)) <= 1e-12
+        validate_gamma(gammas, 1, 1)
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_quaternion_pair_of_random_rotations(self, seed):
-        gamma = random_rotation(seed)
-        a, b = spaces._quaternion_pair(gamma[None])
-        assert np.max(np.abs(two_sided_matrix(a[0], b[0]) - gamma)) <= 1e-12
-
+    @pytest.mark.parametrize("command", ["extent", "check-q"])
     @pytest.mark.parametrize(
-        "weights, roots, isotropies",
-        [((1, 1), 0, [2, 2]), ((1, -1), 0, [2, 2]), ((2, 3), 0, [4, 6])],
+        "weights, gamma",
+        [
+            ((1, 1), {"matrices": [np.eye(4).tolist(), MIRROR.tolist()]}),
+            ((1, -1), {"matrices": [np.eye(4).tolist(), MIRROR.tolist()]}),
+            ((2, 3), {"matrices": [np.eye(4).tolist(), MIRROR.tolist()]}),
+            # 6 of its 12 elements carry J to -J; it sampled an RP^2
+            ((1, -1), "binary-dihedral:3"),
+        ],
     )
-    def test_mirror_element_is_skipped(self, weights, roots, isotropies, capsys, monkeypatch):
-        gammas = [np.eye(4).tolist(), MIRROR.tolist()]
-        action = {"weights": list(weights), "gamma": {"matrices": gammas}}
-        spec = IsometricActionSpec(weights=weights, gamma=parse_gamma(action["gamma"]), samples=50)
-        # gamma = I is a kernel element and the mirror marks no orbit, so
-        # neither is scanned
-        assert len(spaces._theta_roots(spec)) == roots
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"action": action, "q": 3})))
-        assert cli.main(["extent", "--samples", "50"]) == 0
-        marked = json.loads(capsys.readouterr().out)["result"]["space"]["marked"]
-        assert [(m["label"], m["isotropy"]) for m in marked] == [
-            ("z2=0", isotropies[0]),
-            ("z1=0", isotropies[1]),
-        ]
-
-    def test_no_svd_over_the_theta_grid(self, monkeypatch):
-        shapes = []
-        svd = np.linalg.svd
-
-        def recording(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(spaces.np.linalg, "svd", recording)
-        spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
-        assert len(spaces._theta_roots(spec)) == 20
-        assert shapes and set(shapes) == {(4, 4)}
-
-    def test_value_scan_is_the_taylor_value(self):
-        coef = np.random.default_rng(7).uniform(-1.0, 1.0, (4, 12, 1))
-        thetas = np.arange(4096) * (2 * pi / 4096)
-        for half in ((1.0, 0.0), (2.5, -0.5), (1.5, 1.5)):
-            value = trig_value(*half, *coef, thetas)
-            assert np.array_equal(value, trig_taylor(*half, *coef, thetas)[0])
-
-    def test_theta_scan_memory_is_bounded(self):
-        # g' and g'' over the whole |Gamma| x 2048 grid took it to 1.27 MB
-        spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
-        spaces._theta_roots(spec)
-        tracemalloc.start()
-        try:
-            roots = spaces._theta_roots(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(roots) == 20
-        assert peak < 800_000
+    def test_anticommuting_group_exits_one(self, command, weights, gamma, capsys, monkeypatch):
+        action = {"weights": list(weights), "gamma": gamma}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"action": action})))
+        assert cli.main([command, "--samples", "50"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "ValueError: gamma element does not commute with the circle action "
+            "(gamma J gamma^T must be J)\n"
+        )
 
 
 class TestGoldenMax:
