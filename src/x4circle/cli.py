@@ -18,6 +18,7 @@ commands never load numpy; every other layer is imported here, once.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -49,6 +50,10 @@ DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 800
 DEFAULT_TOL = 0.02
 DEFAULT_FORMAT = "json"
+# most bytes of the largest distance matrix one `extent` or `check-q`
+# request may allocate (`largest_matrix_bytes`); the whole request peaks
+# at a few times this
+MAX_MATRIX_BYTES = 2**29
 
 
 @dataclass
@@ -84,6 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="tolerance in radians")
         p.add_argument("--format", choices=("json", "text"), default=None)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process, built on first use."""
+    return _build_parser()
 
 
 def _load_input(path: str):
@@ -169,10 +180,34 @@ def _run_classify(payload, opts):
     return normalized, serialize.encode_classification(classify(graph, invariants))
 
 
+def largest_matrix_bytes(command: str, samples: int, group_order: int) -> int:
+    """Bytes of the largest distance matrix `x4 <command>` allocates for N =
+    samples points and a group of group_order elements: the quotient of
+    N + marks points for `extent`, each branched cover over the 2N base,
+    at most 2 (2N + marks) points, for `check-q`.  Marks are at most the
+    two coordinate circles and two eigenlines per group element."""
+    marks = 2 + 2 * group_order
+    points = samples + marks if command == "extent" else 2 * (2 * samples + marks)
+    return 8 * points**2
+
+
+def _decode_sized_action(command: str, payload, opts):
+    """decode_action, refusing a request whose largest distance matrix would
+    pass MAX_MATRIX_BYTES before anything is sampled."""
+    action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
+    need = largest_matrix_bytes(command, spec.samples, len(spec.gamma))
+    if need > MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"{command} at {spec.samples} samples needs a distance matrix of about "
+            f"{need} bytes, over the limit of {MAX_MATRIX_BYTES}"
+        )
+    return action, spec
+
+
 def _run_extent(payload, opts):
     from .extent_lab import SMALL_BOUND, extent, is_small, sample_quotient
 
-    action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
+    action, spec = _decode_sized_action("extent", payload, opts)
     q = int(payload.get("q", 3))
     normalized = {"action": action, "q": q}
     method = payload.get("method")
@@ -198,7 +233,7 @@ def _run_extent(payload, opts):
 def _run_check_q(payload, opts):
     from .extent_lab import check_condition_qprime
 
-    action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
+    action, spec = _decode_sized_action("check-q", payload, opts)
     report = check_condition_qprime(spec, tol=opts.tol)
     return {"action": action}, serialize.encode_qprime_report(report)
 
@@ -236,7 +271,7 @@ def _is_integer(value) -> bool:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     try:
         raw = _load_input(args.input)

@@ -29,11 +29,10 @@ from math import cos, gcd, pi, sin
 
 import numpy as np
 
-from .engine import GRID_PER_WEIGHT
+from .engine import GRID_PER_WEIGHT, GROUP_TOL
 
 
 ORTHOGONALITY_TOL = 1e-12
-GROUP_TOL = 1e-9
 # most elements of a group: the closure check of validate_gamma takes
 # |Gamma| Gram products of 16 |Gamma|^2 flops each, about 0.8 s and 2.4 MB
 # at this bound on a 2-vCPU VM (one BLAS thread)

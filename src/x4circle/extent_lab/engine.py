@@ -9,14 +9,33 @@ with A = conj(u1) v1, B = conj(u2) v2 built from the complex coordinates of x
 and gamma y.
 
 For unit weights (p, q in {1, -1}) the circle acts by one complex scalar,
-up to conjugating a coordinate, so f(theta) = Re(S e^{i theta}) with
+up to conjugating z2 when p = -q (the frame c = diag(1, 1, 1, -1) there,
+c = I otherwise), and S^3/S^1 is the round sphere S^2(1/2).  The Hopf map
+h(z) = (|z1|^2 - |z2|^2, 2 Re z1 conj(z2), 2 Im z1 conj(z2)) of c x sends
+each orbit to a unit 3-vector, and every gamma, which normalizes the
+circle, acts on those vectors by the orthogonal map gbar with
+gbar_kl = tr(gamma^T H_k gamma H_l) / 4, where x^T H_k x is the k-th
+coordinate of h.  Elements with the same gbar (the kernel cosets, such as
+-I = R(pi) beside I) give the same distances, so the rotations are kept
+once each, within GROUP_TOL: the binary dihedral group D3* of order 12
+has 6.  The distance is
+
+    d([x], [y]) = 1/2 arccos(max over gbar of h(x) . gbar h(y)),
+
+one (rows x 3) @ (3 x columns) BLAS product per gbar and row chunk.
+BLAS evaluates each entry of such a product in one order, whatever the
+block shape or thread split, so an entry does not depend on the rows and
+columns around it; a product with one row or one column takes a
+matrix-vector path whose last bits differ, so none is formed.  h and
+gbar h(y) are computed entry by entry for the same reason.  Within
+NEAR_END of a cosine of +-1, where arccos loses digits, the distance is
+the half-angle atan2(|u - w|, |u + w|) between u = h(x) and w = gbar h(y),
+least over gbar, whose error does not grow as the distance nears 0.
+`align` also returns the winning gamma* over all of Gamma on S^3: with
 S = A' + B', where A' is A for p = 1 and conj(A) for p = -1 (B' likewise
-from B and q).  The maximum is |S| at theta = -arg S: the Fubini-Study
-distance on S^3/S^1 = S^2(1/2), computed in closed form.  A distance
-matrix takes only the largest |S| over Gamma of each pair; `align`
-stacks the S of every gamma and also returns the winning gamma*, the
-first argmax of |S|, with theta*.  The two paths share the expression of
-S and agree bit for bit.
+from B and q), f(theta) = Re(S e^{i theta}) peaks at |S| at
+theta* = -arg S, and gamma* is the first argmax of |S|.  Its distances
+are the matrix entries, bit for bit.
 
 For every other pair of weights the maximum is located on a
 64 * max(|p|, |q|) point grid of step h and then polished by Newton steps.
@@ -46,11 +65,12 @@ A = B = 0, makes f constant; it is answered from its grid value without
 refinement, at the theta of the last grid cell, where the polish of a
 constant f stops (f' = 0 at the start).
 
-The solvers take a flat list of pairs, each a row point against a column
-point.  The alignment is not bit-symmetric in (x, y), so a distance matrix
-aligns each pair (i, j), i < j, that it needs exactly once with the lower
-index i as the row, and mirrors it; `align` pairs its one point with every
-column.
+The grid solver takes a flat list of pairs, each a row point against a
+column point.  Neither path is bit-symmetric in (x, y), so a distance
+matrix takes each pair (i, j), i < j, with the lower index i as the row,
+and mirrors it; the grid path aligns only the pairs it needs, and the
+sphere path copies a known block over its products.  `align` pairs its
+one point with every column.
 
 All reductions are elementwise max/min or argmax over Gamma, so results
 are bit-identical no matter how BLAS threads split the work.
@@ -68,6 +88,35 @@ CANDIDATE_MARGIN = 5e-3
 NEWTON_ITERS = 48  # cap: bisection alone reaches 1e-13 in about 40 steps
 NEWTON_TOL = 1e-13  # radians
 ROW_CHUNK = 64  # distance-matrix rows aligned per batch
+# entrywise tolerance within which two elements are one: group validation
+# and the rotations gbar read it
+GROUP_TOL = 1e-9
+# sphere-path cosines within this of +-1 are re-read from chords; arccos
+# is off by about 1e-16 / sqrt(2 NEAR_END) < 1e-14 elsewhere
+NEAR_END = 1e-4
+
+
+def _hopf_forms(p: int, q: int) -> np.ndarray:
+    """The symmetric H_k, shape (3, 4, 4), with x^T H_k x the k-th
+    coordinate of the Hopf map of c x (module docstring)."""
+    s = -1.0 if p == -q else 1.0
+    forms = np.zeros((3, 4, 4))
+    forms[0] = np.diag([1.0, 1.0, -1.0, -1.0])
+    forms[1, 0, 2] = forms[1, 2, 0] = 1.0
+    forms[1, 1, 3] = forms[1, 3, 1] = s
+    forms[2, 1, 2] = forms[2, 2, 1] = 1.0
+    forms[2, 0, 3] = forms[2, 3, 0] = -s
+    return forms
+
+
+def _first_of_each(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that no earlier row matches within GROUP_TOL, entry
+    by entry; rows are compared ROW_CHUNK at a time against all of them."""
+    close = np.concatenate([
+        np.max(np.abs(rows[r0 : r0 + ROW_CHUNK, None] - rows), axis=2) <= GROUP_TOL
+        for r0 in range(0, len(rows), ROW_CHUNK)
+    ])
+    return ~np.tril(close, -1).any(axis=1)
 
 
 class DistanceEngine:
@@ -88,6 +137,13 @@ class DistanceEngine:
             trig[:, np.arange(t0 - 1, t0 + 65) % self.grid_size].T
             for t0 in range(0, self.grid_size, 64)
         ]
+        if self.max_weight == 1:
+            forms = _hopf_forms(self.p, self.q)
+            # gamma^T H_k gamma, then its trace against each H_l / 4
+            conjugated = np.swapaxes(self.gammas, 1, 2)[:, None] @ forms @ self.gammas[:, None]
+            flat = conjugated.reshape(-1, 3, 16) @ forms.reshape(3, 16).T / 4
+            # gbar of each distinct image, in the order of Gamma: (|Gamma bar|, 3, 3)
+            self.rotations = flat[_first_of_each(flat.reshape(-1, 9))]
 
     # -- helpers ---------------------------------------------------------
 
@@ -95,6 +151,62 @@ class DistanceEngine:
     def _complex_parts(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = np.asarray(points, dtype=float)
         return pts[..., 0] + 1j * pts[..., 1], pts[..., 2] + 1j * pts[..., 3]
+
+    def _hopf(self, points: np.ndarray) -> np.ndarray:
+        """h(c x) of every point, shape (n, 3), entry by entry."""
+        x0, x1, x2, x3 = np.asarray(points, dtype=float).T
+        if self.p == -self.q:
+            x3 = -x3
+        return np.stack(
+            [x0 * x0 + x1 * x1 - (x2 * x2 + x3 * x3), 2 * (x0 * x2 + x1 * x3),
+             2 * (x1 * x2 - x0 * x3)],
+            axis=1,
+        )
+
+    def _rotated(self, hopf: np.ndarray) -> np.ndarray:
+        """gbar h of every row of hopf, for every rotation: (|Gamma bar|, 3, n),
+        entry by entry in one order, so a column does not depend on the
+        others."""
+        h = hopf.T
+        out = self.rotations[:, :, 0, None] * h[0]
+        out += self.rotations[:, :, 1, None] * h[1]
+        out += self.rotations[:, :, 2, None] * h[2]
+        return out
+
+    @staticmethod
+    def _sphere_cosines(rows: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """The largest h(x) . gbar h(y) over the rotations, for every row x of
+        rows, (r, 3), against every column of moved, (|Gamma bar|, 3, m):
+        one BLAS product per rotation.  r and m must be at least 2 (module
+        docstring)."""
+        best = rows @ moved[0]
+        for image in moved[1:]:
+            np.maximum(best, rows @ image, out=best)
+        return best
+
+    @staticmethod
+    def _half_angles(best: np.ndarray, rows: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """The distances 1/2 arccos(best) of `_sphere_cosines`' entries.
+
+        arccos loses digits near +-1 (a rounding of the cosine moves the
+        angle by about 1e-16 / sin), so an entry within NEAR_END of +-1 is
+        the half-angle atan2(|u - w|, |u + w|) of u = h(x) to w = gbar h(y),
+        least over the rotations.  The near entries are found row by row.
+        """
+        dist = np.clip(best, -1.0, 1.0)
+        np.arccos(dist, out=dist)
+        dist *= 0.5
+        near = np.abs(best) > 1.0 - NEAR_END
+        i = np.flatnonzero(near.any(axis=1))
+        if len(i):
+            k, j = np.nonzero(near[i])
+            u, w = rows[i[k]].T, moved[:, :, j]
+            minus, plus = u - w, u + w
+            dist[i[k], j] = np.arctan2(
+                np.sqrt(minus[:, 0] ** 2 + minus[:, 1] ** 2 + minus[:, 2] ** 2),
+                np.sqrt(plus[:, 0] ** 2 + plus[:, 1] ** 2 + plus[:, 2] ** 2),
+            ).min(axis=0)
+        return dist
 
     def _transformed_parts(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # V[g, j] = complex coordinates of gamma_g applied to point j
@@ -148,26 +260,12 @@ class DistanceEngine:
                 break
         return value, arg
 
-    def _best_values(self, a1, a2, v1, v2, cols):
-        """The maximal <x, R(theta) gamma y> of each pair in a flat list.
-
-        Pair k is the row whose complex coordinates, conjugated, are
-        a1[k], a2[k], against column cols[k]; v1, v2 hold the complex
-        coordinates of gamma_g applied to every column, shape
-        (|Gamma|, columns).  For unit weights the value is the largest |S|
-        over Gamma, the one `align` reads at its argmax, bit for bit; for
-        any other weights it is that of `_grid_alignments`.
-        """
-        if self.max_weight > 1:
-            return self._grid_alignments(a1, a2, v1, v2, cols)[0]
-        best = np.full(len(cols), -np.inf)
-        for s in self._unit_sums(a1, a2, v1, v2, cols):
-            np.maximum(best, np.abs(s), out=best)
-        return best
-
     def _gamma_products(self, a1, a2, v1, v2, cols):
-        """(A, B) of f (module docstring) for every pair of `_best_values`'
-        flat list, one gamma at a time."""
+        """(A, B) of f (module docstring) for every pair of a flat list, one
+        gamma at a time: pair k is the row whose complex coordinates,
+        conjugated, are a1[k], a2[k], against column cols[k]; v1, v2 hold
+        the complex coordinates of gamma_g applied to every column, shape
+        (|Gamma|, columns)."""
         for gi in range(len(self.gammas)):
             # np.multiply, not `*`: numpy reuses a large temporary right
             # operand as the output with the factors swapped, which moves
@@ -180,8 +278,8 @@ class DistanceEngine:
             yield (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
 
     def _grid_alignments(self, a1, a2, v1, v2, cols):
-        """Best alignment of every pair of `_best_values`' flat list, for any
-        weights, by one grid scan and Newton polish: the maximal
+        """Best alignment of every pair of `_gamma_products`' flat list, for
+        any weights, by one grid scan and Newton polish: the maximal
         <x, R(theta) gamma y> with the winning gamma index and theta.
 
         The scan (`_grid_candidates`) gives the per-pair grid peak and each
@@ -283,29 +381,48 @@ class DistanceEngine:
 
         known = (index, block) gives the distances among points[index],
         block[a, b] being that of points index[a] and index[b]; they are
-        copied.  Each pair (i, j), i < j, with i or j outside index is
-        aligned once, with its lower index i as the row, and written to
-        (i, j) and (j, i).  The orientation does not depend on what is known,
-        so a block cut from the full matrix of these points gives back that
-        matrix, bit for bit.
+        copied.  Each pair (i, j), i < j, is taken with its lower index i
+        as the row and written to (i, j) and (j, i): the grid path aligns
+        each such pair with i or j outside index once, the sphere path
+        takes row chunks of at least two rows against every later column
+        and copies the known block over them.  The orientation does not
+        depend on what is known, so a block cut from the full matrix of
+        these points gives back that matrix, bit for bit.
         """
         pts = np.asarray(points, dtype=float)
         n = len(pts)
-        # conjugated once here, so each chunk gathers its rows in one copy
-        a1, a2 = (u.conj() for u in self._complex_parts(pts))
-        v1, v2 = self._transformed_parts(pts)
         out = np.zeros((n, n))
-        need = np.ones(n, dtype=bool)
+        if self.max_weight == 1:
+            hopf = self._hopf(pts)
+            moved = self._rotated(hopf)
+            # r0 <= n - 2: the last row has no later column, and every
+            # chunk has two rows and two columns at least
+            for r0 in range(0, n - 1, ROW_CHUNK):
+                r1 = min(r0 + ROW_CHUNK, n)
+                best = self._sphere_cosines(hopf[r0:r1], moved[:, :, r0:])
+                # each row's own entry, pinned to 0 below, is no near pair
+                np.fill_diagonal(best, 0.0)
+                block = self._half_angles(best, hopf[r0:r1], moved[:, :, r0:])
+                out[r0:r1, r1:] = block[:, r1 - r0 :]
+                out[r1:, r0:r1] = block[:, r1 - r0 :].T
+                # the chunk's own square: its upper triangle, mirrored
+                upper = np.triu(block[:, : r1 - r0], 1)
+                out[r0:r1, r0:r1] = upper + upper.T
+        else:
+            # conjugated once here, so each chunk gathers its rows in one copy
+            a1, a2 = (u.conj() for u in self._complex_parts(pts))
+            v1, v2 = self._transformed_parts(pts)
+            need = np.ones(n, dtype=bool)
+            if known is not None:
+                need[known[0]] = False
+            for r0 in range(0, n, ROW_CHUNK):
+                rows, cols = np.nonzero(np.triu(need[r0 : r0 + ROW_CHUNK, None] | need, r0 + 1))
+                rows += r0
+                best = self._grid_alignments(a1[rows], a2[rows], v1, v2, cols)[0]
+                out[rows, cols] = out[cols, rows] = np.arccos(np.clip(best, -1.0, 1.0))
         if known is not None:
             index, block = known
             out[np.ix_(index, index)] = block
-            need[index] = False
-
-        for r0 in range(0, n, ROW_CHUNK):
-            rows, cols = np.nonzero(np.triu(need[r0 : r0 + ROW_CHUNK, None] | need, r0 + 1))
-            rows += r0
-            best = self._best_values(a1[rows], a2[rows], v1, v2, cols)
-            out[rows, cols] = out[cols, rows] = np.arccos(np.clip(best, -1.0, 1.0))
         return out
 
     # -- alignment ----------------------------------------------------------
@@ -315,8 +432,10 @@ class DistanceEngine:
         representatives R(theta*) gamma* y realizing them on S^3.
 
         For unit weights gamma* is the argmax of |S| over Gamma, the first
-        of exact ties, and theta* = -arg S; other weights take the winners
-        of `_grid_alignments`.
+        of exact ties, and theta* = -arg S, while the distances are those of
+        `distance_matrix`, bit for bit: x's row is taken twice, and so is a
+        lone ys, since a one-row or one-column product would round
+        differently.  Other weights take the winners of `_grid_alignments`.
         """
         ys = np.asarray(ys, dtype=float)
         u1, u2 = self._complex_parts(np.asarray(x, dtype=float)[None, :])
@@ -326,11 +445,15 @@ class DistanceEngine:
         if self.max_weight == 1:
             sums = np.stack(list(self._unit_sums(*rows, v1, v2, cols)))
             gamma_idx = np.abs(sums).argmax(axis=0)
-            s = sums[gamma_idx, cols]
-            best, theta = np.abs(s), np.mod(-np.angle(s), 2.0 * pi)
+            theta = np.mod(-np.angle(sums[gamma_idx, cols]), 2.0 * pi)
+            twice = self._hopf(np.repeat(np.asarray(x, dtype=float)[None, :], 2, axis=0))
+            moved = self._rotated(self._hopf(ys if len(ys) > 1 else np.repeat(ys, 2, axis=0)))
+            dist = self._half_angles(self._sphere_cosines(twice, moved), twice, moved)
+            dist = dist[0, : len(ys)]
         else:
             best, gamma_idx, theta = self._grid_alignments(*rows, v1, v2, cols)
+            dist = np.arccos(np.clip(best, -1.0, 1.0))
         z1 = v1[gamma_idx, cols] * np.exp(1j * self.p * theta)
         z2 = v2[gamma_idx, cols] * np.exp(1j * self.q * theta)
         aligned = np.column_stack([z1.real, z1.imag, z2.real, z2.imag])
-        return np.arccos(np.clip(best, -1.0, 1.0)), aligned
+        return dist, aligned

@@ -18,7 +18,10 @@ them gathered by 2-D fancy indexing rather than from chunked draws read
 through the flattened matrix, the full triangle scan takes every ordered
 triple rather than each triangle inequality once, the scan of a space
 without a sheet swap reads d one row pair at a time in its own order
-rather than one pass per row of a copy in orbit order, general-weight alignments come from
+rather than one pass per row of a copy in orbit order, unit-weight distances come from the Hopf map in np.longdouble, each
+rotation of S^2 read off the images of three probe points and each angle
+an atan2 of cross and dot products, rather than from the quadratic-form
+traces, BLAS cosine products and arccos, general-weight alignments come from
 a 256-per-weight grid with golden-section polish of every grid-local
 maximum, evaluated in complex exponentials, rather than from a coarse grid,
 a candidate margin and Newton steps, unit-weight distance matrices keep
@@ -377,6 +380,48 @@ def winner_path_distance_matrix(weights, gammas, points) -> np.ndarray:
             win_val[wins] = value[wins]
         out[rows, cols] = out[cols, rows] = np.arccos(np.clip(win_val, -1.0, 1.0))
     return out
+
+
+def _hopf_long(weights, points) -> np.ndarray:
+    """The Hopf map (|z1|^2 - |z2|^2, 2 Re z1 conj(z2), 2 Im z1 conj(z2)) of
+    each point in np.longdouble, from its complex coordinates, with z2
+    conjugated when the weights have opposite signs: shape (n, 3)."""
+    x = np.asarray(points, dtype=np.longdouble)
+    z1 = x[:, 0] + 1j * x[:, 1]
+    z2 = x[:, 2] + 1j * x[:, 3]
+    if weights[0] == -weights[1]:
+        z2 = z2.conj()
+    cross = 2 * z1 * z2.conj()
+    return np.stack([(z1 * z1.conj()).real - (z2 * z2.conj()).real, cross.real, cross.imag], axis=1)
+
+
+def hopf_rotations(weights, gammas) -> np.ndarray:
+    """The distinct maps gbar with h(gamma y) = gbar h(y), in np.longdouble
+    and in the order of gammas: column k of gbar is h(gamma s_k) for a
+    point s_k with h(s_k) = e_k, and images within GROUP_TOL are one."""
+    sign = -1.0 if weights[0] == -weights[1] else 1.0
+    # z = (1, 0), (1, 1)/sqrt 2 and (1, -i)/sqrt 2, z2 conjugated for sign -1
+    probes = np.array([[1.0, 0, 0, 0], [1.0, 0, 1.0, 0], [1.0, 0, 0, -sign]])
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    kept: list[np.ndarray] = []
+    for gamma in np.asarray(gammas, dtype=np.longdouble):
+        image = _hopf_long(weights, probes.astype(np.longdouble) @ gamma.T).T
+        if all(np.max(np.abs(image - other)) > GROUP_TOL for other in kept):
+            kept.append(image)
+    return np.array(kept)
+
+
+def hopf_distance_matrix(weights, gammas, points) -> np.ndarray:
+    """Unit-weight quotient distances as 1/2 the least angle between h(x)
+    and gbar h(y) over `hopf_rotations`, each angle
+    atan2(|u x v|, u . v) in np.longdouble: shape (n, n)."""
+    u = _hopf_long(weights, points)
+    best = np.full((len(u), len(u)), np.inf, dtype=np.longdouble)
+    for rotation in hopf_rotations(weights, gammas):
+        v = u @ rotation.T
+        sine = np.linalg.norm(np.cross(u[:, None, :], v[None, :, :]), axis=2)
+        np.minimum(best, np.arctan2(sine, u @ v.T), out=best)
+    return best / 2
 
 
 class MaskScanEngine(DistanceEngine):

@@ -151,6 +151,79 @@ class TestExitCodes:
             cli.main(["canon", "--bogus"])
         assert exc.value.code == 1
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        # a usage error after a successful call exits 1 with the stderr of
+        # a fresh parser, and --help still prints
+        build = cli._build_parser
+        builds = []
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(None) or build())
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["canon", "--bogus"])
+        fresh = capsys.readouterr().err
+        assert exc.value.code == 1 and "unrecognized arguments: --bogus" in fresh
+        code, out, _ = run_cli(capsys, monkeypatch, ["canon"], {"invariants": ["0", "1/2"]})
+        assert code == 0 and out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["canon", "--bogus"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == fresh
+        for argv, text in (["--help"], "usage: x4"), (["extent", "--help"], "--samples"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert text in capsys.readouterr().out
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("in_action", [False, True])
+    @pytest.mark.parametrize("command", ["extent", "check-q"])
+    def test_samples_over_the_matrix_budget_exit_one_unsampled(
+        self, capsys, monkeypatch, command, in_action
+    ):
+        from x4circle.extent_lab import DistanceEngine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a distance engine was built")
+
+        monkeypatch.setattr(DistanceEngine, "__init__", refuse)
+        # the fewest samples whose estimate passes the budget, for D3*
+        samples = 50
+        while cli.largest_matrix_bytes(command, samples, 12) <= cli.MAX_MATRIX_BYTES:
+            samples += 1
+        action = {"weights": [1, 1], "gamma": "binary-dihedral:3"}
+        argv = [command]
+        if in_action:
+            action["samples"] = samples
+        else:
+            argv += ["--samples", str(samples)]
+        code, out, err = run_cli(capsys, monkeypatch, argv, {"action": action})
+        assert code == 1
+        assert out == ""
+        need = cli.largest_matrix_bytes(command, samples, 12)
+        assert err == (
+            f"ValueError: {command} at {samples} samples needs a distance matrix of about "
+            f"{need} bytes, over the limit of {cli.MAX_MATRIX_BYTES}\n"
+        )
+
+    def test_matrix_estimate_bounds_real_requests(self, monkeypatch):
+        # the matrices of small requests, against the estimate at their size
+        from x4circle.extent_lab import IsometricActionSpec, check_condition_qprime, cover
+        from x4circle.extent_lab import parse_gamma, sample_quotient
+
+        for weights, preset in (([1, 1], "binary-dihedral:3"), ([1, 1], "cyclic:5"), ([2, 3], "trivial")):
+            gamma = parse_gamma(preset)
+            spec = IsometricActionSpec(weights=tuple(weights), gamma=gamma, samples=50)
+            size = sample_quotient(spec).size
+            assert 8 * size**2 <= cli.largest_matrix_bytes("extent", 50, len(gamma))
+        sizes = []
+        check = cover.validate_metric
+        monkeypatch.setattr(cover, "validate_metric", lambda space: sizes.append(space.size) or check(space))
+        d3 = parse_gamma("binary-dihedral:3")
+        check_condition_qprime(IsometricActionSpec(weights=(1, 1), gamma=d3, samples=50))
+        # three pairs of cone points, each covered at 50 and 100 samples
+        assert len(sizes) == 6
+        assert 8 * max(sizes) ** 2 <= cli.largest_matrix_bytes("check-q", 50, 12)
+
     def test_option_bounds(self, capsys, monkeypatch):
         payload = {"invariants": ["0", "1/2"]}
         for argv in (

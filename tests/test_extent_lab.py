@@ -3,11 +3,13 @@
 The free-action quotient of the unit 3-sphere by the diagonal circle is a
 round 2-sphere of radius 1/2, whose distances have the closed form
 arccos |<x, y>| in the complex inner product.  The engine computes unit
-weights in that closed form and every other weight pair by a grid scan
-with Newton polish; the tests check each path against the other, against
-an independent theta scan built from the circle matrices, against a finer
-grid with golden-section polish in tests/oracles.py, and against
-arccos |<x, y>| written out here.  The singular orbits read off the
+weights on that sphere, through the Hopf map and the rotations Gamma
+induces there, and every other weight pair by a grid scan with Newton
+polish; the tests check each path against the other, against an
+independent theta scan built from the circle matrices, against a finer
+grid with golden-section polish and a Hopf-map evaluation in
+np.longdouble in tests/oracles.py, against the S^3 matrices the sphere
+path replaced, and against arccos |<x, y>| written out here.  The singular orbits read off the
 eigenlines of each group element are checked against the
 smallest-singular-value scan in tests/oracles.py, the exact three-point
 extent against the brute force there, and the metric check's chunked
@@ -22,6 +24,9 @@ are checked against the one-element-at-a-time loop there.
 import dataclasses
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
@@ -32,6 +37,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import x4circle
 from x4circle import cli
 from x4circle.extent_lab import (
     DistanceEngine,
@@ -68,6 +74,8 @@ from oracles import (
     full_triangle_slack,
     golden_grid_alignments,
     golden_max,
+    hopf_distance_matrix,
+    hopf_rotations,
     loop_validate_gamma,
     probe_kernel_count,
     row_scan_slack,
@@ -82,17 +90,17 @@ from oracles import (
 
 
 def count_alignments(monkeypatch):
-    """Patch the engine to record the number of pairs each `_best_values`
-    call, the pair-list entry of `distance_matrix`, aligns; returns the list
-    it appends to."""
+    """Patch the engine to record the number of pairs each `_grid_alignments`
+    call, the pair-list entry of a general-weight `distance_matrix`, aligns;
+    returns the list it appends to."""
     aligned = []
-    original = DistanceEngine._best_values
+    original = DistanceEngine._grid_alignments
 
     def counting(self, a1, a2, v1, v2, cols):
         aligned.append(len(cols))
         return original(self, a1, a2, v1, v2, cols)
 
-    monkeypatch.setattr(DistanceEngine, "_best_values", counting)
+    monkeypatch.setattr(DistanceEngine, "_grid_alignments", counting)
     return aligned
 
 
@@ -704,7 +712,7 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "weights, gamma, samples",
-        [((1, 1), gamma_binary_dihedral(3), 200), ((2, 3), gamma_trivial(), 100)],
+        [((1, 2), gamma_cyclic(3), 200), ((2, 3), gamma_trivial(), 100)],
     )
     def test_distance_matrix_aligns_each_pair_once(self, monkeypatch, weights, gamma, samples):
         spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=samples, seed=0)
@@ -884,10 +892,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
     def test_matches_grid_solver(self, weights, group):
         engine, pts, parts = engine_inputs(weights, UNIT_GROUPS[group], seed=21)
-        closed = engine._best_values(*parts)
         grid, _, _ = engine._grid_alignments(*parts)
         others = ~np.eye(len(pts), dtype=bool).reshape(-1)
-        gap = np.arccos(np.clip(closed, -1, 1)) - np.arccos(np.clip(grid, -1, 1))
+        gap = engine.distance_matrix(pts).reshape(-1) - np.arccos(np.clip(grid, -1, 1))
         assert np.max(np.abs(gap[others])) <= 1e-12
 
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
@@ -956,19 +963,28 @@ def unit_spec(weights, group, samples):
     )
 
 
+# distance matrices agree with the S^3 engine they replace to this, off
+# the diagonal (both diagonals are 0)
+S3_GATE = 1e-12
+
+
+def assert_within_s3_gate(dist, oracle):
+    assert dist.shape == oracle.shape
+    assert np.max(np.abs(dist - oracle)) <= S3_GATE
+
+
 class TestValuePath:
-    # a matrix takes only the largest |S| over Gamma; the old builder kept
-    # the winner of each pair by masked writes, and every entry is the same
+    # unit-weight matrices come from the rotations gbar on S^2; the S^3
+    # builder they replace took the largest |S| over Gamma, keeping each
+    # pair's winner by masked writes
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
     def test_fresh_matrix_is_the_winner_paths(self, weights, group):
-        # 400 points: six full row chunks and a partial one, each chunk
-        # large enough for numpy to reuse temporaries (see `_gamma_products`)
+        # 400 points: six full row chunks and a partial one
         pts = np.random.default_rng(32).standard_normal((400, 4))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         dist = DistanceEngine(weights, UNIT_GROUPS[group]).distance_matrix(pts)
-        oracle = winner_path_distance_matrix(weights, UNIT_GROUPS[group], pts)
-        assert np.array_equal(dist, oracle)
+        assert_within_s3_gate(dist, winner_path_distance_matrix(weights, UNIT_GROUPS[group], pts))
 
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
@@ -977,7 +993,7 @@ class TestValuePath:
         low = sample_quotient(unit_spec(weights, group, 80))
         for space in (low, regenerate(low, 150), regenerate(low, 50)):
             oracle = winner_path_distance_matrix(weights, low.spec.gamma, space.points)
-            assert np.array_equal(space.dist, oracle)
+            assert_within_s3_gate(space.dist, oracle)
 
     @pytest.mark.parametrize("group", sorted(UNIT_GROUPS))
     @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
@@ -988,7 +1004,101 @@ class TestValuePath:
         dist = DistanceEngine(weights, gammas).distance_matrix(
             sp.points, known=(index, sp.dist[np.ix_(index, index)])
         )
-        assert np.array_equal(dist, winner_path_distance_matrix(weights, gammas, sp.points))
+        assert_within_s3_gate(dist, winner_path_distance_matrix(weights, gammas, sp.points))
+
+
+HOPF_PRESETS = ["trivial", "cyclic:4", "binary-dihedral:3", "binary-dihedral:5"]
+
+
+def hopf_preset(weights, preset):
+    """A preset as a group that commutes with the circle at unit weights."""
+    gammas = parse_gamma(preset)
+    return commuting(weights, gammas) if preset.startswith("binary-dihedral") else gammas
+
+
+def near_pair_points(weights, gammas, seed):
+    """150 random unit 4-vectors, then one point on the orbit of each of the
+    first 40 under Gamma and the circle: for k < 30 the orbit of a point
+    1e-4 away, so the pair (k, 150 + k) lies within 1e-4 in the quotient,
+    and for k >= 30 the orbit itself, at distance 0."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((150, 4))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    near = []
+    for k in range(40):
+        x = pts[k]
+        if k < 30:
+            nudge = rng.standard_normal(4)
+            x = x + 1e-4 * nudge / np.linalg.norm(nudge)
+            x /= np.linalg.norm(x)
+        move = circle_matrix(*weights, rng.uniform(0.0, 2.0 * pi)) @ gammas[rng.integers(len(gammas))]
+        near.append(move @ x)
+    return np.vstack([pts, near])
+
+
+class TestHopfQuotient:
+    # unit-weight matrices against the Hopf-map oracle in np.longdouble
+
+    @pytest.mark.parametrize("preset", HOPF_PRESETS)
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_one_rotation_per_kernel_coset(self, weights, preset):
+        gammas = hopf_preset(weights, preset)
+        spec = IsometricActionSpec(weights=weights, gamma=gammas, samples=50)
+        order = len(gammas) // probe_kernel_count(spec)
+        assert len(DistanceEngine(weights, gammas).rotations) == order
+        assert len(hopf_rotations(weights, gammas)) == order
+
+    def test_binary_dihedral_three_has_six_rotations(self):
+        # -I = R(pi) pairs the 12 elements of D3*
+        assert len(DistanceEngine((1, 1), gamma_binary_dihedral(3)).rotations) == 6
+
+    @pytest.mark.parametrize("preset", HOPF_PRESETS)
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_matches_longdouble_oracle(self, weights, preset):
+        gammas = hopf_preset(weights, preset)
+        pts = near_pair_points(weights, gammas, seed=41)
+        oracle = hopf_distance_matrix(weights, gammas, pts)
+        k = np.arange(40)
+        assert np.all(oracle[k, 150 + k] <= 1e-4)
+        dist = DistanceEngine(weights, gammas).distance_matrix(pts)
+        others = ~np.eye(len(pts), dtype=bool)
+        assert np.max(np.abs(dist - oracle.astype(float))[others]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [ROW_CHUNK + 1, ROW_CHUNK + 2, 2 * ROW_CHUNK + 1])
+    def test_chunk_tails_are_the_full_chunks(self, n):
+        # the n points inside a larger matrix, where each of their rows is
+        # in a full chunk: a product of one row would round differently
+        pts = np.random.default_rng(42).standard_normal((n + ROW_CHUNK - 1, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        engine = DistanceEngine((1, 1), gamma_binary_dihedral(3))
+        dist = engine.distance_matrix(pts[:n])
+        assert np.array_equal(dist, engine.distance_matrix(pts)[:n, :n])
+        for i in (n - 3, n - 2):
+            row, _ = engine.align(pts[i], pts[:n])
+            assert np.array_equal(row[i + 1 :], dist[i, i + 1 :])
+        # a lone column too
+        row, _ = engine.align(pts[n - 2], pts[n - 1 : n])
+        assert np.array_equal(row, dist[n - 2, n - 1 :])
+
+    def test_one_and_two_blas_threads_agree(self, tmp_path):
+        # the 203-point Hopf/D3* matrix of extent at 200 samples
+        src = pathlib.Path(x4circle.__file__).resolve().parents[1]
+        script = (
+            "import sys, numpy as np\n"
+            "from x4circle.extent_lab import IsometricActionSpec, gamma_binary_dihedral, sample_quotient\n"
+            "spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=200)\n"
+            "np.save(sys.argv[1], sample_quotient(spec).dist)\n"
+        )
+        matrices = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            out = tmp_path / f"threads{threads}.npy"
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                           timeout=120)
+            matrices.append(np.load(out))
+        assert matrices[0].shape == (203, 203)
+        assert np.array_equal(matrices[0], matrices[1])
 
 
 def lens_group(m, k):
