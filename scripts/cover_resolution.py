@@ -36,24 +36,34 @@ def branch_pair(space, labels=("singular:0", "singular:1")):
     return marks[labels[0]], marks[labels[1]]
 
 
+def ladder(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ladder", default="150,300,600")
+    parser.add_argument("--ladder", type=ladder, default="150,300,600")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--m", type=int, default=3, help="binary dihedral order parameter")
     parser.add_argument("--tol", type=float, default=0.05)
     parser.add_argument("--export", type=pathlib.Path, default=None)
     args = parser.parse_args()
 
-    ladder = [int(tok) for tok in args.ladder.split(",")]
-    gamma = gamma_binary_dihedral(args.m)
+    try:
+        gamma = gamma_binary_dihedral(args.m)
+        specs = [
+            IsometricActionSpec(weights=(1, 1), gamma=gamma, samples=n, seed=args.seed)
+            for n in args.ladder
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     header = f"{'N':>6} {'diam':>9} {'xt3':>9} {'drift':>9} {'cert':>6}"
     print(header)
     print("-" * len(header))
     failures = 0
-    for n in ladder:
-        spec = IsometricActionSpec(weights=(1, 1), gamma=gamma, samples=n, seed=args.seed)
+    for spec in specs:
+        n = spec.samples
         base = sample_quotient(spec)
         try:
             cover, cert = double_branched_cover(base, branch_pair(base), tol=args.tol)

@@ -41,16 +41,22 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    try:
+        specs = [
+            IsometricActionSpec(
+                weights=weights, samples=args.samples, seed=args.seed,
+                **({} if gamma is None else {"gamma": gamma}),
+            )
+            for _, weights, gamma in SURVEY
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
+
     header = f"{'action':<16} {'cones':>5} {'xt3':>9} {'diam':>9} {'margin':>9}"
     print(header)
     print("-" * len(header))
-    for name, weights, gamma in SURVEY:
-        kwargs = {} if gamma is None else {"gamma": gamma}
-        space = sample_quotient(
-            IsometricActionSpec(
-                weights=weights, samples=args.samples, seed=args.seed, **kwargs
-            )
-        )
+    for (name, _, _), spec in zip(SURVEY, specs):
+        space = sample_quotient(spec)
         xt3 = extent(space, 3).value
         cones = len(space.finite_isotropy_marks())
         _, margin = is_small(xt3)

@@ -44,12 +44,19 @@ def main() -> int:
     parser.add_argument("--json", action="store_true", help="one report object per line")
     args = parser.parse_args()
 
+    try:
+        specs = [
+            IsometricActionSpec(
+                weights=weights, samples=args.samples, seed=args.seed,
+                **({} if gamma is None else {"gamma": gamma}),
+            )
+            for _, weights, gamma in BATTERY
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
+
     failures = 0
-    for name, weights, gamma in BATTERY:
-        kwargs = {} if gamma is None else {"gamma": gamma}
-        spec = IsometricActionSpec(
-            weights=weights, samples=args.samples, seed=args.seed, **kwargs
-        )
+    for (name, _, _), spec in zip(BATTERY, specs):
         try:
             report = check_condition_qprime(spec, tol=args.tol)
         except ConvergenceError as exc:

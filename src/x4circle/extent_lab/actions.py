@@ -38,8 +38,9 @@ ORTHOGONALITY_TOL = 1e-12
 # at this bound on a 2-vCPU VM (one BLAS thread)
 MAX_GROUP_ORDER = 512
 # most grid cells the distance engine scans per pair of points,
-# |Gamma| GRID_PER_WEIGHT max(|p|, |q|): it admits every preset at unit
-# weights and the trivial group up to max(|p|, |q|) = 4096
+# |Gamma| GRID_PER_WEIGHT max(|p|, |q|), at weights other than (+-1, +-1):
+# unit weights scan no grid, and the trivial group fits up to
+# max(|p|, |q|) = 4096
 MAX_GRID_CELLS = 2**18
 
 
@@ -137,9 +138,12 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     if g == 0:
         raise ValueError("gamma must contain at least the identity")
     eye = np.eye(4)
-    transposed = gammas.transpose(0, 2, 1)
-    not_orthogonal = np.max(np.abs(transposed @ gammas - eye), axis=(1, 2)) > ORTHOGONALITY_TOL
-    wrong_det = np.abs(np.linalg.det(gammas) - 1.0) > GROUP_TOL
+    # an entry clipped to +-2 leaves its column's norm at least 2, so the
+    # same elements fail, and products of huge entries cannot overflow
+    bounded = np.clip(gammas, -2.0, 2.0)
+    square = bounded.transpose(0, 2, 1) @ bounded
+    not_orthogonal = np.max(np.abs(square - eye), axis=(1, 2)) > ORTHOGONALITY_TOL
+    wrong_det = np.abs(np.linalg.det(bounded) - 1.0) > GROUP_TOL
     # the first element that fails either test decides the message, and
     # orthogonality is tested first on each element
     failing = np.flatnonzero(not_orthogonal | wrong_det)
@@ -166,7 +170,7 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
         if not matched.all():
             raise ValueError("gamma is not closed under composition")
     j_gen = circle_generator(p, q)
-    if np.any(np.abs(gammas @ j_gen @ transposed - j_gen) > GROUP_TOL):
+    if np.any(np.abs(gammas @ j_gen @ gammas.transpose(0, 2, 1) - j_gen) > GROUP_TOL):
         raise ValueError(
             "gamma element does not commute with the circle action "
             "(gamma J gamma^T must be J)"

@@ -209,7 +209,7 @@ def _azimuth_field(space: SampledMetricSpace, anchor_idx: int):
         frame[3] = -frame[3]
     e1, e2 = frame[2], frame[3]
 
-    _, aligned = engine.align(center, space.points)
+    aligned = engine.align(center, space.points)
     w = aligned - np.outer(aligned @ center, center)
     w -= np.outer(w @ orbit, orbit)
     psi = np.arctan2(w @ e2, w @ e1) % alpha

@@ -14,8 +14,9 @@ c = I otherwise), and S^3/S^1 is the round sphere S^2(1/2).  The Hopf map
 h(z) = (|z1|^2 - |z2|^2, 2 Re z1 conj(z2), 2 Im z1 conj(z2)) of c x sends
 each orbit to a unit 3-vector, and every gamma, which normalizes the
 circle, acts on those vectors by the orthogonal map gbar with
-gbar_kl = tr(gamma^T H_k gamma H_l) / 4, where x^T H_k x is the k-th
-coordinate of h.  Elements with the same gbar (the kernel cosets, such as
+gbar_kl = tr(gamma^T H_k gamma H_l) / 4, where H_k is the symmetric form,
+read off h by polarization, with x^T H_k x the k-th coordinate of h.
+Elements with the same gbar (the kernel cosets, such as
 -I = R(pi) beside I) give the same distances, so the rotations are kept
 once each, within GROUP_TOL: the binary dihedral group D3* of order 12
 has 6.  The distance is
@@ -31,11 +32,10 @@ gbar h(y) are computed entry by entry for the same reason.  Within
 NEAR_END of a cosine of +-1, where arccos loses digits, the distance is
 the half-angle atan2(|u - w|, |u + w|) between u = h(x) and w = gbar h(y),
 least over gbar, whose error does not grow as the distance nears 0.
-`align` also returns the winning gamma* over all of Gamma on S^3: with
-S = A' + B', where A' is A for p = 1 and conj(A) for p = -1 (B' likewise
-from B and q), f(theta) = Re(S e^{i theta}) peaks at |S| at
-theta* = -arg S, and gamma* is the first argmax of |S|.  Its distances
-are the matrix entries, bit for bit.
+`align` finds the aligned representative R(theta*) gamma* y on S^3, over
+all of Gamma: with S = A' + B', where A' is A for p = 1 and conj(A) for
+p = -1 (B' likewise from B and q), f(theta) = Re(S e^{i theta}) peaks at
+|S| at theta* = -arg S, and gamma* is the first argmax of |S|.
 
 For every other pair of weights the maximum is located on a
 64 * max(|p|, |q|) point grid of step h and then polished by Newton steps.
@@ -96,19 +96,6 @@ GROUP_TOL = 1e-9
 NEAR_END = 1e-4
 
 
-def _hopf_forms(p: int, q: int) -> np.ndarray:
-    """The symmetric H_k, shape (3, 4, 4), with x^T H_k x the k-th
-    coordinate of the Hopf map of c x (module docstring)."""
-    s = -1.0 if p == -q else 1.0
-    forms = np.zeros((3, 4, 4))
-    forms[0] = np.diag([1.0, 1.0, -1.0, -1.0])
-    forms[1, 0, 2] = forms[1, 2, 0] = 1.0
-    forms[1, 1, 3] = forms[1, 3, 1] = s
-    forms[2, 1, 2] = forms[2, 2, 1] = 1.0
-    forms[2, 0, 3] = forms[2, 3, 0] = -s
-    return forms
-
-
 def _first_of_each(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows that no earlier row matches within GROUP_TOL, entry
     by entry; rows are compared ROW_CHUNK at a time against all of them."""
@@ -138,7 +125,13 @@ class DistanceEngine:
             for t0 in range(0, self.grid_size, 64)
         ]
         if self.max_weight == 1:
-            forms = _hopf_forms(self.p, self.q)
+            # the symmetric H_k of h, shape (3, 4, 4), by polarization:
+            # H_k[a, b] = (h_k(e_a + e_b) - h_k(e_a) - h_k(e_b)) / 2, exact
+            # halves of small integers
+            eye = np.eye(4)
+            ones = self._hopf(eye)
+            sums = self._hopf((eye[:, None] + eye).reshape(16, 4)).reshape(4, 4, 3)
+            self.hopf_forms = forms = np.moveaxis(sums - ones[:, None] - ones, 2, 0) / 2
             # gamma^T H_k gamma, then its trace against each H_l / 4
             conjugated = np.swapaxes(self.gammas, 1, 2)[:, None] @ forms @ self.gammas[:, None]
             flat = conjugated.reshape(-1, 3, 16) @ forms.reshape(3, 16).T / 4
@@ -271,11 +264,6 @@ class DistanceEngine:
             # operand as the output with the factors swapped, which moves
             # the last bit of the fused complex product
             yield np.multiply(a1, v1[gi].take(cols)), np.multiply(a2, v2[gi].take(cols))
-
-    def _unit_sums(self, a1, a2, v1, v2, cols):
-        """S = A' + B' of each `_gamma_products` pair (unit weights)."""
-        for av, bv in self._gamma_products(a1, a2, v1, v2, cols):
-            yield (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
 
     def _grid_alignments(self, a1, a2, v1, v2, cols):
         """Best alignment of every pair of `_gamma_products`' flat list, for
@@ -427,15 +415,14 @@ class DistanceEngine:
 
     # -- alignment ----------------------------------------------------------
 
-    def align(self, x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distances from x to every row of ys, with the aligned
-        representatives R(theta*) gamma* y realizing them on S^3.
+    def align(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The representatives R(theta*) gamma* y, shape (len(ys), 4), that
+        realize on S^3 the distance from x to every row y of ys; the
+        distances are those of `distance_matrix`.
 
         For unit weights gamma* is the argmax of |S| over Gamma, the first
-        of exact ties, and theta* = -arg S, while the distances are those of
-        `distance_matrix`, bit for bit: x's row is taken twice, and so is a
-        lone ys, since a one-row or one-column product would round
-        differently.  Other weights take the winners of `_grid_alignments`.
+        of exact ties, and theta* = -arg S.  Other weights take the winners
+        of `_grid_alignments`.
         """
         ys = np.asarray(ys, dtype=float)
         u1, u2 = self._complex_parts(np.asarray(x, dtype=float)[None, :])
@@ -443,17 +430,15 @@ class DistanceEngine:
         cols = np.arange(len(ys))
         rows = u1.conj().repeat(len(ys)), u2.conj().repeat(len(ys))
         if self.max_weight == 1:
-            sums = np.stack(list(self._unit_sums(*rows, v1, v2, cols)))
+            # S = A' + B' (module docstring) for every gamma
+            sums = np.stack([
+                (av if self.p == 1 else av.conj()) + (bv if self.q == 1 else bv.conj())
+                for av, bv in self._gamma_products(*rows, v1, v2, cols)
+            ])
             gamma_idx = np.abs(sums).argmax(axis=0)
             theta = np.mod(-np.angle(sums[gamma_idx, cols]), 2.0 * pi)
-            twice = self._hopf(np.repeat(np.asarray(x, dtype=float)[None, :], 2, axis=0))
-            moved = self._rotated(self._hopf(ys if len(ys) > 1 else np.repeat(ys, 2, axis=0)))
-            dist = self._half_angles(self._sphere_cosines(twice, moved), twice, moved)
-            dist = dist[0, : len(ys)]
         else:
-            best, gamma_idx, theta = self._grid_alignments(*rows, v1, v2, cols)
-            dist = np.arccos(np.clip(best, -1.0, 1.0))
+            _, gamma_idx, theta = self._grid_alignments(*rows, v1, v2, cols)
         z1 = v1[gamma_idx, cols] * np.exp(1j * self.p * theta)
         z2 = v2[gamma_idx, cols] * np.exp(1j * self.q * theta)
-        aligned = np.column_stack([z1.real, z1.imag, z2.real, z2.imag])
-        return dist, aligned
+        return np.column_stack([z1.real, z1.imag, z2.real, z2.imag])

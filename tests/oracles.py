@@ -382,7 +382,7 @@ def winner_path_distance_matrix(weights, gammas, points) -> np.ndarray:
     return out
 
 
-def _hopf_long(weights, points) -> np.ndarray:
+def hopf_long(weights, points) -> np.ndarray:
     """The Hopf map (|z1|^2 - |z2|^2, 2 Re z1 conj(z2), 2 Im z1 conj(z2)) of
     each point in np.longdouble, from its complex coordinates, with z2
     conjugated when the weights have opposite signs: shape (n, 3)."""
@@ -405,7 +405,7 @@ def hopf_rotations(weights, gammas) -> np.ndarray:
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     kept: list[np.ndarray] = []
     for gamma in np.asarray(gammas, dtype=np.longdouble):
-        image = _hopf_long(weights, probes.astype(np.longdouble) @ gamma.T).T
+        image = hopf_long(weights, probes.astype(np.longdouble) @ gamma.T).T
         if all(np.max(np.abs(image - other)) > GROUP_TOL for other in kept):
             kept.append(image)
     return np.array(kept)
@@ -415,7 +415,7 @@ def hopf_distance_matrix(weights, gammas, points) -> np.ndarray:
     """Unit-weight quotient distances as 1/2 the least angle between h(x)
     and gbar h(y) over `hopf_rotations`, each angle
     atan2(|u x v|, u . v) in np.longdouble: shape (n, n)."""
-    u = _hopf_long(weights, points)
+    u = hopf_long(weights, points)
     best = np.full((len(u), len(u)), np.inf, dtype=np.longdouble)
     for rotation in hopf_rotations(weights, gammas):
         v = u @ rotation.T

@@ -4,8 +4,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 from math import gcd
 from unittest import mock
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import x4circle
 from x4circle import cli
 
 
@@ -272,6 +275,24 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "finite" in err and "Traceback" not in err
+
+    # products of such entries overflowed in the orthogonality test, and
+    # numpy printed its warning and source line to stderr in a fresh process
+    @pytest.mark.parametrize("huge", [1e308, 1e200])
+    def test_huge_gamma_entry_prints_one_line(self, huge):
+        eye = [[float(i == j) for j in range(4)] for i in range(4)]
+        spoiled = [row[:] for row in eye]
+        spoiled[3][3] = huge
+        payload = {"action": {"weights": [1, 1], "gamma": {"matrices": [eye, spoiled]}}, "q": 3}
+        src = pathlib.Path(x4circle.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        done = subprocess.run(
+            [sys.executable, "-m", "x4circle", "extent", "--samples", "50"],
+            input=json.dumps(payload), capture_output=True, text=True,
+            env={**env, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "ValueError: gamma element is not orthogonal to 1e-12\n"
 
     @pytest.mark.parametrize("preset, order", [
         ("cyclic:1000000000000000", 10**15),

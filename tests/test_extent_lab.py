@@ -75,6 +75,7 @@ from oracles import (
     golden_grid_alignments,
     golden_max,
     hopf_distance_matrix,
+    hopf_long,
     hopf_rotations,
     loop_validate_gamma,
     probe_kernel_count,
@@ -767,18 +768,23 @@ class TestEngine:
             ((1, 3), gamma_trivial()),
             ((1, 1), gamma_binary_dihedral(3)),
             ((1, -1), gamma_cyclic(3)),
+            ((2, 3), gamma_cyclic(5)),
         ):
             spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=50, seed=6)
             engine = DistanceEngine(spec.weights, spec.gamma)
             sp = sample_quotient(spec)
             for i in (0, 3, 11, sp.size - 1):
-                dist, reps = engine.align(sp.points[i], sp.points)
-                # the matrix pins its diagonal to 0; arccos resolves ~1e-8 there
-                others = np.arange(sp.size) != i
-                assert np.max(np.abs(dist - sp.dist[i])[others]) <= 1e-12
-                # every aligned representative realizes its distance on S^3
+                reps = engine.align(sp.points[i], sp.points)
+                assert isinstance(reps, np.ndarray) and reps.shape == (sp.size, 4)
+                # every aligned representative realizes its matrix entry on
+                # S^3; the matrix pins its diagonal to 0, where arccos
+                # resolves ~1e-8
                 chords = np.arccos(np.clip(reps @ sp.points[i], -1.0, 1.0))
-                assert np.max(np.abs(chords - dist)[others]) <= 1e-9
+                others = np.arange(sp.size) != i
+                assert np.max(np.abs(chords - sp.dist[i])[others]) <= 1e-9
+            # a lone ys row
+            (rep,) = engine.align(sp.points[0], sp.points[1:2])
+            assert abs(np.arccos(np.clip(rep @ sp.points[0], -1.0, 1.0)) - sp.dist[0, 1]) <= 1e-9
 
     def test_gamma_average_is_metric_quotient(self):
         # adding gamma elements can only shrink distances
@@ -903,10 +909,11 @@ class TestClosedForm:
         gammas = UNIT_GROUPS[group]
         engine, pts, _ = engine_inputs(weights, gammas, seed=22)
         rows = pts[:6]
-        for x, row_scan in zip(rows, theta_scan(weights, gammas, rows, pts, 1024)):
-            dist, reps = engine.align(x, pts)
+        dist = engine.distance_matrix(pts)
+        for x, row, row_scan in zip(rows, dist, theta_scan(weights, gammas, rows, pts, 1024)):
+            reps = engine.align(x, pts)
             # each representative realizes its distance, on y's orbit
-            assert np.max(np.abs(reps @ x - np.cos(dist))) <= 1e-14
+            assert np.max(np.abs(reps @ x - np.cos(row))) <= 1e-14
             assert np.max(row_scan - reps @ x) <= 1e-15
             assert all(on_orbit(weights, gammas, rep, y) for rep, y in zip(reps, pts))
 
@@ -919,8 +926,8 @@ class TestClosedForm:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         hopf = DistanceEngine((1, 1), gamma_binary_dihedral(3))
         dist = hopf.distance_matrix(pts)
-        row, _ = hopf.align(pts[0], pts)
-        assert np.max(np.abs(row - dist[0])[1:]) <= 1e-12
+        chords = np.arccos(np.clip(hopf.align(pts[0], pts) @ pts[0], -1.0, 1.0))
+        assert np.max(np.abs(chords - dist[0])[1:]) <= 1e-12
         # the patch is live: general weights still refine
         with pytest.raises(AssertionError, match="grid solver"):
             DistanceEngine((2, 3), gamma_trivial()).distance_matrix(pts)
@@ -934,20 +941,7 @@ class TestClosedForm:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         alone = DistanceEngine(weights, gamma_trivial()).align(pts[0], pts)
         tied = DistanceEngine(weights, np.stack([np.eye(4), -np.eye(4)])).align(pts[0], pts)
-        assert all(np.array_equal(a, b) for a, b in zip(alone, tied))
-
-    def test_align_distances_are_the_matrix_entries(self):
-        # align keeps the winners that a matrix drops; its distances from a
-        # row i to the later points are the matrix row, bit for bit
-        pts = np.random.default_rng(24).standard_normal((90, 4))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        for weights in UNIT_WEIGHTS:
-            for gammas in UNIT_GROUPS.values():
-                engine = DistanceEngine(weights, gammas)
-                dist = engine.distance_matrix(pts)
-                for i in range(len(pts) - 1):
-                    row, _ = engine.align(pts[i], pts)
-                    assert np.array_equal(row[i + 1 :], dist[i, i + 1 :])
+        assert np.array_equal(alone, tied)
 
 
 def unit_group(weights, group):
@@ -1048,6 +1042,15 @@ class TestHopfQuotient:
         assert len(DistanceEngine(weights, gammas).rotations) == order
         assert len(hopf_rotations(weights, gammas)) == order
 
+    @pytest.mark.parametrize("weights", UNIT_WEIGHTS)
+    def test_polarized_forms_are_the_hopf_map(self, weights):
+        # x^T H_k x = h_k(c x), against the map from complex coordinates
+        x = np.random.default_rng(43).standard_normal((200, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        forms = DistanceEngine(weights, gamma_trivial()).hopf_forms
+        quadratic = np.einsum("na,kab,nb->nk", x, forms, x)
+        assert np.max(np.abs(quadratic - hopf_long(weights, x).astype(float))) <= 1e-15
+
     def test_binary_dihedral_three_has_six_rotations(self):
         # -I = R(pi) pairs the 12 elements of D3*
         assert len(DistanceEngine((1, 1), gamma_binary_dihedral(3)).rotations) == 6
@@ -1073,12 +1076,6 @@ class TestHopfQuotient:
         engine = DistanceEngine((1, 1), gamma_binary_dihedral(3))
         dist = engine.distance_matrix(pts[:n])
         assert np.array_equal(dist, engine.distance_matrix(pts)[:n, :n])
-        for i in (n - 3, n - 2):
-            row, _ = engine.align(pts[i], pts[:n])
-            assert np.array_equal(row[i + 1 :], dist[i, i + 1 :])
-        # a lone column too
-        row, _ = engine.align(pts[n - 2], pts[n - 1 : n])
-        assert np.array_equal(row, dist[n - 2, n - 1 :])
 
     def test_one_and_two_blas_threads_agree(self, tmp_path):
         # the 203-point Hopf/D3* matrix of extent at 200 samples
@@ -1275,8 +1272,7 @@ def assert_same_scans(engine, oracle, pts, rows):
     calls, oracle_calls = record_refines(engine), record_refines(oracle)
     assert np.array_equal(engine.distance_matrix(pts), oracle.distance_matrix(pts))
     for i in rows:
-        for got, want in zip(engine.align(pts[i], pts), oracle.align(pts[i], pts)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(engine.align(pts[i], pts), oracle.align(pts[i], pts))
     assert len(calls) == len(oracle_calls) > 0
     assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
 

@@ -104,6 +104,23 @@ def test_qprime_battery_continues_after_failed_certificate(monkeypatch, capsys):
     assert result == 1
 
 
+@pytest.mark.parametrize("name, args, message", [
+    ("cover_resolution", ["--ladder", "40"], "at least 50 sample points are required"),
+    ("cover_resolution", ["--ladder", "60,,120"],
+     "argument --ladder: invalid ladder value: '60,,120'"),
+    ("qprime_battery", ["--samples", "10"], "at least 50 sample points are required"),
+    ("extent_survey", ["--samples", "10"], "at least 50 sample points are required"),
+], ids=["cover_resolution-small", "cover_resolution-empty", "qprime_battery", "extent_survey"])
+def test_bad_size_is_a_usage_error(monkeypatch, capsys, name, args, message):
+    # each of these ended in a ValueError traceback
+    with pytest.raises(SystemExit) as exit_info:
+        run_main(monkeypatch, capsys, name, *args)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and err.endswith(f"error: {message}\n")
+
+
 def test_bench_default(monkeypatch, capsys, tmp_path):
     from x4circle.extent_lab import cover, extents
 
