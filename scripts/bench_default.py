@@ -17,6 +17,13 @@ no measured gain, and runs from different sessions are not comparable
 at all.  The per-layer work counts do not depend on the host, so they
 compare across runs.
 
+Each case is also timed as a one-shot call, `python -m x4circle <command>`
+in a fresh process on the same payload, sample count and seed, from spawn
+to exit and untraced: that is what an `x4` user pays, imports included,
+and it is stored as oneshot_wall_s beside the in-process wall_s.  The
+one-shot calls roughly double the run time of the script, mostly through
+the two `check-q` cases.
+
 The run is stored in BENCH_<pr>.json under --label, beside the runs the
 file already holds, so one file can keep a parent run and a change run,
 recorded one after the other: run the script once with PYTHONPATH
@@ -33,6 +40,7 @@ import json
 import os
 import pathlib
 import statistics
+import subprocess
 import sys
 import time
 
@@ -54,13 +62,17 @@ CALIBRATIONS = 5  # kernel timings before each request
 SAMPLES = 800
 
 
+def _argv(command: str) -> list[str]:
+    return [command, "--samples", str(SAMPLES), "--seed", "0"]
+
+
 def run_case(cli, command: str, payload: dict) -> tuple[object, float]:
     """(exit code, wall seconds) of one request, its report discarded."""
     saved = sys.stdin, sys.stdout
     sys.stdin, sys.stdout = io.StringIO(json.dumps(payload)), io.StringIO()
     t0 = time.perf_counter()
     try:
-        code = cli.main([command, "--samples", str(SAMPLES), "--seed", "0"])
+        code = cli.main(_argv(command))
     except SystemExit as exc:
         code = exc.code
     finally:
@@ -69,12 +81,27 @@ def run_case(cli, command: str, payload: dict) -> tuple[object, float]:
     return code, wall
 
 
+def run_oneshot(cli, command: str, payload: dict) -> tuple[int, float]:
+    """(exit code, wall seconds) of the same request as one `python -m
+    x4circle` process on the package `cli` came from, its report discarded."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "x4circle", *_argv(command)], input=json.dumps(payload),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env, text=True,
+    )
+    return done.returncode, time.perf_counter() - t0
+
+
 def bench() -> dict:
     """One traced request per case, with the host slowdown around them."""
     # load every traced module first: a module first imported while the
     # tracer installs keeps wrappers that uninstalling does not restore
     import jsonschema  # noqa: F401
 
+    import x4circle.classifier  # noqa: F401  (and the algebra layers it imports)
     import x4circle.extent_lab.condition_q  # noqa: F401
     import x4circle.extent_lab.cover  # noqa: F401
     from x4circle import cli
@@ -92,7 +119,11 @@ def bench() -> dict:
         finally:
             tracer.uninstall()
         layers, absent = tracer.summarize(1)
-        requests[name] = {"exit_code": code, "wall_s": wall, "layers": layers, "absent": absent}
+        oneshot_code, oneshot_wall = run_oneshot(cli, command, payload)
+        requests[name] = {
+            "exit_code": code, "wall_s": wall, "layers": layers, "absent": absent,
+            "oneshot_exit_code": oneshot_code, "oneshot_wall_s": oneshot_wall,
+        }
     return {
         "host_slowdown": statistics.fmean(calibrator.samples) / calibrate.REFERENCE_S["lab"],
         "calibrations": len(calibrator.samples),
@@ -114,9 +145,13 @@ def main() -> int:
     data["runs"][args.label] = run = bench()
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for name, outcome in run["requests"].items():
-        print(f"{name:<22} exit {outcome['exit_code']}  {outcome['wall_s']:8.3f} s")
+        print(
+            f"{name:<22} exit {outcome['exit_code']}  {outcome['wall_s']:8.3f} s"
+            f"  one-shot exit {outcome['oneshot_exit_code']}  {outcome['oneshot_wall_s']:8.3f} s"
+        )
     print(f"host slowdown {run['host_slowdown']:.3g}x; wrote {path}")
-    return 0 if all(o["exit_code"] == 0 for o in run["requests"].values()) else 1
+    codes = [o[key] for o in run["requests"].values() for key in ("exit_code", "oneshot_exit_code")]
+    return 0 if not any(codes) else 1
 
 
 if __name__ == "__main__":

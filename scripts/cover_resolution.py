@@ -6,7 +6,10 @@ each rung, and reports how the certified statistics (diameter and
 three-point extent of the cover) drift between consecutive rungs.  The
 drift column is the evidence that the glued metric is converging rather
 than depending on the mesh.  A rung whose drift exceeds 2 * tol prints its
-failed certificate as a FAIL row, and the script then exits 1.
+failed certificate as a FAIL row, and the script then exits 1.  A --tol
+outside (0, 1) and a rung whose largest distance matrix passes the CLI's
+`MAX_MATRIX_BYTES` (the `x4 check-q` estimate) are usage errors (exit 2),
+refused before anything is sampled.
 
 With --export DIR the cover distance matrix at each rung is written in
 the binary matrix format next to a small JSON sidecar with the
@@ -21,6 +24,7 @@ import argparse
 import json
 import pathlib
 
+from x4circle.cli import check_matrix_budget
 from x4circle.extent_lab import (
     ConvergenceError,
     IsometricActionSpec,
@@ -48,6 +52,8 @@ def main() -> int:
     parser.add_argument("--tol", type=float, default=0.05)
     parser.add_argument("--export", type=pathlib.Path, default=None)
     args = parser.parse_args()
+    if not 0 < args.tol < 1:
+        parser.error("tol must lie in (0, 1) radians")
 
     try:
         gamma = gamma_binary_dihedral(args.m)
@@ -55,6 +61,8 @@ def main() -> int:
             IsometricActionSpec(weights=(1, 1), gamma=gamma, samples=n, seed=args.seed)
             for n in args.ladder
         ]
+        for spec in specs:
+            check_matrix_budget("check-q", spec)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -4,7 +4,9 @@ Prints one row per action: the number of cone points, the three-point
 extent, the diameter (which is also the two-point extent), and the margin
 against the pi/3 smallness bound.  The row set covers the weighted
 footballs, a few cyclic refinements, and the binary dihedral quotients
-whose covers the smallness battery exercises.
+whose covers the smallness battery exercises.  A sample count whose
+largest distance matrix passes the CLI's `MAX_MATRIX_BYTES` (the `x4
+extent` estimate) is a usage error, refused before anything is sampled.
 
 Usage:
     python3 scripts/extent_survey.py [--samples 400] [--seed 0]
@@ -13,6 +15,7 @@ Usage:
 import argparse
 from math import pi
 
+from x4circle.cli import check_matrix_budget
 from x4circle.extent_lab import (
     IsometricActionSpec,
     extent,
@@ -49,6 +52,8 @@ def main() -> None:
             )
             for _, weights, gamma in SURVEY
         ]
+        for spec in specs:
+            check_matrix_budget("extent", spec)
     except ValueError as exc:
         parser.error(str(exc))
 

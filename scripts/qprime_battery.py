@@ -8,6 +8,9 @@ line, suitable for jq or for archiving alongside the sampled matrices.
 An action whose cover certificate fails (drift above 2 * tol) gets a FAIL
 line with the drift, or an object with an "error" string under --json, and
 the battery goes on with the next action; any failure makes the exit code 1.
+A --tol outside (0, 1) and a sample count whose largest distance matrix
+passes the CLI's `MAX_MATRIX_BYTES` (the `x4 check-q` estimate) are usage
+errors (exit 2), refused before anything is sampled.
 
 Usage:
     python3 scripts/qprime_battery.py [--samples 220] [--seed 5] [--tol 0.02] [--json]
@@ -17,6 +20,7 @@ import argparse
 import json
 import sys
 
+from x4circle.cli import check_matrix_budget
 from x4circle.extent_lab import (
     ConvergenceError,
     IsometricActionSpec,
@@ -43,6 +47,8 @@ def main() -> int:
     parser.add_argument("--tol", type=float, default=0.02)
     parser.add_argument("--json", action="store_true", help="one report object per line")
     args = parser.parse_args()
+    if not 0 < args.tol < 1:
+        parser.error("tol must lie in (0, 1) radians")
 
     try:
         specs = [
@@ -52,6 +58,8 @@ def main() -> int:
             )
             for _, weights, gamma in BATTERY
         ]
+        for spec in specs:
+            check_matrix_budget("check-q", spec)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -1,61 +1,42 @@
 """Circle actions on positively curved 4-spaces: exact invariant algebra,
-orbit-graph classification, and a sampled-quotient extent laboratory."""
+orbit-graph classification, and a sampled-quotient extent laboratory.
 
-from types import ModuleType as _ModuleType
+The public names load lazily, each from the submodule that defines it:
+importing the package, or `x4circle.cli` for one command, compiles none
+of the algebra layers, and `from x4circle import canonicalize` loads
+`invariants` alone.
+"""
 
-from .invariants import (
-    EquivalenceMove,
-    InvariantTuple,
-    Reversal,
-    Rotation,
-    Translation,
-    apply_move,
-    are_equivalent,
-    canonicalize,
-    cyclic_differences,
-    euler_sum,
-    is_realizable,
-)
-from .seifert import (
-    INFINITE,
-    BoundaryLabel,
-    BoundaryRecognition,
-    GroupPresentation,
-    SeifertPresentation,
-    abelian_order_two_fibers,
-    euler_number,
-    fundamental_group,
-    normalize,
-    recognize_boundary,
-)
-from .wcp import (
-    QuotientDescriptor,
-    WeightTriple,
-    verify_kernel,
-    weights_from_invariants,
-)
-from .classifier import (
-    CIRCLE,
-    ClassificationResult,
-    Edge,
-    FixedPointHomogeneous,
-    GraphValidation,
-    LoopAndSpur,
-    Rejected,
-    SingularGraph,
-    Suspension,
-    WCPQuotient,
-    classify,
-    loop_and_spur_pi1,
-    validate_graph,
-    virtual_edge_completion,
-)
+from ._lazy import lazy_attributes as _lazy_attributes
 
 __version__ = "0.1.0"
 
-# the names imported above, not the submodules they bring along
-__all__ = [
-    name
-    for name in dir()
-    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
-]
+# lazy name -> the submodule that defines it
+_LAZY = {
+    **dict.fromkeys(
+        ("EquivalenceMove", "InvariantTuple", "Reversal", "Rotation", "Translation",
+         "apply_move", "are_equivalent", "canonicalize", "cyclic_differences", "euler_sum",
+         "is_realizable"),
+        "invariants",
+    ),
+    **dict.fromkeys(
+        ("INFINITE", "BoundaryLabel", "BoundaryRecognition", "GroupPresentation",
+         "SeifertPresentation", "abelian_order_two_fibers", "euler_number",
+         "fundamental_group", "normalize", "recognize_boundary"),
+        "seifert",
+    ),
+    **dict.fromkeys(
+        ("QuotientDescriptor", "WeightTriple", "verify_kernel", "weights_from_invariants"),
+        "wcp",
+    ),
+    **dict.fromkeys(
+        ("CIRCLE", "ClassificationResult", "Edge", "FixedPointHomogeneous", "GraphValidation",
+         "LoopAndSpur", "Rejected", "SingularGraph", "Suspension", "WCPQuotient", "classify",
+         "loop_and_spur_pi1", "validate_graph", "virtual_edge_completion"),
+        "classifier",
+    ),
+}
+
+__all__ = sorted(_LAZY)
+
+__getattr__, __dir__ = _lazy_attributes(__name__, _LAZY, globals())

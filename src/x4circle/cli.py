@@ -10,9 +10,12 @@ Every report embeds the normalized request; feeding a report file back
 through --input re-runs that request and reproduces the report byte for
 byte.
 
-Only the numerical lab (`x4circle.extent_lab`, which loads numpy) is
-imported inside the `extent` and `check-q` handlers, so the algebra
-commands never load numpy; every other layer is imported here, once.
+Importing this module loads no domain layer: each handler imports the
+layers its command runs.  `canon`, `equiv` and `euler` load `invariants`;
+`seifert-pi1` and `seifert-recognize` load `seifert` and `intlinalg`;
+`wcp` loads `wcp`, `invariants` and `intlinalg`; `classify` loads all five
+algebra modules; `extent` and `check-q` load the numerical lab
+(`x4circle.extent_lab`, which loads numpy) and no algebra module.
 """
 
 from __future__ import annotations
@@ -27,24 +30,6 @@ from math import isinf
 import jsonschema
 
 from . import serialize
-from .classifier import PAIRWISE_UNEQUAL, classify
-from .invariants import (
-    InvariantTuple,
-    are_equivalent,
-    canonicalize,
-    cyclic_differences,
-    euler_sum,
-    format_rational,
-    is_realizable,
-)
-from .seifert import (
-    abelian_order_two_fibers,
-    euler_number,
-    fundamental_group,
-    normalize,
-    recognize_boundary,
-)
-from .wcp import verify_kernel, weights_from_invariants
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 800
@@ -111,6 +96,8 @@ def _load_input(path: str):
 
 
 def _run_canon(payload, opts):
+    from .invariants import InvariantTuple, canonicalize, is_realizable
+
     t = InvariantTuple(payload["invariants"])
     canonical = canonicalize(t).as_strings()
     # rotated inputs normalize to one payload, so their reports are identical
@@ -118,6 +105,8 @@ def _run_canon(payload, opts):
 
 
 def _run_equiv(payload, opts):
+    from .invariants import InvariantTuple, are_equivalent, canonicalize
+
     left = InvariantTuple(payload["left"])
     right = InvariantTuple(payload["right"])
     normalized = {"left": left.as_strings(), "right": right.as_strings()}
@@ -130,6 +119,8 @@ def _run_equiv(payload, opts):
 
 
 def _run_euler(payload, opts):
+    from .invariants import InvariantTuple, cyclic_differences, euler_sum, format_rational
+
     t = InvariantTuple(payload["invariants"])
     result = {
         "euler_sum": format_rational(euler_sum(t)),
@@ -139,10 +130,14 @@ def _run_euler(payload, opts):
 
 
 def _run_seifert_pi1(payload, opts):
+    from .seifert import abelian_order_two_fibers, euler_number, fundamental_group, normalize
+
     p = serialize.decode_seifert(payload["seifert"])
     result = {
         "presentation": serialize.encode_presentation(fundamental_group(p)),
-        "euler_number": format_rational(euler_number(p)),
+        # str of a Fraction is invariants.format_rational's "p/q" or "p",
+        # without loading the invariants layer
+        "euler_number": str(euler_number(p)),
         "normalized": serialize.encode_seifert(normalize(p)),
     }
     if len(p.fibers) == 2:
@@ -152,15 +147,22 @@ def _run_seifert_pi1(payload, opts):
 
 
 def _run_seifert_recognize(payload, opts):
+    from .seifert import recognize_boundary
+
     p = serialize.decode_seifert(payload["seifert"])
     result = serialize.encode_recognition(recognize_boundary(p))
     return {"seifert": serialize.encode_seifert(p)}, result
 
 
 def _run_wcp(payload, opts):
+    from .invariants import InvariantTuple, is_realizable
+    from .wcp import verify_kernel, weights_from_invariants
+
     t = InvariantTuple(payload["invariants"])
     normalized = {"invariants": t.as_strings()}
     if not is_realizable(t):
+        from .classifier import PAIRWISE_UNEQUAL
+
         return normalized, serialize.encode_classification(PAIRWISE_UNEQUAL)
     descriptor = weights_from_invariants(t)
     result = {
@@ -171,6 +173,9 @@ def _run_wcp(payload, opts):
 
 
 def _run_classify(payload, opts):
+    from .classifier import classify
+    from .invariants import InvariantTuple
+
     graph = serialize.decode_graph(payload["graph"])
     invariants = None
     normalized = {"graph": serialize.encode_graph(graph)}
@@ -191,16 +196,21 @@ def largest_matrix_bytes(command: str, samples: int, group_order: int) -> int:
     return 8 * points**2
 
 
-def _decode_sized_action(command: str, payload, opts):
-    """decode_action, refusing a request whose largest distance matrix would
-    pass MAX_MATRIX_BYTES before anything is sampled."""
-    action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
+def check_matrix_budget(command: str, spec) -> None:
+    """Raise ValueError if `x4 <command>` on spec would allocate a distance
+    matrix over MAX_MATRIX_BYTES; cheap, so it runs before any sampling."""
     need = largest_matrix_bytes(command, spec.samples, len(spec.gamma))
     if need > MAX_MATRIX_BYTES:
         raise ValueError(
             f"{command} at {spec.samples} samples needs a distance matrix of about "
             f"{need} bytes, over the limit of {MAX_MATRIX_BYTES}"
         )
+
+
+def _decode_sized_action(command: str, payload, opts):
+    """decode_action, refused by check_matrix_budget before anything is sampled."""
+    action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
+    check_matrix_budget(command, spec)
     return action, spec
 
 

@@ -12,9 +12,9 @@ Each lookup reads the name from its submodule afresh, so a function
 rebound there is what the package hands out.
 """
 
-from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
+from .._lazy import lazy_attributes as _lazy_attributes
 from .actions import (
     IsometricActionSpec,
     gamma_binary_dihedral,
@@ -58,13 +58,4 @@ __all__ = sorted(
     + list(_LAZY)
 )
 
-
-def __getattr__(name):
-    # not cached in the package namespace: see the module docstring
-    if name in _LAZY:
-        return getattr(_import_module(f".{_LAZY[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY})
+__getattr__, __dir__ = _lazy_attributes(__name__, _LAZY, globals())

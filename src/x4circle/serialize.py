@@ -12,24 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .classifier import (
-    CIRCLE,
-    Edge,
-    FixedPointHomogeneous,
-    LoopAndSpur,
-    Rejected,
-    SingularGraph,
-    Suspension,
-    WCPQuotient,
-)
-from .seifert import (
-    BoundaryRecognition,
-    GroupPresentation,
-    SeifertPresentation,
-)
-from .wcp import QuotientDescriptor
+# the codecs that build or test domain objects import their layer where
+# they use it, so a command loads only the layers it runs
+if TYPE_CHECKING:
+    from .classifier import Edge, SingularGraph
+    from .seifert import BoundaryRecognition, GroupPresentation, SeifertPresentation
+    from .wcp import QuotientDescriptor
 
 RATIONAL_PATTERN = r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$"
 
@@ -159,6 +149,8 @@ def encode_seifert(p: SeifertPresentation) -> dict:
 
 
 def decode_seifert(obj: dict) -> SeifertPresentation:
+    from .seifert import SeifertPresentation
+
     return SeifertPresentation(
         genus=0,
         fibers=[tuple(pair) for pair in obj["fibers"]],
@@ -212,6 +204,8 @@ def encode_edge(e: Edge) -> dict:
 
 
 def decode_edge(obj: dict) -> Edge:
+    from .classifier import Edge
+
     if "free_curve" in obj:
         u = v = None
     elif "loop" in obj:
@@ -240,6 +234,8 @@ def encode_graph(g: SingularGraph) -> dict:
 
 
 def decode_graph(obj: dict) -> SingularGraph:
+    from .classifier import CIRCLE, SingularGraph
+
     soul = obj.get("soul_isotropy")
     if soul == "circle":
         soul = CIRCLE
@@ -256,6 +252,8 @@ def decode_graph(obj: dict) -> SingularGraph:
 
 
 def encode_classification(result) -> dict:
+    from .classifier import FixedPointHomogeneous, LoopAndSpur, Rejected, Suspension, WCPQuotient
+
     if isinstance(result, Rejected):
         return {"kind": "rejected", "reason": result.reason, "tag": result.tag}
     if isinstance(result, FixedPointHomogeneous):

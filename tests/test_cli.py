@@ -252,11 +252,14 @@ class TestExitCodes:
 
     def test_non_convergence_exits_three(self, capsys, monkeypatch):
         import x4circle.extent_lab as lab
+        from x4circle.extent_lab import condition_q
 
         def fail(spec, tol=0.02):
             raise lab.ConvergenceError(failed_certificate())
 
-        monkeypatch.setattr(lab, "check_condition_qprime", fail)
+        # on the submodule: undoing a patch of the package's lazy name would
+        # leave the name cached in the package namespace
+        monkeypatch.setattr(condition_q, "check_condition_qprime", fail)
         code, out, err = run_cli(
             capsys, monkeypatch, ["check-q"], {"action": {"weights": [1, 1]}}
         )

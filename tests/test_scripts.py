@@ -11,7 +11,9 @@ import sys
 
 import pytest
 
-from x4circle.extent_lab import SMALL_BOUND
+import x4circle.extent_lab
+from x4circle import cli
+from x4circle.extent_lab import SMALL_BOUND, condition_q
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -104,21 +106,58 @@ def test_qprime_battery_continues_after_failed_certificate(monkeypatch, capsys):
     assert result == 1
 
 
+def _usage_error(monkeypatch, capsys, name, args) -> str:
+    """stderr of a script run that must end in an argparse usage error
+    before anything is sampled."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before refusing the request")
+
+    # the scripts bind these at load: an over-budget size must never reach them
+    monkeypatch.setattr(x4circle.extent_lab, "sample_quotient", refuse)
+    monkeypatch.setattr(condition_q, "check_condition_qprime", refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        run_main(monkeypatch, capsys, name, *args)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ")
+    return err
+
+
+def _over_budget(command: str, samples: int, group_order: int) -> str:
+    need = cli.largest_matrix_bytes(command, samples, group_order)
+    assert need > cli.MAX_MATRIX_BYTES
+    return (
+        f"{command} at {samples} samples needs a distance matrix of about "
+        f"{need} bytes, over the limit of {cli.MAX_MATRIX_BYTES}"
+    )
+
+
 @pytest.mark.parametrize("name, args, message", [
     ("cover_resolution", ["--ladder", "40"], "at least 50 sample points are required"),
     ("cover_resolution", ["--ladder", "60,,120"],
      "argument --ladder: invalid ladder value: '60,,120'"),
     ("qprime_battery", ["--samples", "10"], "at least 50 sample points are required"),
     ("extent_survey", ["--samples", "10"], "at least 50 sample points are required"),
-], ids=["cover_resolution-small", "cover_resolution-empty", "qprime_battery", "extent_survey"])
+    # the largest matrix of each estimate passes cli.MAX_MATRIX_BYTES; the
+    # survey's first action has the trivial group, the ladder's D3* has 12
+    ("extent_survey", ["--samples", "100000000"], _over_budget("extent", 100000000, 1)),
+    ("qprime_battery", ["--samples", "4000"], _over_budget("check-q", 4000, 1)),
+    ("cover_resolution", ["--ladder", "60,4000"], _over_budget("check-q", 4000, 12)),
+], ids=["cover_resolution-small", "cover_resolution-empty", "qprime_battery", "extent_survey",
+        "extent_survey-huge", "qprime_battery-huge", "cover_resolution-huge"])
 def test_bad_size_is_a_usage_error(monkeypatch, capsys, name, args, message):
-    # each of these ended in a ValueError traceback
-    with pytest.raises(SystemExit) as exit_info:
-        run_main(monkeypatch, capsys, name, *args)
-    assert exit_info.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("usage: ") and err.endswith(f"error: {message}\n")
+    # each of these ended in a traceback or ran past the memory budget
+    err = _usage_error(monkeypatch, capsys, name, args)
+    assert err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["qprime_battery", "cover_resolution"])
+@pytest.mark.parametrize("tol", ["-1", "0", "1", "nan"])
+def test_tol_outside_the_open_unit_interval_is_a_usage_error(monkeypatch, capsys, name, tol):
+    # these ran and reported every cover as a failed certificate
+    err = _usage_error(monkeypatch, capsys, name, ["--tol", tol])
+    assert err.endswith("error: tol must lie in (0, 1) radians\n")
 
 
 def test_bench_default(monkeypatch, capsys, tmp_path):
@@ -142,8 +181,11 @@ def test_bench_default(monkeypatch, capsys, tmp_path):
         assert run["host_slowdown"] > 0 and run["calibrations"] == 5 * len(module.CASES)
         assert set(run["requests"]) == set(data["cases"])
         for name, outcome in run["requests"].items():
-            assert set(outcome) == {"exit_code", "wall_s", "layers", "absent"}
+            assert set(outcome) == {
+                "exit_code", "wall_s", "layers", "absent", "oneshot_exit_code", "oneshot_wall_s",
+            }
             assert outcome["exit_code"] == 0 and outcome["absent"] == []
+            assert outcome["oneshot_exit_code"] == 0 and outcome["oneshot_wall_s"] > 0
             layers = outcome["layers"]
             assert layers["cli.main.s"] <= outcome["wall_s"]
             assert layers["extents.extent.calls"] >= 1
