@@ -21,15 +21,16 @@ from x4circle.extent_lab import (
     extent,
     gamma_binary_dihedral,
     gamma_cyclic,
+    gamma_trivial,
     is_small,
     sample_quotient,
 )
 
 SURVEY = [
-    ("hopf", (1, 1), None),
-    ("football-2", (1, 2), None),
-    ("football-3", (1, 3), None),
-    ("football-2:3", (2, 3), None),
+    ("hopf", (1, 1), gamma_trivial()),
+    ("football-2", (1, 2), gamma_trivial()),
+    ("football-3", (1, 3), gamma_trivial()),
+    ("football-2:3", (2, 3), gamma_trivial()),
     ("hopf/Z2", (1, 1), gamma_cyclic(2)),
     ("hopf/Z3", (1, 1), gamma_cyclic(3)),
     ("football-2/Z3", (1, 2), gamma_cyclic(3)),
@@ -47,8 +48,7 @@ def main() -> None:
     try:
         specs = [
             IsometricActionSpec(
-                weights=weights, samples=args.samples, seed=args.seed,
-                **({} if gamma is None else {"gamma": gamma}),
+                weights=weights, gamma=gamma, samples=args.samples, seed=args.seed
             )
             for _, weights, gamma in SURVEY
         ]

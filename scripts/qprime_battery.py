@@ -27,12 +27,13 @@ from x4circle.extent_lab import (
     check_condition_qprime,
     gamma_binary_dihedral,
     gamma_cyclic,
+    gamma_trivial,
 )
 from x4circle.serialize import dumps_canonical, encode_qprime_report
 
 BATTERY = [
-    ("hopf", (1, 1), None),
-    ("football-3", (1, 3), None),
+    ("hopf", (1, 1), gamma_trivial()),
+    ("football-3", (1, 3), gamma_trivial()),
     ("hopf/Z3", (1, 1), gamma_cyclic(3)),
     ("hopf/Z4", (1, 1), gamma_cyclic(4)),
     ("hopf/D2*", (1, 1), gamma_binary_dihedral(2)),
@@ -53,8 +54,7 @@ def main() -> int:
     try:
         specs = [
             IsometricActionSpec(
-                weights=weights, samples=args.samples, seed=args.seed,
-                **({} if gamma is None else {"gamma": gamma}),
+                weights=weights, gamma=gamma, samples=args.samples, seed=args.seed
             )
             for _, weights, gamma in BATTERY
         ]

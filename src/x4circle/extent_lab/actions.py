@@ -29,7 +29,7 @@ from math import cos, gcd, pi, sin
 
 import numpy as np
 
-from .engine import GRID_PER_WEIGHT, GROUP_TOL
+from .engine import GRID_PER_WEIGHT, GROUP_TOL, first_of_each
 
 
 ORTHOGONALITY_TOL = 1e-12
@@ -153,10 +153,8 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
         raise ValueError("gamma element must preserve orientation (det +1)")
     if not np.any(np.max(np.abs(gammas - eye), axis=(1, 2)) <= GROUP_TOL):
         raise ValueError("gamma must contain the identity")
-    # one row of each pairwise test at a time: O(|Gamma|^2) memory per step
-    for i in range(g):
-        if np.any(np.max(np.abs(gammas[i + 1:] - gammas[i]), axis=(1, 2)) <= GROUP_TOL):
-            raise ValueError("gamma contains duplicate elements")
+    if not first_of_each(gammas.reshape(g, 16)).all():
+        raise ValueError("gamma contains duplicate elements")
     # orthogonal a, b have <a, b> = 4 - |a - b|^2 / 2 (Frobenius), so an
     # element within GROUP_TOL of a product, entry by entry, has inner
     # product above 4 - 8 GROUP_TOL^2 with it: only the elements above

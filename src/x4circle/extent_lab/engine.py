@@ -96,14 +96,22 @@ GROUP_TOL = 1e-9
 NEAR_END = 1e-4
 
 
-def _first_of_each(rows: np.ndarray) -> np.ndarray:
+def first_of_each(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows that no earlier row matches within GROUP_TOL, entry
-    by entry; rows are compared ROW_CHUNK at a time against all of them."""
-    close = np.concatenate([
-        np.max(np.abs(rows[r0 : r0 + ROW_CHUNK, None] - rows), axis=2) <= GROUP_TOL
-        for r0 in range(0, len(rows), ROW_CHUNK)
-    ])
-    return ~np.tril(close, -1).any(axis=1)
+    by entry: the one test of "the same element", for the rotations gbar
+    and for duplicates in group validation.  Rows are compared ROW_CHUNK at
+    a time against those up to the chunk's end, in one reused gap buffer."""
+    n = len(rows)
+    first = np.empty(n, dtype=bool)
+    buffer = np.empty((min(ROW_CHUNK, n), n, rows.shape[1]))
+    for r0 in range(0, n, ROW_CHUNK):
+        r1 = min(r0 + ROW_CHUNK, n)
+        gap = np.subtract(rows[r0:r1, None], rows[:r1], out=buffer[: r1 - r0, :r1])
+        np.abs(gap, out=gap)
+        # local row i is global row r0 + i: only the columns before it count
+        close = np.tril(gap.max(axis=2) <= GROUP_TOL, r0 - 1)
+        first[r0:r1] = ~close.any(axis=1)
+    return first
 
 
 class DistanceEngine:
@@ -129,14 +137,14 @@ class DistanceEngine:
             # H_k[a, b] = (h_k(e_a + e_b) - h_k(e_a) - h_k(e_b)) / 2, exact
             # halves of small integers
             eye = np.eye(4)
-            ones = self._hopf(eye)
-            sums = self._hopf((eye[:, None] + eye).reshape(16, 4)).reshape(4, 4, 3)
+            ones = self.hopf(eye)
+            sums = self.hopf((eye[:, None] + eye).reshape(16, 4)).reshape(4, 4, 3)
             self.hopf_forms = forms = np.moveaxis(sums - ones[:, None] - ones, 2, 0) / 2
             # gamma^T H_k gamma, then its trace against each H_l / 4
             conjugated = np.swapaxes(self.gammas, 1, 2)[:, None] @ forms @ self.gammas[:, None]
             flat = conjugated.reshape(-1, 3, 16) @ forms.reshape(3, 16).T / 4
             # gbar of each distinct image, in the order of Gamma: (|Gamma bar|, 3, 3)
-            self.rotations = flat[_first_of_each(flat.reshape(-1, 9))]
+            self.rotations = flat[first_of_each(flat.reshape(-1, 9))]
 
     # -- helpers ---------------------------------------------------------
 
@@ -145,7 +153,7 @@ class DistanceEngine:
         pts = np.asarray(points, dtype=float)
         return pts[..., 0] + 1j * pts[..., 1], pts[..., 2] + 1j * pts[..., 3]
 
-    def _hopf(self, points: np.ndarray) -> np.ndarray:
+    def hopf(self, points: np.ndarray) -> np.ndarray:
         """h(c x) of every point, shape (n, 3), entry by entry."""
         x0, x1, x2, x3 = np.asarray(points, dtype=float).T
         if self.p == -self.q:
@@ -381,7 +389,7 @@ class DistanceEngine:
         n = len(pts)
         out = np.zeros((n, n))
         if self.max_weight == 1:
-            hopf = self._hopf(pts)
+            hopf = self.hopf(pts)
             moved = self._rotated(hopf)
             # r0 <= n - 2: the last row has no later column, and every
             # chunk has two rows and two columns at least

@@ -23,12 +23,15 @@ from math import pi, tau
 
 import numpy as np
 
-from .actions import IsometricActionSpec, circle_matrix
+from .actions import IsometricActionSpec
 from .engine import DistanceEngine
 
 
-MERGE_TOL = 1e-6
-MATCH_TOL = 1e-6
+# the singular-orbit tests: two equal eigenvalues, a turn of 0 and one
+# Hopf image on another.  Above GROUP_TOL, since user matrices are
+# validated only to it and a turn q a - p b multiplies its error by
+# |p| + |q|
+SINGULAR_TOL = 1e-6
 TRIANGLE_TOL = 1e-9
 # entries the complete triangle scan may read before the sampled check is
 # cheaper: both took about 35 ms on a 2-vCPU Xeon VM (one BLAS thread), the
@@ -232,64 +235,26 @@ def _eigenlines(spec: IsometricActionSpec) -> list[np.ndarray]:
     the scalar e^{i p theta}, so c gamma c is complex-linear in (z1, z2), a
     unitary 2 x 2 matrix M.  An eigenvector v of M with eigenvalue lambda
     spans a circle fixed by R(theta) gamma at theta = -arg(lambda) / p, with
-    representative c (Re v1, Im v1, Re v2, Im v2).  Kernel elements
-    (`_kernel_elements`), each some R(theta), fix every orbit and are
-    skipped; every other gamma has two distinct eigenvalues, since equal
-    ones would make M a scalar and gamma some R(theta).
+    representative c (Re v1, Im v1, Re v2, Im v2).  M is normal, so it is a
+    scalar exactly when its two eigenvalues are equal (within
+    SINGULAR_TOL), and gamma is then some R(theta): such kernel elements
+    fix every orbit and are skipped.
     """
     p, q = spec.weights
     if abs(p) != abs(q):
         return []
     c = np.diag([1.0, 1.0, 1.0, -1.0 if p == -q else 1.0])
-    moved = c @ spec.gamma[~_kernel_elements(spec)] @ c
+    moved = c @ spec.gamma @ c
     # column b of M is the image of the b-th complex basis vector
     eigvals, eigvecs = np.linalg.eig(moved[:, 0::2, 0::2] + 1j * moved[:, 1::2, 0::2])
+    moving = np.abs(eigvals[:, 0] - eigvals[:, 1]) > SINGULAR_TOL
     reps: list[np.ndarray] = []
-    for thetas, vecs in zip(np.mod(-np.angle(eigvals) / p, tau), eigvecs):
+    for thetas, vecs in zip(np.mod(-np.angle(eigvals[moving]) / p, tau), eigvecs[moving]):
         for k in np.argsort(thetas):
             v1, v2 = vecs[:, k]
             rep = c @ np.array([v1.real, v1.imag, v2.real, v2.imag])
             reps.append(rep / np.linalg.norm(rep))
     return reps
-
-
-def _stabilizer_count(spec: IsometricActionSpec, x: np.ndarray) -> int:
-    """Number of pairs (gamma, theta) with R(theta) gamma x = x."""
-    p, q = spec.weights
-    x1 = complex(x[0], x[1])
-    x2 = complex(x[2], x[3])
-    count = 0
-    for gamma in spec.gamma:
-        w = gamma @ x
-        w1 = complex(w[0], w[1])
-        w2 = complex(w[2], w[3])
-        if abs(x1) >= abs(x2):
-            lead_x, lead_w, weight = x1, w1, p
-        else:
-            lead_x, lead_w, weight = x2, w2, q
-        if abs(abs(lead_w) - abs(lead_x)) > MATCH_TOL:
-            continue
-        base = (np.angle(lead_x) - np.angle(lead_w)) / weight
-        for k in range(abs(weight)):
-            theta = base + tau * k / weight
-            image = circle_matrix(p, q, theta) @ w
-            if np.max(np.abs(image - x)) < MATCH_TOL:
-                count += 1
-    return count
-
-
-def _kernel_elements(spec: IsometricActionSpec) -> np.ndarray:
-    """Mask of the kernel elements, the gamma with R(theta) gamma = I for
-    some theta.  Such a gamma is R(-theta): its blocks turn by a = -p theta
-    and b = -q theta mod 2 pi, so with integers u p + v q = 1 it is
-    R(u a + v b)."""
-    p, q = spec.weights
-    u = pow(p, -1, abs(q))
-    v = (1 - u * p) // q
-    a = np.arctan2(spec.gamma[:, 1, 0], spec.gamma[:, 0, 0])
-    b = np.arctan2(spec.gamma[:, 3, 2], spec.gamma[:, 2, 2])
-    rotations = np.array([circle_matrix(p, q, theta) for theta in u * a + v * b])
-    return np.max(np.abs(rotations - spec.gamma), axis=(1, 2)) < MATCH_TOL
 
 
 def discover_marked(
@@ -298,34 +263,49 @@ def discover_marked(
     """Representatives of the singular orbits, one per row, and their
     marks: one MarkedPoint per row, whose index is that row.
 
-    The coordinate circles are always marked first; the circles fixed by
-    nontrivial joint rotations follow, the eigenlines of each gamma
-    (`_eigenlines`).  Representatives at quotient distance below 1e-6 are
-    merged, keeping the earliest label.  Isotropy orders are stabilizer
-    counts over the kernel's order.
+    The coordinate circles come first; at unit weights the eigenlines of
+    each gamma (`_eigenlines`) follow.  An orbit's isotropy order is the
+    number of pairs (gamma, theta) with R(theta) gamma x = x over the order
+    of the kernel K, the gamma that are some R(theta).  Both are read off
+    the group's image, with no distance computed.  At unit weights that
+    image is engine.rotations, Gamma bar acting on Hopf images: a
+    candidate is dropped when some rotation carries the Hopf image of an
+    earlier kept one onto its own, and a kept one's isotropy order is the
+    number of rotations that fix its Hopf image.  At other weights Gamma
+    is diagonal, gamma = diag(e^{ia}, e^{ib}), and the coordinate circles
+    are the only candidates: every gamma fixes z2 = 0 at |p| thetas, so
+    its order is |p| |Gamma| / |K|, and that of z1 = 0 is |q| |Gamma| / |K|.
+    gamma turns the residual longitude q arg z1 - p arg z2 by q a - p b,
+    and is in K when that turn is 0 mod 2 pi.  SINGULAR_TOL bounds the
+    angle of such a turn and the entries of the gap between two Hopf
+    images.
     """
-    roots = _eigenlines(spec)
-    reps = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])] + roots
-    labels = ["z2=0", "z1=0"] + ["singular"] * len(roots)
-    stacked = np.array(reps)
-    dist = engine.distance_matrix(stacked)
+    circles = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    p, q = spec.weights
+    if abs(p) != abs(q):
+        e_a = spec.gamma[:, 0, 0] + 1j * spec.gamma[:, 1, 0]
+        e_b = spec.gamma[:, 2, 2] + 1j * spec.gamma[:, 3, 2]
+        turns = np.angle(e_a**q * e_b.conj() ** p)
+        cosets = len(spec.gamma) // int(np.count_nonzero(np.abs(turns) <= SINGULAR_TOL))
+        return circles, [
+            MarkedPoint(index=0, label="z2=0", isotropy=abs(p) * cosets),
+            MarkedPoint(index=1, label="z1=0", isotropy=abs(q) * cosets),
+        ]
+    reps = np.vstack([circles, *_eigenlines(spec)])
     keep: list[int] = []
-    for i in range(len(reps)):
-        if all(dist[i, j] > MERGE_TOL for j in keep):
-            keep.append(i)
-    kernel = int(_kernel_elements(spec).sum())
     marks = []
-    singular_counter = 0
-    for row, i in enumerate(keep):
-        stab = _stabilizer_count(spec, reps[i])
-        if stab % kernel != 0:
-            raise RuntimeError("stabilizer count is not a kernel multiple")
-        label = labels[i]
-        if label == "singular":
-            label = f"singular:{singular_counter}"
-            singular_counter += 1
-        marks.append(MarkedPoint(index=row, label=label, isotropy=stab // kernel))
-    return stacked[keep], marks
+    # the images of the kept marks' Hopf points under every rotation
+    images = np.empty((0, 3))
+    for i, h in enumerate(engine.hopf(reps)):
+        if np.any(np.max(np.abs(images - h), axis=1) <= SINGULAR_TOL):
+            continue
+        orbit = engine.rotations @ h
+        images = np.concatenate([images, orbit])
+        fixing = int(np.count_nonzero(np.max(np.abs(orbit - h), axis=1) <= SINGULAR_TOL))
+        label = ("z2=0", "z1=0")[i] if i < 2 else f"singular:{sum(k >= 2 for k in keep)}"
+        marks.append(MarkedPoint(index=len(keep), label=label, isotropy=fixing))
+        keep.append(i)
+    return reps[keep], marks
 
 
 # -- quotient sampling ------------------------------------------------------

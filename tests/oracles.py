@@ -31,9 +31,11 @@ general-weight grid scan builds four full-size masks per block and one
 alone, the heuristic extent runs each restart's ascent alone rather than
 all restarts in one sweep, the
 group checks on gamma run one element or pair at a time rather than
-batched, and the action's kernel is counted as the fewest stabilizing
-pairs (gamma, theta) at three generic points rather than read from the
-block angles of each gamma.  The golden-section search is this module's own, so no oracle
+batched, and the stabilizing pairs (gamma, theta) of a point are counted
+one gamma and one theta at a time by circle matrices, and the action's
+kernel as the fewest of them at three generic points, rather than read
+off the rotations gbar, the repeated eigenvalues of each gamma, or the
+turn of each diagonal gamma.  The golden-section search is this module's own, so no oracle
 shares a solver with the code it checks.  The unit round 2-sphere, whose distances are plain great-circle
 angles, is a space with known extents that no action spec describes.
 """
@@ -58,7 +60,6 @@ from x4circle.extent_lab.engine import CANDIDATE_MARGIN, ROW_CHUNK, DistanceEngi
 from x4circle.extent_lab.spaces import (
     RANDOM_TRIPLES,
     SampledMetricSpace,
-    _stabilizer_count,
     validate_metric,
 )
 from x4circle.invariants import InvariantTuple
@@ -212,6 +213,34 @@ def svd_theta_roots(spec) -> list[np.ndarray]:
     return reps
 
 
+def stabilizer_count(spec, x: np.ndarray) -> int:
+    """Number of pairs (gamma, theta) with R(theta) gamma x = x, within
+    1e-6 on S^3: for each gamma, the thetas that turn the larger complex
+    coordinate of gamma x back onto that of x, each tested by its circle
+    matrix."""
+    p, q = spec.weights
+    x1 = complex(x[0], x[1])
+    x2 = complex(x[2], x[3])
+    count = 0
+    for gamma in spec.gamma:
+        w = gamma @ x
+        w1 = complex(w[0], w[1])
+        w2 = complex(w[2], w[3])
+        if abs(x1) >= abs(x2):
+            lead_x, lead_w, weight = x1, w1, p
+        else:
+            lead_x, lead_w, weight = x2, w2, q
+        if abs(abs(lead_w) - abs(lead_x)) > 1e-6:
+            continue
+        base = (np.angle(lead_x) - np.angle(lead_w)) / weight
+        for k in range(abs(weight)):
+            theta = base + tau * k / weight
+            image = circle_matrix(p, q, theta) @ w
+            if np.max(np.abs(image - x)) < 1e-6:
+                count += 1
+    return count
+
+
 _GENERIC_PROBES = np.array([
     [0.5377519909, -0.3616707624, 0.6612823052, 0.3678327414],
     [0.1739406507, 0.8325569561, -0.2881956200, 0.4401225868],
@@ -225,7 +254,7 @@ def probe_kernel_count(spec) -> int:
     at a point with trivial isotropy only the kernel elements stabilize,
     each at one theta."""
     return min(
-        _stabilizer_count(spec, probe / np.linalg.norm(probe)) for probe in _GENERIC_PROBES
+        stabilizer_count(spec, probe / np.linalg.norm(probe)) for probe in _GENERIC_PROBES
     )
 
 

@@ -84,6 +84,7 @@ from oracles import (
     sampled_triangle_slack,
     sampled_triples,
     serial_heuristic_extent,
+    stabilizer_count,
     svd_theta_roots,
     two_sided_matrix,
     winner_path_distance_matrix,
@@ -820,17 +821,15 @@ class TestFlatPairs:
         monkeypatch.setattr(DistanceEngine, "_refine", counting)
         spec = IsometricActionSpec(weights=(1, 2), gamma=lens_group(3, 1), samples=50)
         engine = DistanceEngine(spec.weights, spec.gamma)
-        # a diagonal group has no eigenline to mark, and the one pair of the
-        # coordinate circles is flat
+        # a diagonal group has no eigenline to mark, and the coordinate
+        # circles are read off the group without a distance
         reps, _ = spaces.discover_marked(spec, engine)
         assert len(reps) == 2 and candidates == []
         # the oracle's 6 roots lie on the coordinate circles: the 8 x 8
         # matrix aligns its 28 upper pairs only; their 15 flat pairs
         # (A = B = 0) refine no cell, and the other 13 send 69 grid cells
         # to the polish
-        monkeypatch.setattr(spaces, "_eigenlines", svd_theta_roots)
-        reps, _ = spaces.discover_marked(spec, engine)
-        assert len(reps) == 2
+        engine.distance_matrix(np.vstack([COORDINATE_CIRCLES, svd_theta_roots(spec)]))
         assert sum(candidates) == 69
 
 
@@ -1382,7 +1381,7 @@ class TestSingularOrbits:
         assert got == [(mark.label, mark.isotropy) for mark in oracle_marks]
         assert got == [("z2=0", m), ("singular:0", 2), ("singular:1", 2)]
 
-    def test_kernel_elements_match_the_probe_count(self):
+    def test_isotropy_matches_the_stabilizer_count(self):
         weights = UNIT_WEIGHTS + [
             (1, 2), (2, 1), (2, 3), (3, 2), (2, -3), (1, 3), (2, 5), (3, 4), (3, 5)
         ]
@@ -1393,15 +1392,38 @@ class TestSingularOrbits:
         cases += [(w, g) for g, w, start in GAMMA_CASES.values() if start is None]
         for w, gammas in cases:
             spec = IsometricActionSpec(weights=w, gamma=gammas, samples=50)
-            assert spaces._kernel_elements(spec).sum() == probe_kernel_count(spec), (w, len(gammas))
+            kernel = probe_kernel_count(spec)
+            reps, marks = spaces.discover_marked(spec, DistanceEngine(w, gammas))
+            for rep, mark in zip(reps, marks):
+                assert stabilizer_count(spec, rep) == mark.isotropy * kernel, (w, len(gammas))
+            # two eigenlines per element outside the kernel, at unit weights
+            unit = abs(w[0]) == abs(w[1])
+            assert len(spaces._eigenlines(spec)) == 2 * (len(gammas) - kernel) * unit
         # at weights (1, -1) every element of cyclic:m is some R(theta), and
-        # at weights (1, 1) so is -I = R(pi), element 3 of D3*
-        for w, gammas, kernel in (
-            ((1, -1), gamma_cyclic(12), list(range(12))),
-            ((1, 1), gamma_binary_dihedral(3), [0, 3]),
+        # at weights (1, 1) so is -I = R(pi), element 3 of D3*, beside I
+        for w, gammas, count in (
+            ((1, -1), gamma_cyclic(12), 0),
+            ((1, 1), gamma_binary_dihedral(3), 2 * 10),
         ):
             spec = IsometricActionSpec(weights=w, gamma=gammas, samples=50)
-            assert np.flatnonzero(spaces._kernel_elements(spec)).tolist() == kernel
+            assert len(spaces._eigenlines(spec)) == count
+
+    @pytest.mark.parametrize(
+        "weights, gamma",
+        [((1, 1), gamma_binary_dihedral(3)), ((1, -1), gamma_cyclic(4)),
+         ((2, 3), lens_group(5, 2)), ((1, 3), gamma_trivial())],
+    )
+    def test_discovery_computes_no_distance(self, weights, gamma, monkeypatch):
+        # the marks are read off the group's image, never from the engine
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("discover_marked called the distance engine")
+
+        spec = IsometricActionSpec(weights=weights, gamma=gamma, samples=50)
+        engine = DistanceEngine(spec.weights, spec.gamma)
+        monkeypatch.setattr(DistanceEngine, "distance_matrix", refuse)
+        monkeypatch.setattr(DistanceEngine, "align", refuse)
+        _, marks = spaces.discover_marked(spec, engine)
+        assert marks
 
     @pytest.mark.parametrize(
         "gammas",

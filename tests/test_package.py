@@ -1,5 +1,6 @@
 """The public namespaces of the package and of its numerical lab."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -97,6 +98,34 @@ def test_unknown_lab_name_raises_attribute_error():
     for package in PACKAGES:
         with pytest.raises(AttributeError, match="no_such_name"):
             package.no_such_name  # noqa: B018
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reaches_a_private_name_of_another():
+    # a helper that two modules share is public: no module imports another
+    # one's _name, or reads <imported name>._name
+    crossings = []
+    for path in sorted(pathlib.Path(x4circle.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if isinstance(node, ast.ImportFrom) and _private(alias.name):
+                        crossings.append(f"{path.name}: imports {alias.name}")
+                    imported.add(alias.asname or alias.name.partition(".")[0])
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported
+                and _private(node.attr)
+            ):
+                crossings.append(f"{path.name}:{node.lineno}: reads {node.value.id}.{node.attr}")
+    assert crossings == []
 
 
 # every algebra command, then one schema reject, then the lab commands; runs
