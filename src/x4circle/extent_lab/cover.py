@@ -73,7 +73,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .actions import circle_generator
-from .engine import DistanceEngine
 from .extents import extent
 from .spaces import SampledMetricSpace, MarkedPoint, regenerate, validate_metric
 
@@ -181,7 +180,7 @@ class BaseGraphs:
 def _azimuth_field(space: SampledMetricSpace, anchor_idx: int):
     """Azimuth of every sample around the anchor, reduced mod 2*pi/isotropy.
 
-    One batched `engine.align` call gives every sample's aligned
+    One batched `align` call on space.engine gives every sample's aligned
     representative; each is projected onto an oriented 2-frame orthogonal
     to the anchor and its orbit direction.  The anchor's stabilizer rotates
     that normal plane by multiples of 2*pi/isotropy, so the reduced angle
@@ -189,7 +188,7 @@ def _azimuth_field(space: SampledMetricSpace, anchor_idx: int):
     Samples whose projection vanishes (the anchor itself, and points at
     distance pi/2 where every theta is optimal) get azimuth 0.
     """
-    engine = DistanceEngine(space.spec.weights, space.spec.gamma)
+    engine = space.engine
     iso = {m.index: m.isotropy for m in space.marked}
     alpha = 2.0 * pi / iso.get(anchor_idx, 1)
     center = space.points[anchor_idx]

@@ -19,7 +19,8 @@ read off h by polarization, with x^T H_k x the k-th coordinate of h.
 Elements with the same gbar (the kernel cosets, such as
 -I = R(pi) beside I) give the same distances, so the rotations are kept
 once each, within GROUP_TOL: the binary dihedral group D3* of order 12
-has 6.  The distance is
+has 6, and `first_elements` is the index in Gamma of each one's first
+element.  The distance is
 
     d([x], [y]) = 1/2 arccos(max over gbar of h(x) . gbar h(y)),
 
@@ -91,6 +92,11 @@ ROW_CHUNK = 64  # distance-matrix rows aligned per batch
 # entrywise tolerance within which two elements are one: group validation
 # and the rotations gbar read it
 GROUP_TOL = 1e-9
+# the singular-orbit tests, entry by entry: the identity rotation gbar and
+# one Hopf image on another.  A turn q a - p b of 0 is tested within
+# (|p| + |q|) SINGULAR_TOL, since it multiplies the error of a user matrix,
+# validated only to GROUP_TOL, by up to |p| + |q|
+SINGULAR_TOL = 1e-6
 # sphere-path cosines within this of +-1 are re-read from chords; arccos
 # is off by about 1e-16 / sqrt(2 NEAR_END) < 1e-14 elsewhere
 NEAR_END = 1e-4
@@ -144,7 +150,16 @@ class DistanceEngine:
             conjugated = np.swapaxes(self.gammas, 1, 2)[:, None] @ forms @ self.gammas[:, None]
             flat = conjugated.reshape(-1, 3, 16) @ forms.reshape(3, 16).T / 4
             # gbar of each distinct image, in the order of Gamma: (|Gamma bar|, 3, 3)
-            self.rotations = flat[first_of_each(flat.reshape(-1, 9))]
+            first = first_of_each(flat.reshape(-1, 9))
+            self.rotations, self.first_elements = flat[first], np.flatnonzero(first)
+        else:
+            # cosets = |Gamma| / |K|: a diagonal gamma = diag(e^{ia}, e^{ib}) turns the
+            # longitude q arg z1 - p arg z2 by q a - p b; K is where that is 0 mod 2 pi
+            e_a = self.gammas[:, 0, 0] + 1j * self.gammas[:, 1, 0]
+            e_b = self.gammas[:, 2, 2] + 1j * self.gammas[:, 3, 2]
+            turns = np.abs(np.angle(e_a**self.q * e_b.conj() ** self.p))
+            kernel = turns <= (abs(self.p) + abs(self.q)) * SINGULAR_TOL
+            self.cosets = len(self.gammas) // int(np.count_nonzero(kernel))
 
     # -- helpers ---------------------------------------------------------
 

@@ -2,18 +2,19 @@
 
 sample_quotient draws N quasi-uniform seeded points on S^3, appends exact
 representatives of the singular orbits (the coordinate circles z2 = 0 and
-z1 = 0, plus, at unit weights, the eigenlines of each group element: the
-circles fixed by some R(theta) gamma), and
-evaluates the full quotient distance matrix with the orbit-distance
-engine.  Sampling at 2N reuses the same Gaussian stream, so the first N
-random points of the finer space coincide with the coarser ones; the
-branched-cover certificate relies on that prefix property.  regenerate
-also reuses the coarser space's distances: the block among its random
-points and marks is copied, and only pairs that touch a fresh point are
-aligned.  The engine's alignment is not bit-symmetric in its two points,
-so each computed pair keeps the orientation a fresh sample gives it, the
-lower index as the row; the regenerated matrix is then bit-identical to
-a fresh one.
+z1 = 0, plus, at unit weights, the eigenlines of one element per rotation
+of Gamma bar other than the identity: the circles fixed by some R(theta)
+gamma), and evaluates the full quotient distance matrix with the action's
+one orbit-distance engine, which the space keeps.  Sampling at 2N reuses
+the same Gaussian stream, so the first N random points of the finer space
+coincide with the coarser ones; the branched-cover certificate relies on
+that prefix property.  regenerate also reuses the coarser space's
+engine and distances: the block among its random points and marks is
+copied, and only pairs that touch a fresh point are aligned.  The
+engine's alignment is not bit-symmetric in its two points, so each
+computed pair keeps the orientation a fresh sample gives it, the lower
+index as the row; the regenerated matrix is then bit-identical to a fresh
+one.
 """
 
 from __future__ import annotations
@@ -24,14 +25,9 @@ from math import pi, tau
 import numpy as np
 
 from .actions import IsometricActionSpec
-from .engine import DistanceEngine
+from .engine import SINGULAR_TOL, DistanceEngine
 
 
-# the singular-orbit tests: two equal eigenvalues, a turn of 0 and one
-# Hopf image on another.  Above GROUP_TOL, since user matrices are
-# validated only to it and a turn q a - p b multiplies its error by
-# |p| + |q|
-SINGULAR_TOL = 1e-6
 TRIANGLE_TOL = 1e-9
 # entries the complete triangle scan may read before the sampled check is
 # cheaper: both took about 35 ms on a 2-vCPU Xeon VM (one BLAS thread), the
@@ -60,11 +56,12 @@ class SampledMetricSpace:
     """Points with their full distance matrix and marked samples.
 
     A space is a quotient exactly when spec, the action spec it was sampled
-    from, is set; spec.samples is then its requested sample count.  A
-    branched cover sets sheet_swap, the index array of its sheet swap sigma:
-    point i and point sheet_swap[i] are the two lifts of one base point
-    (a branch point is its own image), and validate_metric requires the
-    distances to be exactly invariant under it.
+    from, is set, and engine, the action's distance engine, with it;
+    spec.samples is then its requested sample count.  A branched cover sets
+    sheet_swap, the index array of its sheet swap sigma: point i and point
+    sheet_swap[i] are the two lifts of one base point (a branch point is its
+    own image), and validate_metric requires the distances to be exactly
+    invariant under it.
     """
 
     points: np.ndarray
@@ -72,6 +69,7 @@ class SampledMetricSpace:
     marked: list[MarkedPoint]
     seed: int = 0
     spec: IsometricActionSpec | None = None
+    engine: DistanceEngine | None = None
     sheet_swap: np.ndarray | None = None
 
     @property
@@ -223,9 +221,10 @@ def _sphere_points(count: int, seed: int) -> np.ndarray:
 # -- singular-orbit discovery ---------------------------------------------
 
 
-def _eigenlines(spec: IsometricActionSpec) -> list[np.ndarray]:
+def _eigenlines(engine: DistanceEngine) -> list[np.ndarray]:
     """Unit vectors spanning the isolated circles fixed by some R(theta)
-    gamma, in the order of spec.gamma, then of theta in [0, 2 pi).
+    gamma, gamma the first element of each rotation other than the identity
+    (engine.first_elements), in the order of Gamma, then of theta in [0, 2 pi).
 
     Every gamma commutes with the circle.  When |p| != |q| the circle's
     centralizer in SO(4) is the diagonal torus, so Gamma is diagonal, and
@@ -235,21 +234,20 @@ def _eigenlines(spec: IsometricActionSpec) -> list[np.ndarray]:
     the scalar e^{i p theta}, so c gamma c is complex-linear in (z1, z2), a
     unitary 2 x 2 matrix M.  An eigenvector v of M with eigenvalue lambda
     spans a circle fixed by R(theta) gamma at theta = -arg(lambda) / p, with
-    representative c (Re v1, Im v1, Re v2, Im v2).  M is normal, so it is a
-    scalar exactly when its two eigenvalues are equal (within
-    SINGULAR_TOL), and gamma is then some R(theta): such kernel elements
-    fix every orbit and are skipped.
+    representative c (Re v1, Im v1, Re v2, Im v2).  The elements of one
+    rotation differ by a scalar, so they share their two eigenlines, and
+    the kernel, the identity rotation, fixes every orbit.
     """
-    p, q = spec.weights
-    if abs(p) != abs(q):
+    if engine.max_weight != 1:
         return []
+    p, q = engine.p, engine.q
+    moving = np.max(np.abs(engine.rotations - np.eye(3)), axis=(1, 2)) > SINGULAR_TOL
     c = np.diag([1.0, 1.0, 1.0, -1.0 if p == -q else 1.0])
-    moved = c @ spec.gamma @ c
+    moved = c @ engine.gammas[engine.first_elements[moving]] @ c
     # column b of M is the image of the b-th complex basis vector
     eigvals, eigvecs = np.linalg.eig(moved[:, 0::2, 0::2] + 1j * moved[:, 1::2, 0::2])
-    moving = np.abs(eigvals[:, 0] - eigvals[:, 1]) > SINGULAR_TOL
     reps: list[np.ndarray] = []
-    for thetas, vecs in zip(np.mod(-np.angle(eigvals[moving]) / p, tau), eigvecs[moving]):
+    for thetas, vecs in zip(np.mod(-np.angle(eigvals) / p, tau), eigvecs):
         for k in np.argsort(thetas):
             v1, v2 = vecs[:, k]
             rep = c @ np.array([v1.real, v1.imag, v2.real, v2.imag])
@@ -257,41 +255,31 @@ def _eigenlines(spec: IsometricActionSpec) -> list[np.ndarray]:
     return reps
 
 
-def discover_marked(
-    spec: IsometricActionSpec, engine: DistanceEngine
-) -> tuple[np.ndarray, list[MarkedPoint]]:
+def discover_marked(engine: DistanceEngine) -> tuple[np.ndarray, list[MarkedPoint]]:
     """Representatives of the singular orbits, one per row, and their
     marks: one MarkedPoint per row, whose index is that row.
 
-    The coordinate circles come first; at unit weights the eigenlines of
-    each gamma (`_eigenlines`) follow.  An orbit's isotropy order is the
-    number of pairs (gamma, theta) with R(theta) gamma x = x over the order
-    of the kernel K, the gamma that are some R(theta).  Both are read off
-    the group's image, with no distance computed.  At unit weights that
-    image is engine.rotations, Gamma bar acting on Hopf images: a
-    candidate is dropped when some rotation carries the Hopf image of an
-    earlier kept one onto its own, and a kept one's isotropy order is the
-    number of rotations that fix its Hopf image.  At other weights Gamma
-    is diagonal, gamma = diag(e^{ia}, e^{ib}), and the coordinate circles
-    are the only candidates: every gamma fixes z2 = 0 at |p| thetas, so
-    its order is |p| |Gamma| / |K|, and that of z1 = 0 is |q| |Gamma| / |K|.
-    gamma turns the residual longitude q arg z1 - p arg z2 by q a - p b,
-    and is in K when that turn is 0 mod 2 pi.  SINGULAR_TOL bounds the
-    angle of such a turn and the entries of the gap between two Hopf
-    images.
+    The coordinate circles come first; at unit weights the eigenlines
+    (`_eigenlines`) follow.  An orbit's isotropy order is the number of
+    pairs (gamma, theta) with R(theta) gamma x = x over the order of the
+    kernel K, the gamma that are some R(theta).  Both are read off the
+    group's image, which the engine holds, with no distance computed.  At
+    unit weights that image is engine.rotations, Gamma bar acting on Hopf
+    images: a candidate is dropped when some rotation carries the Hopf
+    image of an earlier kept one onto its own, and a kept one's isotropy
+    order is the number of rotations that fix its Hopf image (within
+    SINGULAR_TOL, entry by entry).  At other weights Gamma is diagonal, the
+    coordinate circles are the only candidates, and every gamma fixes
+    z2 = 0 at |p| thetas: its order is |p| |Gamma| / |K| = |p| engine.cosets,
+    and that of z1 = 0 is |q| engine.cosets.
     """
     circles = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    p, q = spec.weights
-    if abs(p) != abs(q):
-        e_a = spec.gamma[:, 0, 0] + 1j * spec.gamma[:, 1, 0]
-        e_b = spec.gamma[:, 2, 2] + 1j * spec.gamma[:, 3, 2]
-        turns = np.angle(e_a**q * e_b.conj() ** p)
-        cosets = len(spec.gamma) // int(np.count_nonzero(np.abs(turns) <= SINGULAR_TOL))
+    if engine.max_weight != 1:
         return circles, [
-            MarkedPoint(index=0, label="z2=0", isotropy=abs(p) * cosets),
-            MarkedPoint(index=1, label="z1=0", isotropy=abs(q) * cosets),
+            MarkedPoint(index=0, label="z2=0", isotropy=abs(engine.p) * engine.cosets),
+            MarkedPoint(index=1, label="z1=0", isotropy=abs(engine.q) * engine.cosets),
         ]
-    reps = np.vstack([circles, *_eigenlines(spec)])
+    reps = np.vstack([circles, *_eigenlines(engine)])
     keep: list[int] = []
     marks = []
     # the images of the kept marks' Hopf points under every rotation
@@ -316,10 +304,10 @@ def sample_quotient(spec: IsometricActionSpec) -> SampledMetricSpace:
 
     Returns N quasi-uniform points plus exact singular-orbit representatives,
     with the full matrix of quotient distances.  The result is validated as
-    a metric space before it is returned.
+    a metric space before it is returned, and keeps the engine built here.
     """
     engine = DistanceEngine(spec.weights, spec.gamma)
-    return _quotient_space(spec, engine, *discover_marked(spec, engine))
+    return _quotient_space(spec, engine, *discover_marked(engine))
 
 
 def _quotient_space(
@@ -329,9 +317,9 @@ def _quotient_space(
     marks: list[MarkedPoint],
     known=None,
 ) -> SampledMetricSpace:
-    """The validated quotient sample of spec with the singular orbits
-    marked_reps appended after its random points, the k-th row of
-    marked_reps marked as marks[k]; known is passed to the engine."""
+    """The validated quotient of spec sampled by engine, which it keeps, the
+    singular orbits marked_reps appended after its random points, the k-th
+    row marked as marks[k]; known is passed to the engine."""
     random_points = _sphere_points(spec.samples, spec.seed)
     points = np.vstack([random_points, marked_reps])
     dist = engine.distance_matrix(points, known=known)
@@ -345,6 +333,7 @@ def _quotient_space(
         marked=marked,
         seed=spec.seed,
         spec=spec,
+        engine=engine,
     )
     validate_metric(space)
     return space
@@ -355,8 +344,8 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
 
     The random draw extends the original Gaussian stream, so the first
     min(N, N') random points of the two spaces agree exactly.  A quotient
-    keeps the marked singular orbits of space: they depend only on the
-    action, not on the sampling, so they are not searched for again.
+    keeps the marked singular orbits and the engine of space: they depend
+    only on the action, not on the sampling, so neither is built again.
     The distances among those shared random points and the marks are
     copied from space.dist, and only pairs that touch a fresh point are
     aligned.  Every pair keeps its orientation in a fresh sample (marks
@@ -371,10 +360,5 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
     shared = min(space.spec.samples, samples)
     old = np.r_[:shared, rows]
     block = space.dist if shared == space.spec.samples else space.dist[np.ix_(old, old)]
-    return _quotient_space(
-        spec,
-        DistanceEngine(spec.weights, spec.gamma),
-        space.points[rows],
-        space.marked,
-        known=(np.r_[:shared, samples : samples + len(rows)], block),
-    )
+    known = (np.r_[:shared, samples : samples + len(rows)], block)
+    return _quotient_space(spec, space.engine, space.points[rows], space.marked, known)

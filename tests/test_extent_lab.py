@@ -29,6 +29,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import types
 from itertools import combinations
 from math import gcd, pi
 
@@ -680,6 +681,8 @@ class TestSampling:
         for samples in (120, 90, 50):
             high = regenerate(low, samples)
             fresh = sample_quotient(spec.with_samples(samples))
+            # the action's one engine serves every resolution
+            assert high.engine is low.engine
             assert np.array_equal(high.points, fresh.points)
             assert np.array_equal(high.dist, fresh.dist)
             assert high.marked == fresh.marked
@@ -743,16 +746,35 @@ class TestSampling:
         calls = []
         original = spaces.discover_marked
 
-        def counting(spec, engine):
-            calls.append(spec.samples)
-            return original(spec, engine)
+        def counting(engine):
+            calls.append(engine)
+            return original(engine)
 
         monkeypatch.setattr(spaces, "discover_marked", counting)
         spec = IsometricActionSpec(
             weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50, seed=0
         )
         check_condition_qprime(spec)
-        assert calls == [50]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "weights, gamma, samples",
+        [((1, 1), gamma_binary_dihedral(3), 50), ((2, 3), gamma_trivial(), 100)],
+    )
+    def test_check_q_builds_one_engine(self, monkeypatch, weights, gamma, samples):
+        # both resolutions and every azimuth field share the quotient's engine
+        built = []
+        original = DistanceEngine.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(DistanceEngine, "__init__", counting)
+        check_condition_qprime(
+            IsometricActionSpec(weights=weights, gamma=gamma, samples=samples, seed=0)
+        )
+        assert len(built) == 1
 
     def test_quotient_distances_never_exceed_base(self):
         # projections are 1-Lipschitz: quotient distance <= spherical distance
@@ -823,7 +845,7 @@ class TestFlatPairs:
         engine = DistanceEngine(spec.weights, spec.gamma)
         # a diagonal group has no eigenline to mark, and the coordinate
         # circles are read off the group without a distance
-        reps, _ = spaces.discover_marked(spec, engine)
+        reps, _ = spaces.discover_marked(engine)
         assert len(reps) == 2 and candidates == []
         # the oracle's 6 roots lie on the coordinate circles: the 8 x 8
         # matrix aligns its 28 upper pairs only; their 15 flat pairs
@@ -1343,24 +1365,30 @@ class TestSingularOrbits:
         weights, gammas = ORACLE_SPECS[name]
         spec = IsometricActionSpec(weights=weights, gamma=gammas, samples=50)
         engine = DistanceEngine(spec.weights, spec.gamma)
-        roots = spaces._eigenlines(spec)
-        oracle = svd_theta_roots(spec)
+        roots = spaces._eigenlines(engine)
         if abs(weights[0]) != abs(weights[1]):
             # Gamma is diagonal: every circle the oracle finds is a
-            # coordinate circle
+            # coordinate circle, and the isotropy orders scale |Gamma| / |K|
             assert roots == []
+            assert engine.cosets == len(gammas) // probe_kernel_count(spec)
+            oracle = svd_theta_roots(spec)
             if oracle:
                 dist = engine.distance_matrix(np.vstack([COORDINATE_CIRCLES, oracle]))
                 assert np.max(np.min(dist[:2, 2:], axis=0)) <= 1e-12
-        else:
-            assert len(roots) == len(oracle)
-            if roots:
-                # the fixed circles are orbits, so each root lies on its oracle's
-                dist = engine.distance_matrix(np.vstack([roots, oracle]))
-                assert np.max(np.diag(dist[: len(roots), len(roots) :])) <= 1e-12
-        reps, marks = spaces.discover_marked(spec, engine)
-        monkeypatch.setattr(spaces, "_eigenlines", svd_theta_roots)
-        oracle_reps, oracle_marks = spaces.discover_marked(spec, engine)
+            return
+        # the oracle on the first element of every rotation: it skips the
+        # identity rotation's, a kernel element, by itself
+        firsts = types.SimpleNamespace(weights=weights, gamma=gammas[engine.first_elements])
+        oracle = svd_theta_roots(firsts)
+        assert len(roots) == len(oracle)
+        if roots:
+            # the fixed circles are orbits, so each root lies on its oracle's
+            dist = engine.distance_matrix(np.vstack([roots, oracle]))
+            assert np.max(np.diag(dist[: len(roots), len(roots) :])) <= 1e-12
+        # the oracle's circles of every element of Gamma mark the same orbits
+        reps, marks = spaces.discover_marked(engine)
+        monkeypatch.setattr(spaces, "_eigenlines", lambda engine: svd_theta_roots(spec))
+        oracle_reps, oracle_marks = spaces.discover_marked(engine)
         assert marks == oracle_marks
         dist = engine.distance_matrix(np.vstack([reps, oracle_reps]))
         assert np.max(np.diag(dist[: len(reps), len(reps) :])) <= 1e-12
@@ -1374,9 +1402,9 @@ class TestSingularOrbits:
             weights=weights, gamma=commuting(weights, gamma_binary_dihedral(m)), samples=50
         )
         engine = DistanceEngine(spec.weights, spec.gamma)
-        _, marks = spaces.discover_marked(spec, engine)
-        monkeypatch.setattr(spaces, "_eigenlines", svd_theta_roots)
-        _, oracle_marks = spaces.discover_marked(spec, engine)
+        _, marks = spaces.discover_marked(engine)
+        monkeypatch.setattr(spaces, "_eigenlines", lambda engine: svd_theta_roots(spec))
+        _, oracle_marks = spaces.discover_marked(engine)
         got = [(mark.label, mark.isotropy) for mark in marks]
         assert got == [(mark.label, mark.isotropy) for mark in oracle_marks]
         assert got == [("z2=0", m), ("singular:0", 2), ("singular:1", 2)]
@@ -1393,20 +1421,21 @@ class TestSingularOrbits:
         for w, gammas in cases:
             spec = IsometricActionSpec(weights=w, gamma=gammas, samples=50)
             kernel = probe_kernel_count(spec)
-            reps, marks = spaces.discover_marked(spec, DistanceEngine(w, gammas))
+            engine = DistanceEngine(w, gammas)
+            reps, marks = spaces.discover_marked(engine)
             for rep, mark in zip(reps, marks):
                 assert stabilizer_count(spec, rep) == mark.isotropy * kernel, (w, len(gammas))
-            # two eigenlines per element outside the kernel, at unit weights
+            # two eigenlines per rotation of Gamma bar = Gamma / K other than
+            # the identity, at unit weights
             unit = abs(w[0]) == abs(w[1])
-            assert len(spaces._eigenlines(spec)) == 2 * (len(gammas) - kernel) * unit
+            assert len(spaces._eigenlines(engine)) == 2 * (len(gammas) // kernel - 1) * unit
         # at weights (1, -1) every element of cyclic:m is some R(theta), and
         # at weights (1, 1) so is -I = R(pi), element 3 of D3*, beside I
         for w, gammas, count in (
             ((1, -1), gamma_cyclic(12), 0),
-            ((1, 1), gamma_binary_dihedral(3), 2 * 10),
+            ((1, 1), gamma_binary_dihedral(3), 2 * 5),
         ):
-            spec = IsometricActionSpec(weights=w, gamma=gammas, samples=50)
-            assert len(spaces._eigenlines(spec)) == count
+            assert len(spaces._eigenlines(DistanceEngine(w, gammas))) == count
 
     @pytest.mark.parametrize(
         "weights, gamma",
@@ -1422,8 +1451,17 @@ class TestSingularOrbits:
         engine = DistanceEngine(spec.weights, spec.gamma)
         monkeypatch.setattr(DistanceEngine, "distance_matrix", refuse)
         monkeypatch.setattr(DistanceEngine, "align", refuse)
-        _, marks = spaces.discover_marked(spec, engine)
+        _, marks = spaces.discover_marked(engine)
         assert marks
+
+    def test_near_identity_element_is_in_the_kernel(self):
+        # the identity given as a rotation of the z1 plane by 9e-10 passes
+        # validation; its turn 4096 * 9e-10 is above SINGULAR_TOL, but within
+        # (|p| + |q|) SINGULAR_TOL
+        gamma = circle_matrix(1, 0, 9e-10)[None]
+        spec = IsometricActionSpec(weights=(1, 4096), gamma=gamma, samples=50)
+        _, marks = spaces.discover_marked(DistanceEngine(spec.weights, spec.gamma))
+        assert [(m.label, m.isotropy) for m in marks] == [("z2=0", 1), ("z1=0", 4096)]
 
     @pytest.mark.parametrize(
         "gammas",

@@ -13,7 +13,7 @@ import pytest
 import x4circle
 import x4circle.extent_lab
 
-# the names the README's library section imports from the lab
+# the names the README's library section imports from the lab or documents
 README_LAB_NAMES = {
     "IsometricActionSpec",
     "check_condition_qprime",
@@ -104,11 +104,14 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+SOURCES = sorted(pathlib.Path(x4circle.__file__).parent.rglob("*.py"))
+
+
 def test_no_module_reaches_a_private_name_of_another():
     # a helper that two modules share is public: no module imports another
     # one's _name, or reads <imported name>._name
     crossings = []
-    for path in sorted(pathlib.Path(x4circle.__file__).parent.rglob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = set()
         for node in ast.walk(tree):
@@ -126,6 +129,28 @@ def test_no_module_reaches_a_private_name_of_another():
             ):
                 crossings.append(f"{path.name}:{node.lineno}: reads {node.value.id}.{node.attr}")
     assert crossings == []
+
+
+def test_only_sample_quotient_builds_a_distance_engine():
+    # an action's one engine is built with its quotient and read from the
+    # space by every later stage: "<module>.<function>" of each call
+    builders = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.partition('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "DistanceEngine":
+                    builders.append(owner)
+            visit(child, owner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert builders == ["spaces.sample_quotient"]
 
 
 # every algebra command, then one schema reject, then the lab commands; runs
