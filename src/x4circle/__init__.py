@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         ("EquivalenceMove", "InvariantTuple", "Reversal", "Rotation", "Translation",
-         "apply_move", "are_equivalent", "canonicalize", "cyclic_differences", "euler_sum",
-         "is_realizable"),
+         "Rejected", "apply_move", "are_equivalent", "canonicalize", "cyclic_differences",
+         "euler_sum", "is_realizable"),
         "invariants",
     ),
     **dict.fromkeys(
@@ -30,9 +30,9 @@ _LAZY = {
         "wcp",
     ),
     **dict.fromkeys(
-        ("CIRCLE", "ClassificationResult", "Edge", "FixedPointHomogeneous", "GraphValidation",
-         "LoopAndSpur", "Rejected", "SingularGraph", "Suspension", "WCPQuotient", "classify",
-         "loop_and_spur_pi1", "validate_graph", "virtual_edge_completion"),
+        ("CIRCLE", "ClassificationResult", "Edge", "FixedPointHomogeneous", "LoopAndSpur",
+         "SingularGraph", "Suspension", "WCPQuotient", "classify", "loop_and_spur_pi1",
+         "validate_graph", "virtual_edge_completion"),
         "classifier",
     ),
 }

@@ -18,7 +18,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .invariants import InvariantTuple, is_realizable
+from .invariants import (
+    PAIRWISE_UNEQUAL,
+    TAG_PAIRWISE_UNEQUAL,
+    InvariantTuple,
+    Rejected,
+    is_realizable,
+)
 from .seifert import (
     BoundaryLabel,
     BoundaryRecognition,
@@ -30,7 +36,8 @@ from .seifert import (
 from .wcp import QuotientDescriptor, weights_from_invariants
 
 
-# Machine-readable citation tags for rejected configurations.
+# Machine-readable citation tags for rejected configurations; the eleventh,
+# TAG_PAIRWISE_UNEQUAL, is imported from invariants beside is_realizable.
 TAG_AT_LEAST_TWO = "at-least-two-fixed-points"
 TAG_THREE_POINT_BOUND = "three-point-bound"
 TAG_DEGREE_BOUND = "degree-bound"
@@ -38,7 +45,6 @@ TAG_NO_FREE_CURVES = "no-closed-curves"
 TAG_FIG5_DG = "fig5-dg"
 TAG_THREE_POINT_LOOP = "three-point-loop"
 TAG_THREE_POINT_MULTIEDGE = "three-point-multi-edge"
-TAG_PAIRWISE_UNEQUAL = "pairwise-unequal"
 TAG_S2XS1 = "s2xs1-inadmissible"
 TAG_K_PLUS_ONE = "k-plus-one-fixed-points"
 TAG_LOOP_ORDER_BOUND = "loop-order-bound"
@@ -111,60 +117,44 @@ class SingularGraph:
         return d
 
 
-@dataclass(frozen=True)
-class GraphValidation:
-    valid: bool
-    reason: Optional[str] = None
-    tag: Optional[str] = None
-
-
-def validate_graph(g: SingularGraph) -> GraphValidation:
+def validate_graph(g: SingularGraph) -> Optional[Rejected]:
     """Check a singular multigraph against the positive-curvature constraints.
 
-    Checks run in a fixed order and the first failure is reported with its
-    citation tag.  A graph with a boundary fixed set is always valid here;
-    it bypasses the vertex bounds and is handled by the fixed-point
-    homogeneous branch of classify.
+    Checks run in a fixed order and the first failure is returned as a
+    Rejected with its citation tag; a valid graph gives None.  A graph with
+    a boundary fixed set is always valid here; it bypasses the vertex bounds
+    and is handled by the fixed-point homogeneous branch of classify.
     """
     if g.has_boundary_fixed_set:
-        return GraphValidation(True)
+        return None
     if g.vertex_count < 2:
-        return GraphValidation(
-            False,
+        return Rejected(
             "an action with no boundary fixed set has at least two isolated fixed points",
             TAG_AT_LEAST_TWO,
         )
     if g.vertex_count > 3:
-        return GraphValidation(
-            False,
+        return Rejected(
             "a positively curved 4-space admits at most three isolated fixed points",
             TAG_THREE_POINT_BOUND,
         )
     for vtx in range(g.vertex_count):
         if g.degree(vtx) > 3:
-            return GraphValidation(
-                False,
+            return Rejected(
                 f"vertex {vtx} meets more than three curve ends (loops count twice)",
                 TAG_DEGREE_BOUND,
             )
     for e in g.edges:
         if e.is_free_curve:
-            return GraphValidation(
-                False,
+            return Rejected(
                 "a closed curve of finite isotropy must pass through a fixed point",
                 TAG_NO_FREE_CURVES,
             )
     loop_vertices = {e.u for e in g.edges if e.is_loop}
     if len(loop_vertices) >= 2:
-        return GraphValidation(
-            False,
-            "loops at two distinct fixed points cannot occur",
-            TAG_FIG5_DG,
-        )
+        return Rejected("loops at two distinct fixed points cannot occur", TAG_FIG5_DG)
     if g.vertex_count == 3:
         if loop_vertices:
-            return GraphValidation(
-                False,
+            return Rejected(
                 "with three fixed points every closed singular curve passes through all three",
                 TAG_THREE_POINT_LOOP,
             )
@@ -172,13 +162,12 @@ def validate_graph(g: SingularGraph) -> GraphValidation:
         for e in g.edges:
             key = frozenset((e.u, e.v))
             if key in seen:
-                return GraphValidation(
-                    False,
+                return Rejected(
                     "with three fixed points at most one singular curve joins each pair",
                     TAG_THREE_POINT_MULTIEDGE,
                 )
             seen.add(key)
-    return GraphValidation(True)
+    return None
 
 
 def virtual_edge_completion(g: SingularGraph) -> SingularGraph:
@@ -189,9 +178,9 @@ def virtual_edge_completion(g: SingularGraph) -> SingularGraph:
     loops on two vertices are already complete.  Requires a valid graph
     without a boundary fixed set.
     """
-    check = validate_graph(g)
-    if not check.valid:
-        raise ValueError(f"cannot complete an invalid graph: {check.reason}")
+    rejected = validate_graph(g)
+    if rejected is not None:
+        raise ValueError(f"cannot complete an invalid graph: {rejected.reason}")
     if g.has_boundary_fixed_set:
         raise ValueError("completion does not apply to boundary-fixed-set actions")
     edges = list(g.edges)
@@ -265,27 +254,12 @@ class LoopAndSpur:
         return self.spur[1] is None
 
 
-@dataclass(frozen=True)
-class Rejected:
-    reason: str
-    tag: str
-
-
-PAIRWISE_UNEQUAL = Rejected(
-    reason="invariant entries must be pairwise unequal to bound three fixed points",
-    tag=TAG_PAIRWISE_UNEQUAL,
+K_PLUS_ONE = Rejected(
+    reason="the three-fold cover would acquire four fixed points",
+    tag=TAG_K_PLUS_ONE,
 )
 
 ClassificationResult = Union[FixedPointHomogeneous, Suspension, WCPQuotient, LoopAndSpur, Rejected]
-
-
-@dataclass(frozen=True)
-class LoopSpurGroup:
-    """Outcome of the loop-and-spur fundamental group computation."""
-
-    order: int
-    admissible: bool
-    rejection_tag: Optional[str] = None
 
 
 def _loop_spur_presentation(k: int, beta: int) -> GroupPresentation:
@@ -302,13 +276,18 @@ def _loop_spur_presentation(k: int, beta: int) -> GroupPresentation:
     )
 
 
-def loop_and_spur_pi1(k: int, spur: tuple[int, int]) -> LoopSpurGroup:
-    """Orbifold fundamental group order k*|beta| for the loop-and-spur picture.
+def _double_cover_descriptor(spur_order: int) -> QuotientDescriptor:
+    t = InvariantTuple((Fraction(0), Fraction(-1, spur_order), Fraction(1, spur_order)))
+    return weights_from_invariants(t)
+
+
+def loop_and_spur_pi1(k: int, spur: tuple[int, int]) -> Union[LoopAndSpur, Rejected]:
+    """The loop-and-spur picture with orbifold fundamental group of order k*|beta|.
 
     The order is recomputed from the abelianized presentation via Smith
-    normal form and must agree with the closed formula.  k = 3 is always
-    inadmissible (the three-fold cover would have k + 1 = 4 fixed points),
-    and beta = 0 is inadmissible because the link would be S^2 x S^1.
+    normal form and must agree with the closed formula.  beta = 0 is
+    rejected because the link would be S^2 x S^1, and k = 3 is always
+    rejected (the three-fold cover would have k + 1 = 4 fixed points).
     """
     if k not in (2, 3):
         raise ValueError("loop isotropy order must be 2 or 3")
@@ -322,20 +301,22 @@ def loop_and_spur_pi1(k: int, spur: tuple[int, int]) -> LoopSpurGroup:
     if beta == 0:
         if inv.finite:
             raise AssertionError("abelianization must be infinite when beta = 0")
-        return LoopSpurGroup(order=0, admissible=False, rejection_tag=TAG_S2XS1)
+        return Rejected(
+            reason="the link of the loop vertex would be S^2 x S^1 (beta = 0)", tag=TAG_S2XS1
+        )
     expected = k * abs(beta)
     if inv.order != expected:
         raise AssertionError(
             f"presentation pipeline gave order {inv.order}, closed formula {expected}"
         )
     if k == 3:
-        return LoopSpurGroup(order=expected, admissible=False, rejection_tag=TAG_K_PLUS_ONE)
-    return LoopSpurGroup(order=expected, admissible=True)
-
-
-def _double_cover_descriptor(spur_order: int) -> QuotientDescriptor:
-    t = InvariantTuple((Fraction(0), Fraction(-1, spur_order), Fraction(1, spur_order)))
-    return weights_from_invariants(t)
+        return K_PLUS_ONE
+    return LoopAndSpur(
+        k=k,
+        spur=(alpha, beta),
+        orbifold_pi1_order=expected,
+        double_cover=_double_cover_descriptor(alpha),
+    )
 
 
 def classify(
@@ -348,9 +329,9 @@ def classify(
     must then match the edge isotropy orders as multisets (virtual edges
     count as order 1).
     """
-    check = validate_graph(g)
-    if not check.valid:
-        return Rejected(reason=check.reason, tag=check.tag)
+    rejected = validate_graph(g)
+    if rejected is not None:
+        return rejected
 
     if g.has_boundary_fixed_set:
         soul = g.soul_isotropy
@@ -403,29 +384,14 @@ def classify(
             # a virtual spur carries no finite isotropy; the smallest section
             # gauge (1, 1) applies and the orbifold group has order k
             beta = 1
-        if beta is None:
-            if k == 3:
-                return Rejected(
-                    reason="the three-fold cover would acquire four fixed points",
-                    tag=TAG_K_PLUS_ONE,
-                )
-            return LoopAndSpur(
-                k=k,
-                spur=(spur.order, None),
-                orbifold_pi1_order=None,
-                double_cover=_double_cover_descriptor(spur.order),
-            )
-        group = loop_and_spur_pi1(k, (spur.order, beta))
-        if not group.admissible:
-            reasons = {
-                TAG_S2XS1: "the link of the loop vertex would be S^2 x S^1 (beta = 0)",
-                TAG_K_PLUS_ONE: "the three-fold cover would acquire four fixed points",
-            }
-            return Rejected(reason=reasons[group.rejection_tag], tag=group.rejection_tag)
+        if beta is not None:
+            return loop_and_spur_pi1(k, (spur.order, beta))
+        if k == 3:
+            return K_PLUS_ONE
         return LoopAndSpur(
             k=k,
-            spur=(spur.order, beta),
-            orbifold_pi1_order=group.order,
+            spur=(spur.order, None),
+            orbifold_pi1_order=None,
             double_cover=_double_cover_descriptor(spur.order),
         )
 

@@ -155,14 +155,12 @@ def _run_seifert_recognize(payload, opts):
 
 
 def _run_wcp(payload, opts):
-    from .invariants import InvariantTuple, is_realizable
+    from .invariants import PAIRWISE_UNEQUAL, InvariantTuple, is_realizable
     from .wcp import verify_kernel, weights_from_invariants
 
     t = InvariantTuple(payload["invariants"])
     normalized = {"invariants": t.as_strings()}
     if not is_realizable(t):
-        from .classifier import PAIRWISE_UNEQUAL
-
         return normalized, serialize.encode_classification(PAIRWISE_UNEQUAL)
     descriptor = weights_from_invariants(t)
     result = {

@@ -49,14 +49,6 @@ def rotation_block(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def circle_matrix(p: int, q: int, theta: float) -> np.ndarray:
-    """The action of e^{i theta}: block rotations by p*theta and q*theta."""
-    out = np.zeros((4, 4))
-    out[:2, :2] = rotation_block(p * theta)
-    out[2:, 2:] = rotation_block(q * theta)
-    return out
-
-
 def circle_generator(p: int, q: int) -> np.ndarray:
     """Infinitesimal generator J = d/dtheta R(theta) at theta = 0."""
     out = np.zeros((4, 4))

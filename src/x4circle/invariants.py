@@ -159,6 +159,22 @@ def is_realizable(t: InvariantTuple) -> bool:
     return all(e[i] != e[(i + 1) % n] for i in range(n))
 
 
+@dataclass(frozen=True)
+class Rejected:
+    """A configuration the positive-curvature constraints refuse, with the
+    reason and the machine-readable citation tag that reports carry."""
+
+    reason: str
+    tag: str
+
+
+TAG_PAIRWISE_UNEQUAL = "pairwise-unequal"
+PAIRWISE_UNEQUAL = Rejected(
+    reason="invariant entries must be pairwise unequal to bound three fixed points",
+    tag=TAG_PAIRWISE_UNEQUAL,
+)
+
+
 def euler_sum(t: InvariantTuple) -> Fraction:
     """Generalized Euler number e = -(t1 + ... + tn), exact."""
     return -sum(t.entries, Fraction(0))

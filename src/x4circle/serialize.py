@@ -252,10 +252,12 @@ def decode_graph(obj: dict) -> SingularGraph:
 
 
 def encode_classification(result) -> dict:
-    from .classifier import FixedPointHomogeneous, LoopAndSpur, Rejected, Suspension, WCPQuotient
+    from .invariants import Rejected
 
     if isinstance(result, Rejected):
         return {"kind": "rejected", "reason": result.reason, "tag": result.tag}
+    from .classifier import FixedPointHomogeneous, LoopAndSpur, Suspension, WCPQuotient
+
     if isinstance(result, FixedPointHomogeneous):
         return {
             "kind": "fixed-point-homogeneous",

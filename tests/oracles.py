@@ -54,7 +54,7 @@ from x4circle.extent_lab.actions import (
     MAX_GROUP_ORDER,
     ORTHOGONALITY_TOL,
     circle_generator,
-    circle_matrix,
+    rotation_block,
 )
 from x4circle.extent_lab.engine import CANDIDATE_MARGIN, ROW_CHUNK, DistanceEngine
 from x4circle.extent_lab.spaces import (
@@ -63,6 +63,14 @@ from x4circle.extent_lab.spaces import (
     validate_metric,
 )
 from x4circle.invariants import InvariantTuple
+
+
+def circle_matrix(p: int, q: int, theta: float) -> np.ndarray:
+    """R(theta), the action of e^{i theta}: block rotations by p*theta and q*theta."""
+    out = np.zeros((4, 4))
+    out[:2, :2] = rotation_block(p * theta)
+    out[2:, 2:] = rotation_block(q * theta)
+    return out
 
 
 # largest sigma_min of R(theta) gamma - I at a polished root of `svd_theta_roots`

@@ -15,6 +15,7 @@ import pytest
 from x4circle import intlinalg
 from x4circle.classifier import (
     Edge,
+    LoopAndSpur,
     Rejected,
     SingularGraph,
     classify,
@@ -158,7 +159,10 @@ def test_criterion_04_loop_and_spur():
         # independent abelianization: <q,h | [h,q], q^2 h^-1, h^beta>
         rows = [[0, 0], [2, -1], [0, beta]]
         pipeline = intlinalg.abelian_invariants(rows, 2).order
-        if not (group.admissible and group.order == 2 * abs(beta) == pipeline):
+        if not (
+            isinstance(group, LoopAndSpur)
+            and group.orbifold_pi1_order == 2 * abs(beta) == pipeline
+        ):
             bad.append(beta)
         count += 1
     k3 = loop_and_spur_pi1(3, (1, 5))
@@ -166,8 +170,8 @@ def test_criterion_04_loop_and_spur():
         SingularGraph(vertex_count=2, edges=(Edge(0, 0, 3), Edge(0, 1, 5, beta=2)))
     )
     tag_ok = (
-        not k3.admissible
-        and k3.rejection_tag == "k-plus-one-fixed-points"
+        isinstance(k3, Rejected)
+        and k3.tag == "k-plus-one-fixed-points"
         and isinstance(k3_graph, Rejected)
         and k3_graph.tag == "k-plus-one-fixed-points"
     )
@@ -201,11 +205,11 @@ def test_criterion_05_figure_gate():
     }
     failures = []
     for name, g in accepted.items():
-        if not validate_graph(g).valid:
+        if validate_graph(g) is not None:
             failures.append(name)
     for name, (g, tag) in rejected.items():
         verdict = validate_graph(g)
-        if verdict.valid or verdict.tag != tag:
+        if not isinstance(verdict, Rejected) or verdict.tag != tag:
             failures.append(name)
     emit(5, not failures, f"figure gate verdicts, failures: {failures}")
 

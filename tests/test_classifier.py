@@ -16,6 +16,7 @@ from x4circle.classifier import (
     TAG_THREE_POINT_LOOP,
     TAG_THREE_POINT_MULTIEDGE,
     Edge,
+    K_PLUS_ONE,
     FixedPointHomogeneous,
     LoopAndSpur,
     Rejected,
@@ -33,6 +34,16 @@ from x4circle.seifert import MAX_WORD_LETTERS, BoundaryLabel
 
 def graph(n, *edges, **kw):
     return SingularGraph(vertex_count=n, edges=tuple(edges), **kw)
+
+
+def rejection_tag(verdict):
+    """The tag of a Rejected verdict; fails on any other value."""
+    assert isinstance(verdict, Rejected), verdict
+    return verdict.tag
+
+
+def validation_tag(g):
+    return rejection_tag(validate_graph(g))
 
 
 class TestEdge:
@@ -80,49 +91,41 @@ class TestSingularGraph:
 class TestValidation:
     def test_admissible_pictures(self):
         # single edge, double edge, loop with spur, triangle
-        assert validate_graph(graph(2, Edge(0, 1, 2))).valid
-        assert validate_graph(graph(2, Edge(0, 1, 2), Edge(0, 1, 3))).valid
-        assert validate_graph(graph(2, Edge(0, 0, 2), Edge(0, 1, 5))).valid
-        assert validate_graph(graph(3, Edge(0, 1, 2), Edge(1, 2, 3), Edge(0, 2, 5))).valid
-        assert validate_graph(graph(2)).valid
+        assert validate_graph(graph(2, Edge(0, 1, 2))) is None
+        assert validate_graph(graph(2, Edge(0, 1, 2), Edge(0, 1, 3))) is None
+        assert validate_graph(graph(2, Edge(0, 0, 2), Edge(0, 1, 5))) is None
+        assert validate_graph(graph(3, Edge(0, 1, 2), Edge(1, 2, 3), Edge(0, 2, 5))) is None
+        assert validate_graph(graph(2)) is None
 
     def test_vertex_count_bounds(self):
-        v = validate_graph(graph(1, Edge(0, 0, 2)))
-        assert (v.valid, v.tag) == (False, TAG_AT_LEAST_TWO)
-        v = validate_graph(graph(0))
-        assert (v.valid, v.tag) == (False, TAG_AT_LEAST_TWO)
-        v = validate_graph(graph(4, Edge(0, 1, 2)))
-        assert (v.valid, v.tag) == (False, TAG_THREE_POINT_BOUND)
+        assert validation_tag(graph(1, Edge(0, 0, 2))) == TAG_AT_LEAST_TWO
+        assert validation_tag(graph(0)) == TAG_AT_LEAST_TWO
+        assert validation_tag(graph(4, Edge(0, 1, 2))) == TAG_THREE_POINT_BOUND
 
     def test_degree_bound(self):
-        v = validate_graph(graph(2, *(Edge(0, 1, k) for k in (2, 3, 5, 7))))
-        assert (v.valid, v.tag) == (False, TAG_DEGREE_BOUND)
+        four_ends = graph(2, *(Edge(0, 1, k) for k in (2, 3, 5, 7)))
+        assert validation_tag(four_ends) == TAG_DEGREE_BOUND
         # two loops at one vertex already violate the degree bound
-        v = validate_graph(graph(2, Edge(0, 0, 2), Edge(0, 0, 3)))
-        assert (v.valid, v.tag) == (False, TAG_DEGREE_BOUND)
+        assert validation_tag(graph(2, Edge(0, 0, 2), Edge(0, 0, 3))) == TAG_DEGREE_BOUND
 
     def test_free_closed_curves(self):
-        v = validate_graph(graph(2, Edge(None, None, 2)))
-        assert (v.valid, v.tag) == (False, TAG_NO_FREE_CURVES)
+        assert validation_tag(graph(2, Edge(None, None, 2))) == TAG_NO_FREE_CURVES
 
     def test_loops_at_two_vertices(self):
-        v = validate_graph(graph(2, Edge(0, 0, 2), Edge(1, 1, 2)))
-        assert (v.valid, v.tag) == (False, TAG_FIG5_DG)
+        assert validation_tag(graph(2, Edge(0, 0, 2), Edge(1, 1, 2))) == TAG_FIG5_DG
 
     def test_three_vertex_restrictions(self):
-        v = validate_graph(graph(3, Edge(0, 0, 2)))
-        assert (v.valid, v.tag) == (False, TAG_THREE_POINT_LOOP)
-        v = validate_graph(graph(3, Edge(0, 1, 2), Edge(0, 1, 3)))
-        assert (v.valid, v.tag) == (False, TAG_THREE_POINT_MULTIEDGE)
+        assert validation_tag(graph(3, Edge(0, 0, 2))) == TAG_THREE_POINT_LOOP
+        double_edge = graph(3, Edge(0, 1, 2), Edge(0, 1, 3))
+        assert validation_tag(double_edge) == TAG_THREE_POINT_MULTIEDGE
 
     def test_first_failure_wins(self):
         # vertex bound is checked before the free-curve rule
-        v = validate_graph(graph(4, Edge(None, None, 2)))
-        assert v.tag == TAG_THREE_POINT_BOUND
+        assert validation_tag(graph(4, Edge(None, None, 2))) == TAG_THREE_POINT_BOUND
 
     def test_boundary_fixed_set_bypasses_bounds(self):
         g = graph(5, has_boundary_fixed_set=True, soul_isotropy=2)
-        assert validate_graph(g).valid
+        assert validate_graph(g) is None
 
 
 class TestCompletion:
@@ -160,17 +163,19 @@ class TestCompletion:
 class TestLoopSpurGroup:
     def test_frozen_orders(self):
         g = loop_and_spur_pi1(2, (5, 3))
-        assert (g.order, g.admissible) == (6, True)
+        assert isinstance(g, LoopAndSpur)
+        assert (g.k, g.spur, g.orbifold_pi1_order) == (2, (5, 3), 6)
         g = loop_and_spur_pi1(2, (1, 1))
-        assert (g.order, g.admissible) == (2, True)
+        assert isinstance(g, LoopAndSpur)
+        assert (g.k, g.spur, g.orbifold_pi1_order) == (2, (1, 1), 2)
 
     def test_beta_zero_is_s2xs1(self):
-        g = loop_and_spur_pi1(2, (1, 0))
-        assert (g.order, g.admissible, g.rejection_tag) == (0, False, TAG_S2XS1)
+        assert rejection_tag(loop_and_spur_pi1(2, (1, 0))) == TAG_S2XS1
 
     def test_k_three_inadmissible(self):
-        g = loop_and_spur_pi1(3, (4, 3))
-        assert (g.order, g.admissible, g.rejection_tag) == (9, False, TAG_K_PLUS_ONE)
+        # the order 9 is still checked against the presentation before k = 3 is refused
+        assert loop_and_spur_pi1(3, (4, 3)) is K_PLUS_ONE
+        assert rejection_tag(K_PLUS_ONE) == TAG_K_PLUS_ONE
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -189,15 +194,21 @@ class TestLoopSpurGroup:
         with pytest.raises(ValueError, match="relator letters"):
             loop_and_spur_pi1(2, (1, -(MAX_WORD_LETTERS - 6)))
         beta = MAX_WORD_LETTERS - 7
-        assert loop_and_spur_pi1(2, (1, beta)).order == 2 * beta
+        assert loop_and_spur_pi1(2, (1, beta)).orbifold_pi1_order == 2 * beta
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("beta", range(-6, 7))
     def test_presentation_pipeline_sweep(self, k, beta):
-        # loop_and_spur_pi1 internally asserts Smith normal form == k*|beta|
+        # loop_and_spur_pi1 internally asserts Smith normal form == k*|beta|,
+        # for k = 3 too, before it refuses the picture
         alpha = 1 if beta % 2 == 0 else 2
         g = loop_and_spur_pi1(k, (alpha, beta))
-        assert g.order == k * abs(beta)
+        if beta == 0:
+            assert rejection_tag(g) == TAG_S2XS1
+        elif k == 3:
+            assert g is K_PLUS_ONE
+        else:
+            assert g.orbifold_pi1_order == k * abs(beta)
 
 
 class TestClassifyBoundaryFixedSet:

@@ -566,6 +566,11 @@ class TestCommandResults:
         assert "{" not in out
 
 
+def readme_section(heading: str) -> str:
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    return readme.read_text().split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_command_set_is_named_once():
     from x4circle.serialize import SCHEMAS
 
@@ -574,11 +579,24 @@ def test_command_set_is_named_once():
         for action in cli._build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-    section = readme.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Command line")
     documented = re.findall(r"^\| `([a-z0-9-]+)` *\|", section, flags=re.MULTILINE)
     assert len(documented) == 9
     assert list(subparsers.choices) == list(SCHEMAS) == documented
+
+
+def test_every_rejection_tag_is_documented():
+    from x4circle import classifier
+
+    tags = {value for name, value in vars(classifier).items() if name.startswith("TAG_")}
+    section = readme_section("Rejection tags")
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| ([^|]+) \|", section, flags=re.MULTILINE)
+    documented = [tag for tag, _ in rows]
+    assert len(documented) == len(tags) == 11
+    assert set(documented) == tags
+    assert {tag for tag, commands in rows if "`wcp`" in commands} == {
+        classifier.TAG_PAIRWISE_UNEQUAL
+    }
 
 
 # -- fuzzing the exact-algebra commands ---------------------------------------

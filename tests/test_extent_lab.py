@@ -63,7 +63,6 @@ from x4circle.extent_lab.actions import (
     GROUP_TOL,
     MAX_GRID_CELLS,
     MAX_GROUP_ORDER,
-    circle_matrix,
 )
 from x4circle.extent_lab.cover import BaseGraphs, _build_cover
 from x4circle.extent_lab.engine import GRID_PER_WEIGHT, ROW_CHUNK
@@ -72,6 +71,7 @@ from x4circle.extent_lab.spaces import SampledMetricSpace
 from oracles import (
     MaskScanEngine,
     brute_force_extent_three,
+    circle_matrix,
     full_triangle_slack,
     golden_grid_alignments,
     golden_max,

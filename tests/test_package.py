@@ -193,6 +193,7 @@ requests = [
     ("seifert-pi1", {"seifert": {"fibers": [[2, 1], [3, 1]]}}),
     ("seifert-recognize", {"seifert": {"fibers": [[2, 1], [2, -1]]}}),
     ("wcp", {"invariants": ["0", "-1/2", "1/2"]}),
+    ("wcp", {"invariants": ["0", "0", "1/2"]}),
     ("classify", {"graph": {"vertices": 2, "edges": [{"loop": 0, "order": 2}]}}),
     ("canon", {"invariants": ["1/2"]}),
 ]
@@ -228,20 +229,21 @@ def boundary_probe(boundary_run) -> list[str]:
 
 
 def test_algebra_commands_never_load_numpy(boundary_probe):
-    assert boundary_probe[:8] == [
+    assert boundary_probe[:9] == [
         "canon 0 False",
         "equiv 0 False",
         "euler 0 False",
         "seifert-pi1 0 False",
         "seifert-recognize 0 False",
         "wcp 0 False",
+        "wcp 2 False",
         "classify 0 False",
         "canon 1 False",
     ]
 
 
 def test_only_a_cover_loads_scipy(boundary_probe):
-    assert boundary_probe[8:] == ["extent 0 False", "check-q 0 True", ""]
+    assert boundary_probe[9:] == ["extent 0 False", "check-q 0 True", ""]
 
 
 def test_each_command_loads_only_its_algebra_layers(boundary_run):
@@ -252,6 +254,7 @@ def test_each_command_loads_only_its_algebra_layers(boundary_run):
         "euler invariants",
         "seifert-pi1 intlinalg seifert",
         "seifert-recognize intlinalg seifert",
+        "wcp intlinalg invariants wcp",
         "wcp intlinalg invariants wcp",
         "classify classifier intlinalg invariants seifert wcp",
         "canon",

@@ -15,14 +15,19 @@ import x4circle.extent_lab
 from x4circle import cli
 from x4circle.extent_lab import SMALL_BOUND, condition_q
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_module(name: str, path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_script(name: str):
+    return load_module(name, SCRIPTS / f"{name}.py")
 
 
 def run_main(monkeypatch, capsys, name, *args):
@@ -205,3 +210,24 @@ def test_pool_digest_repeats(monkeypatch, capsys):
         assert workload == "algebra-mix" and len(digest) == 64
         digests.append(digest)
     assert digests[0] == digests[1]
+
+
+def test_every_pool_answer_matches_its_reference():
+    # every request of the four benchmark pools (518 in all, about 3 s),
+    # answered in-process and compared with perfbench/reference/ by the
+    # benchmark's own rules
+    pool_digest = load_script("pool_digest")
+    check = load_module("check", ROOT / "perfbench" / "check.py")
+    workloads = pool_digest.workloads
+    answered, mismatches = 0, {}
+    for workload in workloads.WORKLOADS:
+        refs = check.load_references(workload)
+        for request in workloads.pool(workload):
+            key, code, stdout, stderr = pool_digest.answer(cli, request)
+            outcome = {"code": code, "stdout": stdout, "stderr": stderr}
+            why = check.mismatch(refs[key], outcome)
+            if why is not None:
+                mismatches[f"{workload}/{key}"] = why
+            answered += 1
+    assert mismatches == {}
+    assert answered == 518
