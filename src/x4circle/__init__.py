@@ -20,9 +20,9 @@ _LAZY = {
         "invariants",
     ),
     **dict.fromkeys(
-        ("INFINITE", "BoundaryLabel", "BoundaryRecognition", "GroupPresentation",
-         "SeifertPresentation", "abelian_order_two_fibers", "euler_number",
-         "fundamental_group", "normalize", "recognize_boundary"),
+        ("BoundaryLabel", "BoundaryRecognition", "GroupPresentation", "SeifertPresentation",
+         "abelian_order_two_fibers", "euler_number", "fundamental_group", "normalize",
+         "recognize_boundary"),
         "seifert",
     ),
     **dict.fromkeys(

@@ -206,7 +206,6 @@ class FixedPointHomogeneous:
     """Action with a fixed 2-sphere boundary component in the orbit space."""
 
     lens_order: Optional[int]
-    wcp_quotient: Optional[QuotientDescriptor]
     note: str = ""
 
 
@@ -281,40 +280,44 @@ def _double_cover_descriptor(spur_order: int) -> QuotientDescriptor:
     return weights_from_invariants(t)
 
 
-def loop_and_spur_pi1(k: int, spur: tuple[int, int]) -> Union[LoopAndSpur, Rejected]:
+def loop_and_spur_pi1(k: int, spur: tuple[int, Optional[int]]) -> Union[LoopAndSpur, Rejected]:
     """The loop-and-spur picture with orbifold fundamental group of order k*|beta|.
 
     The order is recomputed from the abelianized presentation via Smith
     normal form and must agree with the closed formula.  beta = 0 is
     rejected because the link would be S^2 x S^1, and k = 3 is always
     rejected (the three-fold cover would have k + 1 = 4 fixed points).
+    A section beta of None means the type only: the result carries no
+    order, and k = 3 is still rejected.
     """
     if k not in (2, 3):
         raise ValueError("loop isotropy order must be 2 or 3")
     alpha, beta = spur
     if alpha < 1:
         raise ValueError("spur order must be >= 1")
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"spur pair ({alpha}, {beta}) is not coprime")
-
-    inv = _loop_spur_presentation(k, beta).abelian_invariants()
-    if beta == 0:
-        if inv.finite:
-            raise AssertionError("abelianization must be infinite when beta = 0")
-        return Rejected(
-            reason="the link of the loop vertex would be S^2 x S^1 (beta = 0)", tag=TAG_S2XS1
-        )
-    expected = k * abs(beta)
-    if inv.order != expected:
-        raise AssertionError(
-            f"presentation pipeline gave order {inv.order}, closed formula {expected}"
-        )
+    order = None
+    if beta is not None:
+        if gcd(alpha, beta) != 1:
+            raise ValueError(f"spur pair ({alpha}, {beta}) is not coprime")
+        inv = _loop_spur_presentation(k, beta).abelian_invariants()
+        if beta == 0:
+            if inv.finite:
+                raise AssertionError("abelianization must be infinite when beta = 0")
+            return Rejected(
+                reason="the link of the loop vertex would be S^2 x S^1 (beta = 0)",
+                tag=TAG_S2XS1,
+            )
+        order = k * abs(beta)
+        if inv.order != order:
+            raise AssertionError(
+                f"presentation pipeline gave order {inv.order}, closed formula {order}"
+            )
     if k == 3:
         return K_PLUS_ONE
     return LoopAndSpur(
         k=k,
         spur=(alpha, beta),
-        orbifold_pi1_order=expected,
+        orbifold_pi1_order=order,
         double_cover=_double_cover_descriptor(alpha),
     )
 
@@ -340,13 +343,12 @@ def classify(
         if soul == CIRCLE:
             return FixedPointHomogeneous(
                 lens_order=None,
-                wcp_quotient=None,
                 note=(
                     "finite quotient of a weighted projective space; "
                     "the weights are not determined by the orbit graph"
                 ),
             )
-        return FixedPointHomogeneous(lens_order=int(soul), wcp_quotient=None)
+        return FixedPointHomogeneous(lens_order=int(soul))
 
     completed = virtual_edge_completion(g)
 
@@ -384,22 +386,13 @@ def classify(
             # a virtual spur carries no finite isotropy; the smallest section
             # gauge (1, 1) applies and the orbifold group has order k
             beta = 1
-        if beta is not None:
-            return loop_and_spur_pi1(k, (spur.order, beta))
-        if k == 3:
-            return K_PLUS_ONE
-        return LoopAndSpur(
-            k=k,
-            spur=(spur.order, None),
-            orbifold_pi1_order=None,
-            double_cover=_double_cover_descriptor(spur.order),
-        )
+        return loop_and_spur_pi1(k, (spur.order, beta))
 
     # two vertices, no loop: suspension of the common space of directions
     orders = tuple(e.order for e in completed.edges)
     betas = [e.beta for e in completed.edges]
     if completed.edges and all(b is not None for b in betas):
-        presentation = SeifertPresentation(0, [(e.order, e.beta) for e in completed.edges])
+        presentation = SeifertPresentation([(e.order, e.beta) for e in completed.edges])
         boundary = recognize_boundary(presentation)
         if boundary.label == BoundaryLabel.S2XS1:
             return Rejected(

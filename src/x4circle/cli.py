@@ -25,7 +25,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from math import isinf
 
 import jsonschema
 
@@ -119,12 +118,12 @@ def _run_equiv(payload, opts):
 
 
 def _run_euler(payload, opts):
-    from .invariants import InvariantTuple, cyclic_differences, euler_sum, format_rational
+    from .invariants import InvariantTuple, cyclic_differences, euler_sum
 
     t = InvariantTuple(payload["invariants"])
     result = {
-        "euler_sum": format_rational(euler_sum(t)),
-        "cyclic_differences": [format_rational(d) for d in cyclic_differences(t)],
+        "euler_sum": str(euler_sum(t)),
+        "cyclic_differences": [str(d) for d in cyclic_differences(t)],
     }
     return {"invariants": t.as_strings()}, result
 
@@ -135,14 +134,12 @@ def _run_seifert_pi1(payload, opts):
     p = serialize.decode_seifert(payload["seifert"])
     result = {
         "presentation": serialize.encode_presentation(fundamental_group(p)),
-        # str of a Fraction is invariants.format_rational's "p/q" or "p",
-        # without loading the invariants layer
         "euler_number": str(euler_number(p)),
         "normalized": serialize.encode_seifert(normalize(p)),
     }
     if len(p.fibers) == 2:
         order = abelian_order_two_fibers(p)
-        result["two_fiber_order"] = "infinite" if isinf(order) else int(order)
+        result["two_fiber_order"] = "infinite" if order is None else order
     return {"seifert": serialize.encode_seifert(p)}, result
 
 

@@ -51,7 +51,10 @@ grid-local maxima near it.  Each 64-cell block is written into one
 every block and gamma of a call.  One threshold pass into one bool buffer
 marks the cells within CANDIDATE_MARGIN of the running peak, a few per
 pair, and only those cells are tested against their neighbours and for a
-flat pair.
+flat pair.  As on the sphere path, a pair whose best cosine is within
+NEAR_END of 1 is re-read from a chord: its distance is the angle
+2 atan2(|x - y'|, |x + y'|) to the aligned representative
+y' = R(theta*) gamma* y that `align` builds.
 
 The polish, `DistanceEngine._refine` on `_taylor`, is a safeguarded Newton
 iteration on f' in the bracket of the two neighbouring grid cells.
@@ -97,8 +100,8 @@ GROUP_TOL = 1e-9
 # (|p| + |q|) SINGULAR_TOL, since it multiplies the error of a user matrix,
 # validated only to GROUP_TOL, by up to |p| + |q|
 SINGULAR_TOL = 1e-6
-# sphere-path cosines within this of +-1 are re-read from chords; arccos
-# is off by about 1e-16 / sqrt(2 NEAR_END) < 1e-14 elsewhere
+# cosines within this of +-1 are re-read from chords, at every weight;
+# arccos is off by about 1e-16 / sqrt(2 NEAR_END) < 1e-14 elsewhere
 NEAR_END = 1e-4
 
 
@@ -429,8 +432,13 @@ class DistanceEngine:
             for r0 in range(0, n, ROW_CHUNK):
                 rows, cols = np.nonzero(np.triu(need[r0 : r0 + ROW_CHUNK, None] | need, r0 + 1))
                 rows += r0
-                best = self._grid_alignments(a1[rows], a2[rows], v1, v2, cols)[0]
-                out[rows, cols] = out[cols, rows] = np.arccos(np.clip(best, -1.0, 1.0))
+                best, gamma_idx, theta = self._grid_alignments(a1[rows], a2[rows], v1, v2, cols)
+                dist = np.arccos(np.clip(best, -1.0, 1.0))
+                near = np.flatnonzero(best > 1.0 - NEAR_END)
+                if len(near):
+                    moved = self._representatives(v1, v2, gamma_idx[near], theta[near], cols[near])
+                    dist[near] = self._chord_angles(pts[rows[near]], moved)
+                out[rows, cols] = out[cols, rows] = dist
         if known is not None:
             index, block = known
             out[np.ix_(index, index)] = block
@@ -462,6 +470,19 @@ class DistanceEngine:
             theta = np.mod(-np.angle(sums[gamma_idx, cols]), 2.0 * pi)
         else:
             _, gamma_idx, theta = self._grid_alignments(*rows, v1, v2, cols)
+        return self._representatives(v1, v2, gamma_idx, theta, cols)
+
+    def _representatives(self, v1, v2, gamma_idx, theta, cols):
+        """R(theta[k]) gamma_{gamma_idx[k]} y for the column y = cols[k] of the
+        complex coordinates v1, v2 of `_transformed_parts`: shape (len(cols), 4)."""
         z1 = v1[gamma_idx, cols] * np.exp(1j * self.p * theta)
         z2 = v2[gamma_idx, cols] * np.exp(1j * self.q * theta)
         return np.column_stack([z1.real, z1.imag, z2.real, z2.imag])
+
+    @staticmethod
+    def _chord_angles(xs, ys):
+        """The angle 2 atan2(|x - y|, |x + y|) between the unit 4-vectors of
+        each row pair, accurate near 0, where arccos of their cosine is not."""
+        return 2.0 * np.arctan2(
+            np.sqrt(((xs - ys) ** 2).sum(axis=1)), np.sqrt(((xs + ys) ** 2).sum(axis=1))
+        )

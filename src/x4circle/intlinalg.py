@@ -12,7 +12,7 @@ matrices of group presentations and 2x3 weight matrices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 
 Matrix = list[list[int]]
@@ -117,9 +117,7 @@ def smith_normal_form(a: Matrix) -> tuple[int, ...]:
 
 def primitive(vec: list[int]) -> list[int]:
     """Divide an integer vector by the gcd of its entries (zero vector unchanged)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g <= 1:
         return list(vec)
     return [x // g for x in vec]
@@ -139,12 +137,7 @@ class AbelianInvariants:
     @property
     def order(self) -> int | None:
         """Group order, or None when infinite."""
-        if not self.finite:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return prod(self.torsion) if self.finite else None
 
 
 def abelian_invariants(relations: Matrix, generators: int) -> AbelianInvariants:

@@ -22,36 +22,21 @@ from math import floor
 from typing import Iterable, Union
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text.strip())
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a rational as "p/q" with q > 0 reduced, or "p" for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
+@dataclass(frozen=True)
 class InvariantTuple:
-    """Ordered tuple of rational invariants, length >= 2."""
+    """Ordered tuple of rational invariants, length >= 2.
 
-    __slots__ = ("entries",)
+    Entries are Fractions; a string entry is read by `Fraction` ("p/q" or
+    "p", surrounding spaces allowed), and `str` of an entry writes it back.
+    """
+
+    entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[Union[Fraction, int, str]]):
-        parsed = []
-        for e in entries:
-            if isinstance(e, str):
-                parsed.append(parse_rational(e))
-            else:
-                parsed.append(Fraction(e))
+        parsed = tuple(Fraction(e) for e in entries)
         if len(parsed) < 2:
             raise ValueError("an invariant tuple needs at least two entries")
-        object.__setattr__(self, "entries", tuple(parsed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantTuple is immutable")
+        object.__setattr__(self, "entries", parsed)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -62,18 +47,11 @@ class InvariantTuple:
     def __getitem__(self, i):
         return self.entries[i]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InvariantTuple) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __repr__(self) -> str:
-        inner = ", ".join(format_rational(e) for e in self.entries)
-        return f"InvariantTuple({inner})"
+        return f"InvariantTuple({', '.join(self.as_strings())})"
 
     def as_strings(self) -> list[str]:
-        return [format_rational(e) for e in self.entries]
+        return [str(e) for e in self.entries]
 
 
 @dataclass(frozen=True)

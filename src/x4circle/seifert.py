@@ -3,7 +3,9 @@
 A presentation {g; (a1, b1), ..., (an, bn)} is kept unnormalized: the pairs
 are coprime with a_i > 0 but the b_i are unconstrained, and the generalized
 Euler number e = -(b1/a1 + ... + bn/an) is the complete gauge invariant.
-The genus is always zero in this toolkit (base orbifold a 2-sphere).
+The base orbifold is always a 2-sphere, so a presentation has no genus
+field and g = 0 is only printed.  A group order is an int, or None when
+the group is infinite.
 
 The module treats presentations as given: it never flips fiber signs or
 reorders fibers silently.  Orientation conventions therefore ride along
@@ -14,12 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 
 from .intlinalg import AbelianInvariants, abelian_invariants
 
-
-INFINITE = inf
 
 # relator words are tuples of letters, so a fiber (a, b) spells out a + |b|
 # of them; presentations longer than this in total are refused before any
@@ -44,26 +44,22 @@ def check_word_letters(letters: int) -> None:
 class SeifertPresentation:
     """Unnormalized Seifert invariants {0; (a1, b1), ..., (an, bn)}."""
 
-    genus: int
     fibers: tuple[tuple[int, int], ...]
     trivial_fibration: bool = False
 
-    def __init__(self, genus, fibers, trivial_fibration=False):
-        if genus != 0:
-            raise ValueError("only genus 0 presentations are supported")
-        fibers = tuple((int(a), int(b)) for a, b in fibers)
+    def __post_init__(self):
+        fibers = tuple((int(a), int(b)) for a, b in self.fibers)
         for a, b in fibers:
             if a <= 0:
                 raise ValueError(f"fiber order must be positive, got {a}")
             if gcd(a, b) != 1:
                 raise ValueError(f"fiber pair ({a}, {b}) is not coprime")
-        if not fibers and not trivial_fibration:
+        if not fibers and not self.trivial_fibration:
             raise ValueError(
                 "empty fiber list is only allowed when flagged as the trivial fibration"
             )
-        object.__setattr__(self, "genus", 0)
         object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "trivial_fibration", bool(trivial_fibration))
+        object.__setattr__(self, "trivial_fibration", bool(self.trivial_fibration))
 
     def __repr__(self) -> str:
         inner = ",".join(f"({a},{b})" for a, b in self.fibers)
@@ -91,7 +87,7 @@ def normalize(p: SeifertPresentation) -> SeifertPresentation:
     if b_acc.denominator != 1:
         raise AssertionError("normalization residue must be an integer")
     out.append((1, int(b_acc)))
-    return SeifertPresentation(0, out)
+    return SeifertPresentation(out)
 
 
 @dataclass(frozen=True)
@@ -160,10 +156,10 @@ def fundamental_group(p: SeifertPresentation) -> GroupPresentation:
     return GroupPresentation(generators=gens, relators=tuple(relators))
 
 
-def abelian_order_two_fibers(p: SeifertPresentation) -> int | float:
+def abelian_order_two_fibers(p: SeifertPresentation) -> int | None:
     """Order of pi_1 for a two-fiber presentation: |a1*b2 + a2*b1|.
 
-    Returns INFINITE when the determinant vanishes (the manifold is then
+    Returns None when the determinant vanishes (the manifold is then
     S^2 x S^1 and the group is Z).  The determinant vanishes exactly when
     b1/a1 = -b2/a2, the equal-fraction degeneration in the orientation
     convention where the second fiber enters with opposite sign.
@@ -171,10 +167,7 @@ def abelian_order_two_fibers(p: SeifertPresentation) -> int | float:
     if len(p.fibers) != 2:
         raise ValueError("exactly two fibers required")
     (a1, b1), (a2, b2) = p.fibers
-    d = abs(a1 * b2 + a2 * b1)
-    if d == 0:
-        return INFINITE
-    return d
+    return abs(a1 * b2 + a2 * b1) or None
 
 
 class BoundaryLabel:
@@ -237,13 +230,12 @@ def recognize_boundary(p: SeifertPresentation) -> BoundaryRecognition:
     if len(fibers) <= 2:
         while len(fibers) < 2:
             fibers.append((1, 0))
-        two = SeifertPresentation(0, fibers)
-        d = abelian_order_two_fibers(two)
-        if d == INFINITE:
+        d = abelian_order_two_fibers(SeifertPresentation(fibers))
+        if d is None:
             return BoundaryRecognition(BoundaryLabel.S2XS1, None, False)
         if d == 1:
             return BoundaryRecognition(BoundaryLabel.SPHERE, 1, True)
-        return BoundaryRecognition(BoundaryLabel.LENS, int(d), True)
+        return BoundaryRecognition(BoundaryLabel.LENS, d, True)
 
     # three fibers: look for the loop-and-spur shape {(k,-1), (k,1), (a,b)}
     for i in range(3):

@@ -152,7 +152,6 @@ def decode_seifert(obj: dict) -> SeifertPresentation:
     from .seifert import SeifertPresentation
 
     return SeifertPresentation(
-        genus=0,
         fibers=[tuple(pair) for pair in obj["fibers"]],
         trivial_fibration=obj.get("trivial_fibration", False),
     )
@@ -167,7 +166,7 @@ def encode_presentation(g: GroupPresentation) -> dict:
         "abelian": {
             "torsion": list(abelian.torsion),
             "free_rank": abelian.free_rank,
-            "order": abelian.order if abelian.finite else "infinite",
+            "order": "infinite" if abelian.order is None else abelian.order,
         },
     }
 
@@ -262,9 +261,8 @@ def encode_classification(result) -> dict:
         return {
             "kind": "fixed-point-homogeneous",
             "lens_order": result.lens_order,
-            "wcp_quotient": (
-                encode_descriptor(result.wcp_quotient) if result.wcp_quotient else None
-            ),
+            # the weights are never read off the orbit graph
+            "wcp_quotient": None,
             "note": result.note,
         }
     if isinstance(result, Suspension):

@@ -33,7 +33,7 @@ class WeightTriple:
     def __post_init__(self):
         if self.a == 0 or self.b == 0 or self.c == 0:
             raise ValueError("weights must be nonzero")
-        if gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) != 1:
+        if gcd(self.a, self.b, self.c) != 1:
             raise ValueError("weights must have gcd 1")
 
     def as_tuple(self) -> tuple[int, int, int]:
@@ -57,13 +57,6 @@ def _rows_from_invariants(t: InvariantTuple) -> tuple[list[int], list[int]]:
     return alphas, betas
 
 
-def _gcd_ignoring_zero(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g if g else 1
-
-
 def weights_from_invariants(t: InvariantTuple) -> QuotientDescriptor:
     """Kernel weights and residual factors of a realizable invariant triple.
 
@@ -85,8 +78,9 @@ def weights_from_invariants(t: InvariantTuple) -> QuotientDescriptor:
     weights = WeightTriple(*w)
     return QuotientDescriptor(
         weights=weights,
-        alpha_bar=_gcd_ignoring_zero(alphas),
-        beta_bar=_gcd_ignoring_zero(betas),
+        # gcd ignores zero entries; all zero gives 1
+        alpha_bar=gcd(*alphas) or 1,
+        beta_bar=gcd(*betas) or 1,
     )
 
 

@@ -29,6 +29,7 @@ from x4circle.classifier import (
     virtual_edge_completion,
 )
 from x4circle.invariants import InvariantTuple
+from x4circle.serialize import encode_classification
 from x4circle.seifert import MAX_WORD_LETTERS, BoundaryLabel
 
 
@@ -177,6 +178,16 @@ class TestLoopSpurGroup:
         assert loop_and_spur_pi1(3, (4, 3)) is K_PLUS_ONE
         assert rejection_tag(K_PLUS_ONE) == TAG_K_PLUS_ONE
 
+    def test_no_section_is_type_only(self):
+        g = loop_and_spur_pi1(2, (5, None))
+        assert isinstance(g, LoopAndSpur) and g.type_only
+        assert (g.k, g.spur, g.orbifold_pi1_order) == (2, (5, None), None)
+        assert g.double_cover.weights.as_tuple() == (10, -1, -1)
+        assert loop_and_spur_pi1(3, (4, None)) is K_PLUS_ONE
+        # classify answers a spur without a section by this one call
+        assert classify(graph(2, Edge(0, 0, 2), Edge(0, 1, 5))) == g
+        assert classify(graph(2, Edge(0, 0, 3), Edge(0, 1, 4))) is K_PLUS_ONE
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             loop_and_spur_pi1(4, (1, 1))
@@ -217,13 +228,14 @@ class TestClassifyBoundaryFixedSet:
         r = classify(g)
         assert isinstance(r, FixedPointHomogeneous)
         assert r.lens_order == 7
-        assert r.wcp_quotient is None
+        assert encode_classification(r)["wcp_quotient"] is None
 
     def test_circle_soul_is_type_only(self):
         g = graph(0, has_boundary_fixed_set=True, soul_isotropy=CIRCLE)
         r = classify(g)
         assert isinstance(r, FixedPointHomogeneous)
-        assert r.lens_order is None and r.wcp_quotient is None
+        assert r.lens_order is None
+        assert encode_classification(r)["wcp_quotient"] is None
         assert r.note
 
     def test_soul_required(self):

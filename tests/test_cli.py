@@ -478,6 +478,20 @@ class TestCommandResults:
         assert result["two_fiber_order"] == 5
         assert result["presentation"]["abelian"]["order"] == 5
 
+    def test_seifert_pi1_infinite_order(self, capsys, monkeypatch):
+        # {0; (2,1), (2,-1)} is S^2 x S^1: both orders are written "infinite"
+        code, out, _ = run_cli(
+            capsys,
+            monkeypatch,
+            ["seifert-pi1"],
+            {"seifert": {"fibers": [[2, 1], [2, -1]]}},
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["two_fiber_order"] == "infinite"
+        assert result["presentation"]["abelian"]["order"] == "infinite"
+        assert result["presentation"]["abelian"]["free_rank"] == 1
+
     def test_seifert_pi1_refuses_huge_fiber_order(self, capsys, monkeypatch):
         code, out, err = run_cli(
             capsys,

@@ -809,6 +809,16 @@ class TestEngine:
             (rep,) = engine.align(sp.points[0], sp.points[1:2])
             assert abs(np.arccos(np.clip(rep @ sp.points[0], -1.0, 1.0)) - sp.dist[0, 1]) <= 1e-9
 
+    def test_same_orbit_pairs_are_at_distance_zero(self):
+        # x and R(0.7) x share an orbit; arccos of their cosine, within
+        # rounding of 1, read up to 3e-8
+        pts = np.random.default_rng(44).standard_normal((100, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        images = pts @ circle_matrix(2, 3, 0.7).T
+        dist = DistanceEngine((2, 3), gamma_trivial()).distance_matrix(np.vstack([pts, images]))
+        k = np.arange(100)
+        assert np.max(dist[k, 100 + k]) <= 1e-12
+
     def test_gamma_average_is_metric_quotient(self):
         # adding gamma elements can only shrink distances
         base = sample_quotient(IsometricActionSpec(weights=(1, 1), samples=60, seed=3))

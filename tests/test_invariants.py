@@ -17,9 +17,7 @@ from x4circle.invariants import (
     canonicalize,
     cyclic_differences,
     euler_sum,
-    format_rational,
     is_realizable,
-    parse_rational,
 )
 
 from oracles import bfs_equivalent, random_move_image, random_tuple
@@ -168,7 +166,23 @@ class TestConstructionAndFormat:
 
     def test_rational_round_trip(self):
         for text in ["0", "-1/2", "7", "22/7", "-9"]:
-            assert format_rational(parse_rational(text)) == text
+            assert str(F(text)) == text
+            assert T(text, "1").as_strings() == [text, "1"]
+
+    def test_equal_entries_are_one_value(self):
+        # the same entries from strings (spaces allowed), ints and Fractions
+        forms = [
+            T(" -1/2", "3 ", "4/6"),
+            T(F(-1, 2), 3, F(2, 3)),
+            T(F(-2, 4), F(3), "2/3"),
+        ]
+        for t in forms:
+            assert t == forms[0]
+            assert hash(t) == hash(forms[0])
+        assert len(set(forms)) == 1
+        # never equal to a plain tuple of its entries
+        assert forms[0] != (F(-1, 2), F(3), F(2, 3))
+        assert forms[0] != T(F(-1, 2), 3, F(1, 3))
 
     def test_immutability(self):
         t = T(0, 1)

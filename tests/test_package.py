@@ -57,7 +57,7 @@ LAZY_NAMES = {
     "double_branched_cover": "x4circle.extent_lab.cover",
     "InvariantTuple": "x4circle.invariants",
     "canonicalize": "x4circle.invariants",
-    "INFINITE": "x4circle.seifert",
+    "abelian_order_two_fibers": "x4circle.seifert",
     "fundamental_group": "x4circle.seifert",
     "weights_from_invariants": "x4circle.wcp",
     "CIRCLE": "x4circle.classifier",
@@ -129,6 +129,43 @@ def test_no_module_reaches_a_private_name_of_another():
             ):
                 crossings.append(f"{path.name}:{node.lineno}: reads {node.value.id}.{node.attr}")
     assert crossings == []
+
+
+# deliberate re-exports: (module file, name) -> why nothing in it reads the name
+REEXPORTS = {
+    ("classifier.py", "TAG_PAIRWISE_UNEQUAL"): "classifier names all eleven citation tags",
+}
+
+
+def _module_imports(tree):
+    """(bound name, line) of each module-level import, those under a
+    top-level `if` such as `if TYPE_CHECKING:` included; `from __future__`
+    binds nothing."""
+    body = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If):
+            body += node.body + node.orelse
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in _module_imports(tree)
+            if name not in read and (path.name, name) not in REEXPORTS
+        ]
+    assert unused == []
 
 
 def test_only_sample_quotient_builds_a_distance_engine():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from x4circle.seifert import (
-    INFINITE,
     MAX_WORD_LETTERS,
     BoundaryLabel,
     SeifertPresentation,
@@ -27,14 +26,10 @@ coprime_pairs = st.tuples(
 
 
 def P(*fibers):
-    return SeifertPresentation(0, fibers)
+    return SeifertPresentation(fibers)
 
 
 class TestConstruction:
-    def test_rejects_positive_genus(self):
-        with pytest.raises(ValueError):
-            SeifertPresentation(1, [(2, 1)])
-
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             P((4, 2))
@@ -47,8 +42,8 @@ class TestConstruction:
 
     def test_empty_needs_trivial_flag(self):
         with pytest.raises(ValueError):
-            SeifertPresentation(0, [])
-        p = SeifertPresentation(0, [], trivial_fibration=True)
+            SeifertPresentation([])
+        p = SeifertPresentation([], trivial_fibration=True)
         assert p.fibers == ()
 
 
@@ -119,7 +114,7 @@ class TestFundamentalGroup:
 class TestTwoFiberOrder:
     def test_frozen(self):
         assert abelian_order_two_fibers(P((2, 1), (3, 1))) == 5
-        assert abelian_order_two_fibers(P((2, 1), (2, -1))) == INFINITE
+        assert abelian_order_two_fibers(P((2, 1), (2, -1))) is None
         assert abelian_order_two_fibers(P((1, 0), (1, 1))) == 1
 
     def test_requires_two_fibers(self):
@@ -137,10 +132,9 @@ class TestTwoFiberOrder:
             p = P((a1, b1), (a2, b2))
             closed = abelian_order_two_fibers(p)
             inv = fundamental_group(p).abelian_invariants()
-            if closed == INFINITE:
-                assert not inv.finite
-            else:
-                assert inv.order == closed
+            # None on both sides for an infinite group
+            assert inv.order == closed
+            assert inv.finite == (closed is not None)
             checked += 1
 
 
@@ -150,7 +144,7 @@ class TestRecognizeBoundary:
         assert (r.label, r.admissible) == (BoundaryLabel.SPHERE, True)
         r = recognize_boundary(P((2, 1), (3, 1)))
         assert (r.label, r.order, r.admissible) == (BoundaryLabel.LENS, 5, True)
-        r = recognize_boundary(SeifertPresentation(0, [], trivial_fibration=True))
+        r = recognize_boundary(SeifertPresentation([], trivial_fibration=True))
         assert (r.label, r.admissible) == (BoundaryLabel.S2XS1, False)
 
     def test_s2xs1_is_inadmissible(self):

@@ -39,21 +39,21 @@ class TestInvariantCodec:
 
 class TestSeifertCodec:
     def test_round_trip(self):
-        p = SeifertPresentation(0, [(2, 1), (3, -2)])
+        p = SeifertPresentation([(2, 1), (3, -2)])
         obj = serialize.encode_seifert(p)
         assert obj == {"fibers": [[2, 1], [3, -2]]}
         q = serialize.decode_seifert(obj)
         assert q.fibers == p.fibers
 
     def test_trivial_fibration_flag(self):
-        p = SeifertPresentation(0, [], trivial_fibration=True)
+        p = SeifertPresentation([], trivial_fibration=True)
         obj = serialize.encode_seifert(p)
         assert obj["trivial_fibration"] is True
         assert serialize.decode_seifert(obj).trivial_fibration
 
     def test_presentation_tree(self):
         obj = serialize.encode_presentation(
-            fundamental_group(SeifertPresentation(0, [(2, 1), (3, 1)]))
+            fundamental_group(SeifertPresentation([(2, 1), (3, 1)]))
         )
         assert obj["generators"] == ["q1", "q2", "h"]
         assert obj["abelian"]["free_rank"] == 0
@@ -61,7 +61,7 @@ class TestSeifertCodec:
 
     def test_recognition_tree(self):
         obj = serialize.encode_recognition(
-            recognize_boundary(SeifertPresentation(0, [(3, 1), (2, -1)]))
+            recognize_boundary(SeifertPresentation([(3, 1), (2, -1)]))
         )
         assert set(obj) == {"label", "order", "admissible", "description"}
 
