@@ -7,13 +7,15 @@ three-point extent of the cover) drift between consecutive rungs.  The
 drift column is the evidence that the glued metric is converging rather
 than depending on the mesh.  A rung whose drift exceeds 2 * tol prints its
 failed certificate as a FAIL row, and the script then exits 1.  A --tol
-outside (0, 1) and a rung whose largest distance matrix passes the CLI's
-`MAX_MATRIX_BYTES` (the `x4 check-q` estimate) are usage errors (exit 2),
-refused before anything is sampled.
+outside (0, 1), an --m whose group order passes the lab's
+`MAX_GROUP_ORDER`, and a rung whose largest distance matrix passes the
+lab's `MAX_MATRIX_BYTES` (the `x4 check-q` estimate) are usage errors
+(exit 2), refused before the group is built or anything is sampled.
 
-With --export DIR the cover distance matrix at each rung is written in
-the binary matrix format next to a small JSON sidecar with the
-certificate, so later runs can reload them without resampling.
+With --export DIR the cover distance matrix at each rung is written as a
+NumPy `.npy` file, which `np.load` reads back, next to a small JSON
+sidecar with the certificate, so later runs can reload them without
+resampling.
 
 Usage:
     python3 scripts/cover_resolution.py [--ladder 150,300,600] [--seed 42]
@@ -24,14 +26,15 @@ import argparse
 import json
 import pathlib
 
-from x4circle.cli import check_matrix_budget
+import numpy as np
+
 from x4circle.extent_lab import (
     ConvergenceError,
     IsometricActionSpec,
+    check_matrix_budget,
     double_branched_cover,
-    gamma_binary_dihedral,
+    parse_gamma,
     sample_quotient,
-    write_distance_matrix,
 )
 
 
@@ -56,7 +59,7 @@ def main() -> int:
         parser.error("tol must lie in (0, 1) radians")
 
     try:
-        gamma = gamma_binary_dihedral(args.m)
+        gamma = parse_gamma(f"binary-dihedral:{args.m}")
         specs = [
             IsometricActionSpec(weights=(1, 1), gamma=gamma, samples=n, seed=args.seed)
             for n in args.ladder
@@ -85,7 +88,7 @@ def main() -> int:
         if args.export is not None and cover is not None:
             args.export.mkdir(parents=True, exist_ok=True)
             stem = args.export / f"cover_m{args.m}_n{n}_s{args.seed}"
-            write_distance_matrix(stem.with_suffix(".x4ext1"), cover.dist)
+            np.save(stem.with_suffix(".npy"), cover.dist)
             sidecar = {
                 "samples": n,
                 "seed": args.seed,
@@ -96,7 +99,7 @@ def main() -> int:
                 "xt3": cert.xt3_high,
             }
             stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-            print(f"       wrote {stem}.x4ext1")
+            print(f"       wrote {stem}.npy")
     return 1 if failures else 0
 
 

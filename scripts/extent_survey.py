@@ -5,7 +5,7 @@ extent, the diameter (which is also the two-point extent), and the margin
 against the pi/3 smallness bound.  The row set covers the weighted
 footballs, a few cyclic refinements, and the binary dihedral quotients
 whose covers the smallness battery exercises.  A sample count whose
-largest distance matrix passes the CLI's `MAX_MATRIX_BYTES` (the `x4
+largest distance matrix passes the lab's `MAX_MATRIX_BYTES` (the `x4
 extent` estimate) is a usage error, refused before anything is sampled.
 
 Usage:
@@ -15,9 +15,9 @@ Usage:
 import argparse
 from math import pi
 
-from x4circle.cli import check_matrix_budget
 from x4circle.extent_lab import (
     IsometricActionSpec,
+    check_matrix_budget,
     extent,
     gamma_binary_dihedral,
     gamma_cyclic,

@@ -9,7 +9,7 @@ An action whose cover certificate fails (drift above 2 * tol) gets a FAIL
 line with the drift, or an object with an "error" string under --json, and
 the battery goes on with the next action; any failure makes the exit code 1.
 A --tol outside (0, 1) and a sample count whose largest distance matrix
-passes the CLI's `MAX_MATRIX_BYTES` (the `x4 check-q` estimate) are usage
+passes the lab's `MAX_MATRIX_BYTES` (the `x4 check-q` estimate) are usage
 errors (exit 2), refused before anything is sampled.
 
 Usage:
@@ -20,11 +20,11 @@ import argparse
 import json
 import sys
 
-from x4circle.cli import check_matrix_budget
 from x4circle.extent_lab import (
     ConvergenceError,
     IsometricActionSpec,
     check_condition_qprime,
+    check_matrix_budget,
     gamma_binary_dihedral,
     gamma_cyclic,
     gamma_trivial,

@@ -34,10 +34,6 @@ DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 800
 DEFAULT_TOL = 0.02
 DEFAULT_FORMAT = "json"
-# most bytes of the largest distance matrix one `extent` or `check-q`
-# request may allocate (`largest_matrix_bytes`); the whole request peaks
-# at a few times this
-MAX_MATRIX_BYTES = 2**29
 
 
 @dataclass
@@ -180,30 +176,10 @@ def _run_classify(payload, opts):
     return normalized, serialize.encode_classification(classify(graph, invariants))
 
 
-def largest_matrix_bytes(command: str, samples: int, group_order: int) -> int:
-    """Bytes of the largest distance matrix `x4 <command>` allocates for N =
-    samples points and a group of group_order elements: the quotient of
-    N + marks points for `extent`, each branched cover over the 2N base,
-    at most 2 (2N + marks) points, for `check-q`.  Marks are at most the
-    two coordinate circles and two eigenlines per group element."""
-    marks = 2 + 2 * group_order
-    points = samples + marks if command == "extent" else 2 * (2 * samples + marks)
-    return 8 * points**2
-
-
-def check_matrix_budget(command: str, spec) -> None:
-    """Raise ValueError if `x4 <command>` on spec would allocate a distance
-    matrix over MAX_MATRIX_BYTES; cheap, so it runs before any sampling."""
-    need = largest_matrix_bytes(command, spec.samples, len(spec.gamma))
-    if need > MAX_MATRIX_BYTES:
-        raise ValueError(
-            f"{command} at {spec.samples} samples needs a distance matrix of about "
-            f"{need} bytes, over the limit of {MAX_MATRIX_BYTES}"
-        )
-
-
 def _decode_sized_action(command: str, payload, opts):
     """decode_action, refused by check_matrix_budget before anything is sampled."""
+    from .extent_lab import check_matrix_budget
+
     action, spec = serialize.decode_action(payload["action"], opts.samples, opts.seed)
     check_matrix_budget(command, spec)
     return action, spec

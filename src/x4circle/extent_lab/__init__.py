@@ -16,16 +16,18 @@ from types import ModuleType as _ModuleType
 
 from .._lazy import lazy_attributes as _lazy_attributes
 from .actions import (
+    MAX_MATRIX_BYTES,
     IsometricActionSpec,
+    check_matrix_budget,
     gamma_binary_dihedral,
     gamma_cyclic,
     gamma_trivial,
+    largest_matrix_bytes,
     parse_gamma,
     validate_gamma,
 )
 from .engine import DistanceEngine
 from .extents import ExtentReport, SMALL_BOUND, extent, is_small
-from .io import read_distance_matrix, write_distance_matrix
 from .spaces import (
     MarkedPoint,
     MetricValidationError,

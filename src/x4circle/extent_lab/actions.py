@@ -42,6 +42,10 @@ MAX_GROUP_ORDER = 512
 # unit weights scan no grid, and the trivial group fits up to
 # max(|p|, |q|) = 4096
 MAX_GRID_CELLS = 2**18
+# most bytes of the largest distance matrix one `extent` or `check-q`
+# request may allocate (`largest_matrix_bytes`); the whole request peaks
+# at a few times this
+MAX_MATRIX_BYTES = 2**29
 
 
 def rotation_block(phi: float) -> np.ndarray:
@@ -205,6 +209,8 @@ class IsometricActionSpec:
         validate_gamma(self.gamma, p, q)
         self.samples = _sample_count(self.samples)
         self.seed = int(self.seed)
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
 
     def with_samples(self, samples: int) -> "IsometricActionSpec":
         """This action at another sample count.  Its gamma, validated at
@@ -219,3 +225,25 @@ def _sample_count(samples) -> int:
     if samples < 50:
         raise ValueError("at least 50 sample points are required")
     return samples
+
+
+def largest_matrix_bytes(command: str, samples: int, group_order: int) -> int:
+    """Bytes of the largest distance matrix `x4 <command>` allocates for N =
+    samples points and a group of group_order elements: the quotient of
+    N + marks points for `extent`, each branched cover over the 2N base,
+    at most 2 (2N + marks) points, for `check-q`.  Marks are at most the
+    two coordinate circles and two eigenlines per group element."""
+    marks = 2 + 2 * group_order
+    points = samples + marks if command == "extent" else 2 * (2 * samples + marks)
+    return 8 * points**2
+
+
+def check_matrix_budget(command: str, spec: IsometricActionSpec) -> None:
+    """Raise ValueError if `x4 <command>` on spec would allocate a distance
+    matrix over MAX_MATRIX_BYTES; cheap, so it runs before any sampling."""
+    need = largest_matrix_bytes(command, spec.samples, len(spec.gamma))
+    if need > MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"{command} at {spec.samples} samples needs a distance matrix of about "
+            f"{need} bytes, over the limit of {MAX_MATRIX_BYTES}"
+        )

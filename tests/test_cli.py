@@ -183,7 +183,7 @@ class TestExitCodes:
     def test_samples_over_the_matrix_budget_exit_one_unsampled(
         self, capsys, monkeypatch, command, in_action
     ):
-        from x4circle.extent_lab import DistanceEngine
+        from x4circle.extent_lab import MAX_MATRIX_BYTES, DistanceEngine, largest_matrix_bytes
 
         def refuse(*args, **kwargs):
             raise AssertionError("a distance engine was built")
@@ -191,7 +191,7 @@ class TestExitCodes:
         monkeypatch.setattr(DistanceEngine, "__init__", refuse)
         # the fewest samples whose estimate passes the budget, for D3*
         samples = 50
-        while cli.largest_matrix_bytes(command, samples, 12) <= cli.MAX_MATRIX_BYTES:
+        while largest_matrix_bytes(command, samples, 12) <= MAX_MATRIX_BYTES:
             samples += 1
         action = {"weights": [1, 1], "gamma": "binary-dihedral:3"}
         argv = [command]
@@ -202,22 +202,22 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, monkeypatch, argv, {"action": action})
         assert code == 1
         assert out == ""
-        need = cli.largest_matrix_bytes(command, samples, 12)
+        need = largest_matrix_bytes(command, samples, 12)
         assert err == (
             f"ValueError: {command} at {samples} samples needs a distance matrix of about "
-            f"{need} bytes, over the limit of {cli.MAX_MATRIX_BYTES}\n"
+            f"{need} bytes, over the limit of {MAX_MATRIX_BYTES}\n"
         )
 
     def test_matrix_estimate_bounds_real_requests(self, monkeypatch):
         # the matrices of small requests, against the estimate at their size
         from x4circle.extent_lab import IsometricActionSpec, check_condition_qprime, cover
-        from x4circle.extent_lab import parse_gamma, sample_quotient
+        from x4circle.extent_lab import largest_matrix_bytes, parse_gamma, sample_quotient
 
         for weights, preset in (([1, 1], "binary-dihedral:3"), ([1, 1], "cyclic:5"), ([2, 3], "trivial")):
             gamma = parse_gamma(preset)
             spec = IsometricActionSpec(weights=tuple(weights), gamma=gamma, samples=50)
             size = sample_quotient(spec).size
-            assert 8 * size**2 <= cli.largest_matrix_bytes("extent", 50, len(gamma))
+            assert 8 * size**2 <= largest_matrix_bytes("extent", 50, len(gamma))
         sizes = []
         check = cover.validate_metric
         monkeypatch.setattr(cover, "validate_metric", lambda space: sizes.append(space.size) or check(space))
@@ -225,7 +225,7 @@ class TestExitCodes:
         check_condition_qprime(IsometricActionSpec(weights=(1, 1), gamma=d3, samples=50))
         # three pairs of cone points, each covered at 50 and 100 samples
         assert len(sizes) == 6
-        assert 8 * max(sizes) ** 2 <= cli.largest_matrix_bytes("check-q", 50, 12)
+        assert 8 * max(sizes) ** 2 <= largest_matrix_bytes("check-q", 50, 12)
 
     def test_option_bounds(self, capsys, monkeypatch):
         payload = {"invariants": ["0", "1/2"]}

@@ -51,12 +51,10 @@ from x4circle.extent_lab import (
     gamma_trivial,
     is_small,
     parse_gamma,
-    read_distance_matrix,
     regenerate,
     sample_quotient,
     validate_gamma,
     validate_metric,
-    write_distance_matrix,
 )
 from x4circle.extent_lab import actions, extents, spaces
 from x4circle.extent_lab.actions import (
@@ -1760,27 +1758,3 @@ class TestExactExtent:
         assert exact.value == heuristic.value
         assert 0 < stats["largest"] <= extents.BLOCK
         assert stats["triples"] < 0.01 * sp.size ** 3 / 6
-
-
-class TestMatrixIO:
-    def test_round_trip(self, tmp_path):
-        sp = sample_round_two_sphere(64, seed=3)
-        path = tmp_path / "dist.x4"
-        write_distance_matrix(path, sp.dist)
-        back = read_distance_matrix(path)
-        assert np.array_equal(back, sp.dist)
-
-    def test_header_layout(self, tmp_path):
-        sp = sample_round_two_sphere(50, seed=3)
-        path = tmp_path / "dist.x4"
-        write_distance_matrix(path, sp.dist)
-        raw = path.read_bytes()
-        assert raw[:6] == b"X4EXT1"
-        assert int.from_bytes(raw[8:16], "little") == 50
-        assert len(raw) == 16 + 8 * 50 * 50
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.x4"
-        path.write_bytes(b"NOTX4!" + bytes(26))
-        with pytest.raises(ValueError):
-            read_distance_matrix(path)

@@ -24,8 +24,7 @@ README_LAB_NAMES = {
     "DistanceEngine",
     "is_small",
     "ConvergenceError",
-    "read_distance_matrix",
-    "write_distance_matrix",
+    "MAX_MATRIX_BYTES",
 }
 
 

@@ -4,16 +4,24 @@ Each script's main() runs in-process with a patched argv; the tests check
 one output row per action and the documented exit codes.
 """
 
+import ast
 import importlib.util
 import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 import x4circle.extent_lab
 from x4circle import cli
-from x4circle.extent_lab import SMALL_BOUND, condition_q
+from x4circle.extent_lab import (
+    MAX_MATRIX_BYTES,
+    SMALL_BOUND,
+    actions,
+    condition_q,
+    largest_matrix_bytes,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -61,7 +69,10 @@ def test_cover_resolution(monkeypatch, capsys, tmp_path):
     for row in rows:
         sidecar = json.loads((tmp_path / f"cover_m3_n{row[0]}_s42.json").read_text())
         assert f"{sidecar['xt3']:.5f}" == row[2]
-        assert (tmp_path / f"cover_m3_n{row[0]}_s42.x4ext1").exists()
+        # the exported matrix is the certified cover's: its largest entry
+        # is the certificate's diameter
+        dist = np.load(tmp_path / f"cover_m3_n{row[0]}_s42.npy")
+        assert dist.max() == sidecar["diameter"]
 
 
 def test_cover_resolution_reports_failed_certificate(monkeypatch, capsys, tmp_path):
@@ -111,6 +122,11 @@ def test_qprime_battery_continues_after_failed_certificate(monkeypatch, capsys):
     assert result == 1
 
 
+# the scripts that only drive the lab; bench_default and pool_digest drive
+# x4circle.cli.main on purpose
+LAB_SCRIPTS = ["extent_survey", "qprime_battery", "cover_resolution"]
+
+
 def _usage_error(monkeypatch, capsys, name, args) -> str:
     """stderr of a script run that must end in an argparse usage error
     before anything is sampled."""
@@ -130,11 +146,11 @@ def _usage_error(monkeypatch, capsys, name, args) -> str:
 
 
 def _over_budget(command: str, samples: int, group_order: int) -> str:
-    need = cli.largest_matrix_bytes(command, samples, group_order)
-    assert need > cli.MAX_MATRIX_BYTES
+    need = largest_matrix_bytes(command, samples, group_order)
+    assert need > MAX_MATRIX_BYTES
     return (
         f"{command} at {samples} samples needs a distance matrix of about "
-        f"{need} bytes, over the limit of {cli.MAX_MATRIX_BYTES}"
+        f"{need} bytes, over the limit of {MAX_MATRIX_BYTES}"
     )
 
 
@@ -144,17 +160,50 @@ def _over_budget(command: str, samples: int, group_order: int) -> str:
      "argument --ladder: invalid ladder value: '60,,120'"),
     ("qprime_battery", ["--samples", "10"], "at least 50 sample points are required"),
     ("extent_survey", ["--samples", "10"], "at least 50 sample points are required"),
-    # the largest matrix of each estimate passes cli.MAX_MATRIX_BYTES; the
+    # the largest matrix of each estimate passes MAX_MATRIX_BYTES; the
     # survey's first action has the trivial group, the ladder's D3* has 12
     ("extent_survey", ["--samples", "100000000"], _over_budget("extent", 100000000, 1)),
     ("qprime_battery", ["--samples", "4000"], _over_budget("check-q", 4000, 1)),
     ("cover_resolution", ["--ladder", "60,4000"], _over_budget("check-q", 4000, 12)),
+    # --m names the group binary-dihedral:m, refused as `x4` refuses it
+    ("cover_resolution", ["--m", "200000"],
+     "group order 800000 exceeds the limit of 512 elements"),
+    ("cover_resolution", ["--m", "0"], "unknown group preset 'binary-dihedral:0'"),
 ], ids=["cover_resolution-small", "cover_resolution-empty", "qprime_battery", "extent_survey",
-        "extent_survey-huge", "qprime_battery-huge", "cover_resolution-huge"])
+        "extent_survey-huge", "qprime_battery-huge", "cover_resolution-huge",
+        "cover_resolution-huge-group", "cover_resolution-no-group"])
 def test_bad_size_is_a_usage_error(monkeypatch, capsys, name, args, message):
     # each of these ended in a traceback or ran past the memory budget
+    if "--m" in args:
+        # the group is refused by its order, before any of it is built
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the group before refusing it")
+
+        monkeypatch.setattr(actions, "gamma_cyclic", refuse)
     err = _usage_error(monkeypatch, capsys, name, args)
     assert err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", LAB_SCRIPTS)
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_u64_is_a_usage_error(monkeypatch, capsys, name, seed):
+    # -1 ended in numpy's traceback in sample_quotient, and 2**64 sampled,
+    # where `x4` refuses both
+    err = _usage_error(monkeypatch, capsys, name, ["--seed", seed])
+    assert err.endswith("error: seed must be an unsigned 64-bit integer\n")
+
+
+@pytest.mark.parametrize("name", LAB_SCRIPTS)
+def test_lab_scripts_do_not_import_the_cli(name):
+    path = SCRIPTS / f"{name}.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert [module for module in imported if module.split(".")[:2] == ["x4circle", "cli"]] == []
 
 
 @pytest.mark.parametrize("name", ["qprime_battery", "cover_resolution"])
