@@ -32,6 +32,7 @@ from x4circle.extent_lab import (
     ConvergenceError,
     IsometricActionSpec,
     check_matrix_budget,
+    check_tol,
     double_branched_cover,
     parse_gamma,
     sample_quotient,
@@ -55,10 +56,9 @@ def main() -> int:
     parser.add_argument("--tol", type=float, default=0.05)
     parser.add_argument("--export", type=pathlib.Path, default=None)
     args = parser.parse_args()
-    if not 0 < args.tol < 1:
-        parser.error("tol must lie in (0, 1) radians")
 
     try:
+        check_tol(args.tol)
         gamma = parse_gamma(f"binary-dihedral:{args.m}")
         specs = [
             IsometricActionSpec(weights=(1, 1), gamma=gamma, samples=n, seed=args.seed)

@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 # lazy name -> the submodule that defines it
 _LAZY = {
     **dict.fromkeys(
-        ("EquivalenceMove", "InvariantTuple", "Reversal", "Rotation", "Translation",
-         "Rejected", "apply_move", "are_equivalent", "canonicalize", "cyclic_differences",
+        ("InvariantTuple", "Rejected", "are_equivalent", "canonicalize", "cyclic_differences",
          "euler_sum", "is_realizable"),
         "invariants",
     ),

@@ -27,7 +27,7 @@ from .actions import (
     validate_gamma,
 )
 from .engine import DistanceEngine
-from .extents import ExtentReport, SMALL_BOUND, extent, is_small
+from .extents import ExtentReport, SMALL_BOUND, check_tol, extent, is_small
 from .spaces import (
     MarkedPoint,
     MetricValidationError,

@@ -16,7 +16,7 @@ from math import pi
 
 from .actions import IsometricActionSpec
 from .cover import BaseGraphs, double_branched_cover
-from .extents import SMALL_BOUND, extent, is_small
+from .extents import SMALL_BOUND, check_tol, extent, is_small
 from .spaces import regenerate, sample_quotient
 
 
@@ -44,7 +44,9 @@ class ConditionQPrimeReport:
 def check_condition_qprime(
     spec: IsometricActionSpec, tol: float = 0.02
 ) -> ConditionQPrimeReport:
-    """Run the full smallness battery on the quotient sampled from spec."""
+    """Run the full smallness battery on the quotient sampled from spec;
+    a tol outside (0, 1) raises ValueError before anything is sampled."""
+    check_tol(tol)
     space = sample_quotient(spec)
     small, margin = is_small(extent(space, 3).value, tol)
     checks = [

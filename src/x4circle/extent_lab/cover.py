@@ -73,7 +73,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .actions import circle_generator
-from .extents import extent
+from .extents import check_tol, extent
 from .spaces import SampledMetricSpace, MarkedPoint, regenerate, validate_metric
 
 
@@ -389,12 +389,13 @@ def double_branched_cover(
     two resolutions.  Point i of the twice-resolution base lifts to cover
     rows i and cover.sheet_swap[i], one row for a branch point.  Raises
     ConvergenceError, carrying the failed certificate, when the drift
-    exceeds 2 * tol, and ValueError when the branch indices are not
-    distinct marked points.  high_base, when given, is the twice-resolution
-    base; graphs holds the neighbor graphs and azimuth fields of both
-    bases, and one instance passed to the covers of several branch pairs
-    over the same bases builds each of them once.
+    exceeds 2 * tol, and ValueError when tol lies outside (0, 1) or the
+    branch indices are not distinct marked points.  high_base, when given,
+    is the twice-resolution base; graphs holds the neighbor graphs and
+    azimuth fields of both bases, and one instance passed to the covers of
+    several branch pairs over the same bases builds each of them once.
     """
+    check_tol(tol)
     marked_indices = [m.index for m in space.marked]
     b1, b2 = int(branch[0]), int(branch[1])
     if b1 not in marked_indices or b2 not in marked_indices:

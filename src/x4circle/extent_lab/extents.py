@@ -271,6 +271,12 @@ def extent(space: SampledMetricSpace, q: int, method: str | None = None) -> Exte
     return _extent_heuristic(space, q)
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance outside (0, 1) radians, NaN included."""
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1) radians")
+
+
 def is_small(xt3: float, tol: float = 0.02) -> tuple[bool, float]:
     """Whether xt_3 <= pi/3 + tol, together with the margin pi/3 - xt_3."""
     return xt3 <= SMALL_BOUND + tol, float(SMALL_BOUND - xt3)

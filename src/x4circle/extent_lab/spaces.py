@@ -10,7 +10,8 @@ the same Gaussian stream, so the first N random points of the finer space
 coincide with the coarser ones; the branched-cover certificate relies on
 that prefix property.  regenerate also reuses the coarser space's
 engine and distances: the block among its random points and marks is
-copied, and only pairs that touch a fresh point are aligned.  The
+copied, which saves aligning the pairs it holds only at weights other
+than (+-1, +-1): unit weights evaluate every row chunk whole.  The
 engine's alignment is not bit-symmetric in its two points, so each
 computed pair keeps the orientation a fresh sample gives it, the lower
 index as the row; the regenerated matrix is then bit-identical to a fresh
@@ -347,8 +348,10 @@ def regenerate(space: SampledMetricSpace, samples: int) -> SampledMetricSpace:
     keeps the marked singular orbits and the engine of space: they depend
     only on the action, not on the sampling, so neither is built again.
     The distances among those shared random points and the marks are
-    copied from space.dist, and only pairs that touch a fresh point are
-    aligned.  Every pair keeps its orientation in a fresh sample (marks
+    copied from space.dist; at weights other than (+-1, +-1) only pairs
+    that touch a fresh point are aligned, while at unit weights the
+    engine evaluates every row chunk whole and the copy changes no bit.
+    Every pair keeps its orientation in a fresh sample (marks
     come last, so the lower index is the row in both), which makes the
     result bit-identical to sample_quotient(spec.with_samples(samples)).
     Only quotients carry an action spec; any other space raises ValueError.

@@ -6,9 +6,9 @@ the cyclic arrangement around the orbit 2-sphere (order 1 arcs contribute
 integer entries).  Two tuples describe the same action when they differ by
 a composition of three moves:
 
-  * Rotation   -- cyclic shift of the entries,
-  * Reversal   -- reversal of the order with a sign change on every entry,
-  * Translation(k) -- adding the same integer k to every entry.
+  * rotation       -- (t1, t2, ..., tn) -> (t2, ..., tn, t1),
+  * reversal       -- (t1, ..., tn) -> (-tn, ..., -t1),
+  * translation by k -- (t1, ..., tn) -> (t1 + k, ..., tn + k), k an integer.
 
 Everything here is exact rational arithmetic (`fractions.Fraction`); no
 floats appear anywhere in this module.
@@ -52,42 +52,6 @@ class InvariantTuple:
 
     def as_strings(self) -> list[str]:
         return [str(e) for e in self.entries]
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """(t1, t2, ..., tn) -> (t2, ..., tn, t1)."""
-
-
-@dataclass(frozen=True)
-class Reversal:
-    """(t1, ..., tn) -> (-tn, ..., -t1)."""
-
-
-@dataclass(frozen=True)
-class Translation:
-    """(t1, ..., tn) -> (t1 + k, ..., tn + k) for an integer k."""
-
-    k: int
-
-    def __post_init__(self):
-        if not isinstance(self.k, int):
-            raise ValueError("translation amount must be an integer")
-
-
-EquivalenceMove = Union[Rotation, Reversal, Translation]
-
-
-def apply_move(t: InvariantTuple, move: EquivalenceMove) -> InvariantTuple:
-    """Apply a single equivalence move, exactly."""
-    e = t.entries
-    if isinstance(move, Rotation):
-        return InvariantTuple(e[1:] + e[:1])
-    if isinstance(move, Reversal):
-        return InvariantTuple(tuple(-x for x in reversed(e)))
-    if isinstance(move, Translation):
-        return InvariantTuple(tuple(x + move.k for x in e))
-    raise TypeError(f"unknown move: {move!r}")
 
 
 def _dihedral_images(t: InvariantTuple) -> list[tuple[Fraction, ...]]:

@@ -233,16 +233,13 @@ def encode_graph(g: SingularGraph) -> dict:
 
 
 def decode_graph(obj: dict) -> SingularGraph:
-    from .classifier import CIRCLE, SingularGraph
+    from .classifier import SingularGraph
 
-    soul = obj.get("soul_isotropy")
-    if soul == "circle":
-        soul = CIRCLE
     return SingularGraph(
         vertex_count=obj["vertices"],
         edges=tuple(decode_edge(e) for e in obj["edges"]),
         has_boundary_fixed_set=obj.get("boundary_fixed_set", False),
-        soul_isotropy=soul,
+        soul_isotropy=obj.get("soul_isotropy"),
     )
 
 

@@ -77,6 +77,24 @@ def circle_matrix(p: int, q: int, theta: float) -> np.ndarray:
 ROOT_TOL = 1e-7
 
 
+# The three equivalence moves of invariant tuples, on entry tuples
+
+
+def rotate(entries: tuple) -> tuple:
+    """(t1, t2, ..., tn) -> (t2, ..., tn, t1)."""
+    return entries[1:] + entries[:1]
+
+
+def reverse(entries: tuple) -> tuple:
+    """(t1, ..., tn) -> (-tn, ..., -t1)."""
+    return tuple(-x for x in reversed(entries))
+
+
+def translate(entries: tuple, k: int) -> tuple:
+    """(t1, ..., tn) -> (t1 + k, ..., tn + k) for an integer k."""
+    return tuple(x + k for x in entries)
+
+
 def _abs_bound(t: InvariantTuple) -> Fraction:
     return max(abs(e) for e in t.entries)
 
@@ -98,13 +116,7 @@ def bfs_equivalent(a: InvariantTuple, b: InvariantTuple) -> bool:
         cur = queue.popleft()
         if cur == target:
             return True
-        images = [
-            cur[1:] + cur[:1],
-            tuple(-x for x in reversed(cur)),
-            tuple(x + 1 for x in cur),
-            tuple(x - 1 for x in cur),
-        ]
-        for nxt in images:
+        for nxt in (rotate(cur), reverse(cur), translate(cur, 1), translate(cur, -1)):
             if nxt in seen or max(abs(x) for x in nxt) > bound:
                 continue
             seen.add(nxt)
@@ -123,18 +135,16 @@ def random_tuple(rng, n: int, max_den: int = 4, max_num: int = 4) -> InvariantTu
 
 def random_move_image(rng, t: InvariantTuple) -> InvariantTuple:
     """Apply a random word of equivalence moves to t."""
-    from x4circle.invariants import Reversal, Rotation, Translation, apply_move
-
-    out = t
+    out = t.entries
     for _ in range(int(rng.integers(1, 8))):
         choice = rng.integers(0, 3)
         if choice == 0:
-            out = apply_move(out, Rotation())
+            out = rotate(out)
         elif choice == 1:
-            out = apply_move(out, Reversal())
+            out = reverse(out)
         else:
-            out = apply_move(out, Translation(int(rng.integers(-3, 4))))
-    return out
+            out = translate(out, int(rng.integers(-3, 4)))
+    return InvariantTuple(out)
 
 
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0

@@ -143,3 +143,28 @@ class TestSharedCoverState:
             assert np.array_equal(alone.sheet_swap, cover.sheet_swap)
             assert alone.marked == cover.marked
             assert alone_certificate == certificate
+
+
+@pytest.fixture(scope="module")
+def hopf_z4_space():
+    spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_cyclic(4), samples=50)
+    return sample_quotient(spec)
+
+
+@pytest.mark.parametrize("tol", [-1, 0, 1, 5, float("nan")])
+def test_tol_outside_the_open_unit_interval_is_refused(monkeypatch, hopf_z4_space, tol):
+    # hopf/Z4 at 50 samples passed every item at tol = 5, although its
+    # cover fails at 0.02, and -1, 0 and NaN ended in a ConvergenceError
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before refusing the tol")
+
+    monkeypatch.setattr(condition_q_module, "sample_quotient", refuse)
+    monkeypatch.setattr(cover_module, "regenerate", refuse)
+    monkeypatch.setattr(cover_module, "_build_cover", refuse)
+    branch = tuple(m.index for m in hopf_z4_space.finite_isotropy_marks())
+    assert len(branch) == 2
+    message = r"^tol must lie in \(0, 1\) radians$"
+    with pytest.raises(ValueError, match=message):
+        check_condition_qprime(hopf_z4_space.spec, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        double_branched_cover(hopf_z4_space, branch, tol=tol)

@@ -8,6 +8,7 @@ import ast
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -17,10 +18,12 @@ import x4circle.extent_lab
 from x4circle import cli
 from x4circle.extent_lab import (
     MAX_MATRIX_BYTES,
-    SMALL_BOUND,
+    IsometricActionSpec,
     actions,
     condition_q,
+    extent,
     largest_matrix_bytes,
+    sample_quotient,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -44,17 +47,6 @@ def run_main(monkeypatch, capsys, name, *args):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     result = module.main()
     return module, result, capsys.readouterr().out.splitlines()
-
-
-def test_extent_survey(monkeypatch, capsys):
-    module, result, lines = run_main(monkeypatch, capsys, "extent_survey", "--samples", "50")
-    assert result is None
-    rows = [line.split() for line in lines[2:] if line.strip()][: len(module.SURVEY)]
-    assert [row[0] for row in rows] == [name for name, _, _ in module.SURVEY]
-    for row in rows:
-        xt3, margin = float(row[2]), float(row[4])
-        assert margin == pytest.approx(SMALL_BOUND - xt3, abs=2e-5)
-    assert lines[-1].startswith("smallness bound pi/3")
 
 
 def test_cover_resolution(monkeypatch, capsys, tmp_path):
@@ -99,6 +91,14 @@ def test_qprime_battery(monkeypatch, capsys, extra):
     else:
         rows = [line.split() for line in lines if not line.startswith(" ")]
         verdicts = {row[0]: row[-1] for row in rows}
+        # each row prints its quotient's xt3 and diameter, as measured alone
+        for row, (_, weights, gamma) in zip(rows, module.BATTERY):
+            fields = dict(token.split("=") for token in row[1:-1])
+            space = sample_quotient(
+                IsometricActionSpec(weights=weights, gamma=gamma, samples=50, seed=5)
+            )
+            assert fields["xt3"] == f"{extent(space, 3).value:.5f}"
+            assert fields["diam"] == f"{space.diameter():.5f}"
     assert list(verdicts) == [name for name, _, _ in module.BATTERY]
     # at 50 samples the hopf/Z4 cover is not yet small, so the battery exits 1
     assert verdicts["hopf/Z4"] == "FAIL"
@@ -124,7 +124,7 @@ def test_qprime_battery_continues_after_failed_certificate(monkeypatch, capsys):
 
 # the scripts that only drive the lab; bench_default and pool_digest drive
 # x4circle.cli.main on purpose
-LAB_SCRIPTS = ["extent_survey", "qprime_battery", "cover_resolution"]
+LAB_SCRIPTS = ["qprime_battery", "cover_resolution"]
 
 
 def _usage_error(monkeypatch, capsys, name, args) -> str:
@@ -159,18 +159,16 @@ def _over_budget(command: str, samples: int, group_order: int) -> str:
     ("cover_resolution", ["--ladder", "60,,120"],
      "argument --ladder: invalid ladder value: '60,,120'"),
     ("qprime_battery", ["--samples", "10"], "at least 50 sample points are required"),
-    ("extent_survey", ["--samples", "10"], "at least 50 sample points are required"),
     # the largest matrix of each estimate passes MAX_MATRIX_BYTES; the
-    # survey's first action has the trivial group, the ladder's D3* has 12
-    ("extent_survey", ["--samples", "100000000"], _over_budget("extent", 100000000, 1)),
+    # battery's first action has the trivial group, the ladder's D3* has 12
     ("qprime_battery", ["--samples", "4000"], _over_budget("check-q", 4000, 1)),
     ("cover_resolution", ["--ladder", "60,4000"], _over_budget("check-q", 4000, 12)),
     # --m names the group binary-dihedral:m, refused as `x4` refuses it
     ("cover_resolution", ["--m", "200000"],
      "group order 800000 exceeds the limit of 512 elements"),
     ("cover_resolution", ["--m", "0"], "unknown group preset 'binary-dihedral:0'"),
-], ids=["cover_resolution-small", "cover_resolution-empty", "qprime_battery", "extent_survey",
-        "extent_survey-huge", "qprime_battery-huge", "cover_resolution-huge",
+], ids=["cover_resolution-small", "cover_resolution-empty", "qprime_battery",
+        "qprime_battery-huge", "cover_resolution-huge",
         "cover_resolution-huge-group", "cover_resolution-no-group"])
 def test_bad_size_is_a_usage_error(monkeypatch, capsys, name, args, message):
     # each of these ended in a traceback or ran past the memory budget
@@ -212,6 +210,15 @@ def test_tol_outside_the_open_unit_interval_is_a_usage_error(monkeypatch, capsys
     # these ran and reported every cover as a failed certificate
     err = _usage_error(monkeypatch, capsys, name, ["--tol", tol])
     assert err.endswith("error: tol must lie in (0, 1) radians\n")
+
+
+def test_readme_lists_every_script():
+    # the scripts/<name>.py names of the README's "Experiment scripts"
+    # section are exactly the files in scripts/
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Experiment scripts\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"scripts/(\w+)\.py", section))
+    assert documented == {path.stem for path in SCRIPTS.glob("*.py")}
 
 
 def test_bench_default(monkeypatch, capsys, tmp_path):
