@@ -27,8 +27,9 @@ the two `check-q` cases.
 The run is stored in BENCH_<pr>.json under --label, beside the runs the
 file already holds, so one file can keep a parent run and a change run,
 recorded one after the other: run the script once with PYTHONPATH
-pointing at each checkout's src.  Reports are not checked here; the exit
-code of each request is recorded.
+pointing at each checkout's src.  An --out that is not an existing
+directory is a usage error (exit 2), refused before any request.  Reports
+are not checked here; the exit code of each request is recorded.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_default.py --pr N [--label change] [--out DIR]
@@ -138,6 +139,8 @@ def main() -> int:
     parser.add_argument("--label", default="change", help="name of this run in the file")
     parser.add_argument("--out", type=pathlib.Path, default=ROOT, help="directory of the file")
     args = parser.parse_args()
+    if not args.out.is_dir():
+        parser.error(f"--out {args.out} is not a directory")
 
     path = args.out / f"BENCH_{args.pr}.json"
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"runs": {}}

@@ -100,6 +100,8 @@ def main() -> int:
             }
             stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
             print(f"       wrote {stem}.npy")
+        # the next rung builds its own covers; this one is read no more
+        del cover
     return 1 if failures else 0
 
 

@@ -63,12 +63,13 @@ def check_condition_qprime(
     high_base = None
     if len(finite) >= 2:
         high_base = regenerate(space, 2 * spec.samples)
-    # every pair's covers share the two bases' neighbor graphs and fields
+    # every pair's covers share the two bases' neighbor graphs and fields;
+    # only the certificate is kept, so no cover outlives its pair
     graphs = BaseGraphs()
     for a, b in combinations(finite, 2):
-        _, certificate = double_branched_cover(
+        certificate = double_branched_cover(
             space, (a.index, b.index), tol=tol, high_base=high_base, graphs=graphs
-        )
+        )[1]
         c_small, c_margin = is_small(certificate.xt3_high, tol)
         checks.append(
             CheckItem(

@@ -404,7 +404,11 @@ def double_branched_cover(
         raise ValueError("branch points coincide")
 
     graphs = BaseGraphs() if graphs is None else graphs
+    # the certificate reads only these two numbers of the low cover, which
+    # is dropped before the high cover is built
     low_cover = _build_cover(space, (b1, b2), graphs)
+    diameter_low, xt3_low = low_cover.diameter(), extent(low_cover, 3).value
+    del low_cover
 
     if high_base is None:
         high_base = regenerate(space, 2 * space.spec.samples)
@@ -418,9 +422,9 @@ def double_branched_cover(
     certificate = CoverCertificate(
         samples_low=space.spec.samples,
         samples_high=high_base.spec.samples,
-        diameter_low=low_cover.diameter(),
+        diameter_low=diameter_low,
         diameter_high=high_cover.diameter(),
-        xt3_low=extent(low_cover, 3).value,
+        xt3_low=xt3_low,
         xt3_high=extent(high_cover, 3).value,
         tol=tol,
     )

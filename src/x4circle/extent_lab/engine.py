@@ -50,8 +50,9 @@ grid-local maxima near it.  Each 64-cell block is written into one
 (66, pairs) buffer, the block with its two neighbouring cells, reused for
 every block and gamma of a call.  One threshold pass into one bool buffer
 marks the cells within CANDIDATE_MARGIN of the running peak, a few per
-pair, and only those cells are tested against their neighbours and for a
-flat pair.  As on the sphere path, a pair whose best cosine is within
+pair, and only those cells are tested against their neighbours.  Within
+one gamma, an exact tie between a pair's polished candidates keeps the
+last cell's.  As on the sphere path, a pair whose best cosine is within
 NEAR_END of 1 is re-read from a chord: its distance is the angle
 2 atan2(|x - y'|, |x + y'|) to the aligned representative
 y' = R(theta*) gamma* y that `align` builds.
@@ -64,10 +65,7 @@ and bisects otherwise.  A candidate stops once its
 step is below 1e-13 or f' is exactly 0, and at most NEWTON_ITERS steps are
 taken, so a degenerate maximum converges no worse than by bisection.  The
 largest f evaluated is returned with its theta; the start cell is
-evaluated, so the polish never falls below the grid value.  A flat pair,
-A = B = 0, makes f constant; it is answered from its grid value without
-refinement, at the theta of the last grid cell, where the polish of a
-constant f stops (f' = 0 at the start).
+evaluated, so the polish never falls below the grid value.
 
 The grid solver takes a flat list of pairs, each a row point against a
 column point.  Neither path is bit-symmetric in (x, y), so a distance
@@ -210,21 +208,18 @@ class DistanceEngine:
         arccos loses digits near +-1 (a rounding of the cosine moves the
         angle by about 1e-16 / sin), so an entry within NEAR_END of +-1 is
         the half-angle atan2(|u - w|, |u + w|) of u = h(x) to w = gbar h(y),
-        least over the rotations.  The near entries are found row by row.
+        least over the rotations.
         """
         dist = np.clip(best, -1.0, 1.0)
         np.arccos(dist, out=dist)
         dist *= 0.5
-        near = np.abs(best) > 1.0 - NEAR_END
-        i = np.flatnonzero(near.any(axis=1))
-        if len(i):
-            k, j = np.nonzero(near[i])
-            u, w = rows[i[k]].T, moved[:, :, j]
-            minus, plus = u - w, u + w
-            dist[i[k], j] = np.arctan2(
-                np.sqrt(minus[:, 0] ** 2 + minus[:, 1] ** 2 + minus[:, 2] ** 2),
-                np.sqrt(plus[:, 0] ** 2 + plus[:, 1] ** 2 + plus[:, 2] ** 2),
-            ).min(axis=0)
+        k, j = np.nonzero(np.abs(best) > 1.0 - NEAR_END)
+        u, w = rows[k].T, moved[:, :, j]
+        minus, plus = u - w, u + w
+        dist[k, j] = np.arctan2(
+            np.sqrt(minus[:, 0] ** 2 + minus[:, 1] ** 2 + minus[:, 2] ** 2),
+            np.sqrt(plus[:, 0] ** 2 + plus[:, 1] ** 2 + plus[:, 2] ** 2),
+        ).min(axis=0)
         return dist
 
     def _transformed_parts(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +307,7 @@ class DistanceEngine:
         peak and yields the block's grid-local maxima within CANDIDATE_MARGIN
         of the peak so far.  The peak only grows, so those cover every
         candidate of the final margin.  A gamma's list holds the candidate
-        cells, their pairs, grid values and coefficient columns, and the
-        pairs that are flat under it.
+        cells, their pairs, grid values and coefficient columns.
         """
         flat = len(cols)
         m_grid = self.grid_size
@@ -329,11 +323,6 @@ class DistanceEngine:
 
         for av, bv in self._gamma_products(a1, a2, v1, v2, cols):
             g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
-            # a flat pair (A = B = 0) has f == 0 at every theta: instead of
-            # refining all its cells, it takes its grid value, 0, at the theta
-            # where polishing its last cell ends: that cell itself
-            constant = (av == 0) & (bv == 0)
-            varies = ~constant
             cand_t, cand_f, cand_v = [], [], []
             for t0, trig_block in zip(range(0, m_grid, 64), self.trig_blocks):
                 np.matmul(trig_block, g_rows, out=f_block)
@@ -343,15 +332,12 @@ class DistanceEngine:
                 k = np.flatnonzero(above)
                 value = centre.take(k)
                 tt, ff = np.divmod(k, flat)
-                local = (value >= lower.take(k)) & (value >= upper.take(k)) & varies.take(ff)
+                local = (value >= lower.take(k)) & (value >= upper.take(k))
                 cand_t.append(tt[local] + t0)
                 cand_f.append(ff[local])
                 cand_v.append(value[local])
             f_idx = np.concatenate(cand_f)
-            scans.append((
-                np.concatenate(cand_t), f_idx, np.concatenate(cand_v),
-                g_rows[:, f_idx], np.nonzero(constant)[0],
-            ))
+            scans.append((np.concatenate(cand_t), f_idx, np.concatenate(cand_v), g_rows[:, f_idx]))
         return best, scans
 
     def _pick_alignments(self, best, scans):
@@ -364,18 +350,12 @@ class DistanceEngine:
         win_gamma = np.zeros(flat, dtype=int)
         win_theta = np.zeros(flat)
 
-        for gi, (t_idx, f_idx, grid_f, g_cand, flat_f) in enumerate(scans):
+        for gi, (t_idx, f_idx, grid_f, g_cand) in enumerate(scans):
             keep = grid_f >= thresh[f_idx]
-            t_idx = t_idx[keep]
-            f_idx = np.concatenate([f_idx[keep], flat_f[thresh[flat_f] <= 0.0]])
+            f_idx = f_idx[keep]
             if not len(f_idx):
                 continue
-            refined = np.zeros(len(f_idx))
-            theta = np.full(len(f_idx), (self.grid_size - 1) * self.step)
-            if len(t_idx):
-                refined[: len(t_idx)], theta[: len(t_idx)] = self._refine(
-                    *g_cand[:, keep], t_idx
-                )
+            refined, theta = self._refine(*g_cand[:, keep], t_idx[keep])
             top = np.full(flat, -np.inf)
             np.maximum.at(top, f_idx, refined)
             # earlier gammas keep exact ties
@@ -414,8 +394,6 @@ class DistanceEngine:
             for r0 in range(0, n - 1, ROW_CHUNK):
                 r1 = min(r0 + ROW_CHUNK, n)
                 best = self._sphere_cosines(hopf[r0:r1], moved[:, :, r0:])
-                # each row's own entry, pinned to 0 below, is no near pair
-                np.fill_diagonal(best, 0.0)
                 block = self._half_angles(best, hopf[r0:r1], moved[:, :, r0:])
                 out[r0:r1, r1:] = block[:, r1 - r0 :]
                 out[r1:, r0:r1] = block[:, r1 - r0 :].T

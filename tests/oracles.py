@@ -475,9 +475,9 @@ class MaskScanEngine(DistanceEngine):
     """The engine with its general-weight grid scan in the masked form.
 
     Each 64-cell block is a fresh (66, pairs) product, and its candidates
-    are the nonzero cells of the four full-size masks "at least the left
-    neighbour", "at least the right neighbour", "within CANDIDATE_MARGIN of
-    the running peak" and "not a flat pair", in row-major order.  Only the
+    are the nonzero cells of the three full-size masks "at least the left
+    neighbour", "at least the right neighbour" and "within CANDIDATE_MARGIN
+    of the running peak", in row-major order.  Only the
     scan is replaced; the pick of the winners (`_pick_alignments`) is the
     engine's.
     """
@@ -494,7 +494,6 @@ class MaskScanEngine(DistanceEngine):
             av = np.multiply(a1, v1[gi].take(cols))
             bv = np.multiply(a2, v2[gi].take(cols))
             g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
-            constant = (av == 0) & (bv == 0)
             cand_t, cand_f, cand_v = [], [], []
             for t0 in range(0, m_grid, 64):
                 idx = np.arange(t0 - 1, t0 + 65) % m_grid
@@ -505,17 +504,13 @@ class MaskScanEngine(DistanceEngine):
                     (mid >= f_block[:-2])
                     & (mid >= f_block[2:])
                     & (mid >= best - CANDIDATE_MARGIN)
-                    & ~constant
                 )
                 tt, ff = np.nonzero(local)
                 cand_t.append(tt + t0)
                 cand_f.append(ff)
                 cand_v.append(mid[tt, ff])
             f_idx = np.concatenate(cand_f)
-            scans.append((
-                np.concatenate(cand_t), f_idx, np.concatenate(cand_v),
-                g_rows[:, f_idx], np.nonzero(constant)[0],
-            ))
+            scans.append((np.concatenate(cand_t), f_idx, np.concatenate(cand_v), g_rows[:, f_idx]))
         return best, scans
 
 

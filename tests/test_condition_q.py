@@ -1,5 +1,6 @@
 """Tests for the three-part smallness battery on sampled quotients."""
 
+import weakref
 from math import pi
 
 import numpy as np
@@ -143,6 +144,23 @@ class TestSharedCoverState:
             assert np.array_equal(alone.sheet_swap, cover.sheet_swap)
             assert alone.marked == cover.marked
             assert alone_certificate == certificate
+
+    def test_no_cover_is_alive_when_the_next_is_built(self, monkeypatch):
+        # each certificate reads its low cover's diameter and xt3 before the
+        # high cover is built, and the battery keeps only the certificates
+        built, alive = [], []
+        build = cover_module._build_cover
+
+        def tracking(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            cover = build(*args)
+            built.append(weakref.ref(cover))
+            return cover
+
+        monkeypatch.setattr(cover_module, "_build_cover", tracking)
+        spec = IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
+        check_condition_qprime(spec)
+        assert alive == [0] * 6
 
 
 @pytest.fixture(scope="module")

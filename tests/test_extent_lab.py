@@ -855,12 +855,13 @@ class TestFlatPairs:
         # circles are read off the group without a distance
         reps, _ = spaces.discover_marked(engine)
         assert len(reps) == 2 and candidates == []
-        # the oracle's 6 roots lie on the coordinate circles: the 8 x 8
-        # matrix aligns its 28 upper pairs only; their 15 flat pairs
-        # (A = B = 0) refine no cell, and the other 13 send 69 grid cells
-        # to the polish
-        engine.distance_matrix(np.vstack([COORDINATE_CIRCLES, svd_theta_roots(spec)]))
-        assert sum(candidates) == 69
+        # the oracle's 6 roots lie on the coordinate circles: a point on
+        # z2 = 0 against one on z1 = 0 is a flat pair (A = B = 0), 15 of the
+        # 8 x 8 matrix's 28 upper pairs, at distance arccos(0) = pi/2
+        pts = np.vstack([COORDINATE_CIRCLES, svd_theta_roots(spec)])
+        flat = ~pts[:, 2:].any(axis=1)[:, None] & ~pts[:, :2].any(axis=1)
+        d = engine.distance_matrix(pts)
+        assert np.count_nonzero(flat) == 15 and np.all(d[flat] == pi / 2)
 
 
 UNIT_WEIGHTS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]

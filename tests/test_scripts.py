@@ -256,6 +256,23 @@ def test_bench_default(monkeypatch, capsys, tmp_path):
     assert (cover._build_cover, extents.extent) == traced
 
 
+def test_bench_default_refuses_a_missing_out_directory(monkeypatch, capsys, tmp_path):
+    # it ran all four cases, about 60 s, and then died writing the file
+    module = load_script("bench_default")
+
+    def refuse():
+        raise AssertionError("benchmarked before refusing --out")
+
+    monkeypatch.setattr(module, "bench", refuse)
+    missing = tmp_path / "missing"
+    monkeypatch.setattr(sys, "argv", ["bench_default.py", "--pr", "7", "--out", str(missing)])
+    with pytest.raises(SystemExit) as exit_info:
+        module.main()
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: --out {missing} is not a directory\n")
+
+
 def test_pool_digest_repeats(monkeypatch, capsys):
     # the algebra pool answers its 512 requests in about 2 s
     digests = []
