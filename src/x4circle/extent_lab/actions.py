@@ -37,6 +37,10 @@ ORTHOGONALITY_TOL = 1e-12
 # |Gamma| Gram products of 16 |Gamma|^2 flops each, about 0.8 s and 2.4 MB
 # at this bound on a 2-vCPU VM (one BLAS thread)
 MAX_GROUP_ORDER = 512
+# most Gram entries of one closure call of validate_gamma: the products of
+# max(1, this // |Gamma|^2) elements with every element are formed at once,
+# so a group of more than 256 elements still takes one element per call
+CLOSURE_GRAM_ENTRIES = 2**16
 # most grid cells the distance engine scans per pair of points,
 # |Gamma| GRID_PER_WEIGHT max(|p|, |q|), at weights other than (+-1, +-1):
 # unit weights scan no grid, and the trivial group fits up to
@@ -123,6 +127,9 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     entries, orthogonality (1e-12), orientation preservation, presence of
     the identity, distinctness, closure under composition, and
     commutation with the circle (gamma J gamma^T = J, within GROUP_TOL).
+    Closure is checked on the products of a block of elements with every
+    element, at most CLOSURE_GRAM_ENTRIES Gram entries per block, so at most
+    a 512 KB Gram array; the verdict does not depend on the block size.
     """
     if gammas.ndim != 3 or gammas.shape[1:] != (4, 4):
         raise ValueError("gamma must have shape (count, 4, 4)")
@@ -156,10 +163,11 @@ def validate_gamma(gammas: np.ndarray, p: int, q: int) -> None:
     # product above 4 - 8 GROUP_TOL^2 with it: only the elements above
     # 4 - 1e-6 are compared entry by entry
     flat = gammas.reshape(g, 16)
-    for i in range(g):
-        prod = (gammas[i] @ gammas).reshape(g, 16)
+    step = max(1, CLOSURE_GRAM_ENTRIES // g**2)
+    for i in range(0, g, step):
+        prod = (gammas[i : i + step, None] @ gammas).reshape(-1, 16)
         j, k = np.nonzero(prod @ flat.T > 4.0 - 1e-6)
-        matched = np.zeros(g, dtype=bool)
+        matched = np.zeros(len(prod), dtype=bool)
         matched[j[np.max(np.abs(prod[j] - flat[k]), axis=1) <= GROUP_TOL]] = True
         if not matched.all():
             raise ValueError("gamma is not closed under composition")

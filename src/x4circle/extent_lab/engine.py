@@ -121,6 +121,13 @@ def first_of_each(rows: np.ndarray) -> np.ndarray:
     return first
 
 
+def _within(thresh, t_idx, f_idx, values, *coefficients):
+    """The grid candidates, in order, whose value reaches thresh of their
+    pair; coefficient arrays hold one column per candidate."""
+    keep = values >= thresh[f_idx]
+    return (t_idx[keep], f_idx[keep], values[keep], *(c[:, keep] for c in coefficients))
+
+
 class DistanceEngine:
     def __init__(self, weights: tuple[int, int], gammas: np.ndarray):
         self.p, self.q = int(weights[0]), int(weights[1])
@@ -308,11 +315,20 @@ class DistanceEngine:
         of the peak so far.  The peak only grows, so those cover every
         candidate of the final margin.  A gamma's list holds the candidate
         cells, their pairs, grid values and coefficient columns.
+
+        Whenever the held candidates, of every gamma so far, outnumber
+        2 kept + pairs, kept being the count the last drop left, those
+        below their pair's running peak minus CANDIDATE_MARGIN are dropped.
+        The final margin would drop them too, and the rest keep their
+        order, so `_refine` gets the same candidates.  At high weights,
+        where each of a pair's early blocks can leave one, the scan so holds
+        about twice the survivors rather than one per pair and block.
         """
         flat = len(cols)
         m_grid = self.grid_size
         best = np.full(flat, -np.inf)
         scans = []
+        held = kept = 0
         # one block product and one threshold mask, reused by every block
         # and gamma
         f_block = np.empty((66, flat))
@@ -323,7 +339,7 @@ class DistanceEngine:
 
         for av, bv in self._gamma_products(a1, a2, v1, v2, cols):
             g_rows = np.stack([av.real, -av.imag, bv.real, -bv.imag])
-            cand_t, cand_f, cand_v = [], [], []
+            blocks = []
             for t0, trig_block in zip(range(0, m_grid, 64), self.trig_blocks):
                 np.matmul(trig_block, g_rows, out=f_block)
                 np.maximum(best, mid.max(axis=0), out=best)
@@ -333,11 +349,15 @@ class DistanceEngine:
                 value = centre.take(k)
                 tt, ff = np.divmod(k, flat)
                 local = (value >= lower.take(k)) & (value >= upper.take(k))
-                cand_t.append(tt[local] + t0)
-                cand_f.append(ff[local])
-                cand_v.append(value[local])
-            f_idx = np.concatenate(cand_f)
-            scans.append((np.concatenate(cand_t), f_idx, np.concatenate(cand_v), g_rows[:, f_idx]))
+                blocks.append((tt[local] + t0, ff[local], value[local]))
+                held += len(blocks[-1][0])
+                if held > 2 * kept + flat:
+                    thresh = best - CANDIDATE_MARGIN
+                    scans = [_within(thresh, *scan) for scan in scans]
+                    blocks = [_within(thresh, *map(np.concatenate, zip(*blocks)))]
+                    held = kept = sum(len(scan[0]) for scan in scans) + len(blocks[0][0])
+            t_idx, f_idx, values = map(np.concatenate, zip(*blocks))
+            scans.append((t_idx, f_idx, values, g_rows[:, f_idx]))
         return best, scans
 
     def _pick_alignments(self, best, scans):

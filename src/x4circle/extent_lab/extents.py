@@ -155,14 +155,21 @@ class _TripleSearch:
 
 
 def _extent_three_exact(space: SampledMetricSpace) -> ExtentReport:
+    """The exact xt_3 by the cell search of the module docstring.
+
+    The cell bound M is the row maxima of d[order] over each cell, then
+    their column maxima over each cell: max is exact, so this is the block
+    maximum of the permuted matrix, bit for bit, with no n x n gather.
+    Each cell pair's run of cell triples is read as an index range.
+    """
     d = space.dist
     n = len(d)
     cells = _cells(d, round(sqrt(n)))
     starts = np.cumsum([0] + [len(cell) for cell in cells[:-1]])
     order = np.concatenate(cells)
-    m = np.maximum.reduceat(
-        np.maximum.reduceat(d[np.ix_(order, order)], starts, axis=0), starts, axis=1
-    )
+    # the rows first, then the columns of the (cells, n) row maxima only
+    row_max = np.maximum.reduceat(d[order], starts, axis=0)
+    m = np.maximum.reduceat(row_max[:, order], starts, axis=1)
     r = np.arange(len(cells))
     a, b, c = np.nonzero((r[:, None, None] <= r[None, :, None]) & (r[None, :, None] <= r[None, None, :]))
     # summed in the order _block_sums sums a triple from cells (a, b, c);
@@ -175,11 +182,11 @@ def _extent_three_exact(space: SampledMetricSpace) -> ExtentReport:
     # the running top only rises, so the first pair below it ends the search
     first = np.nonzero(np.diff(a * len(cells) + b, prepend=-1))[0]
     pair_bound = np.maximum.reduceat(bound, first)
-    runs = np.split(np.arange(len(bound)), first[1:])
+    ends = np.append(first[1:], len(bound))
     for g in np.argsort(-pair_bound, kind="stable"):
         if pair_bound[g] < search.top - search.tol:
             break
-        run = runs[g][bound[runs[g]] >= search.top - search.tol]
+        run = first[g] + np.flatnonzero(bound[first[g] : ends[g]] >= search.top - search.tol)
         k = np.concatenate([cells[x] for x in c[run]])
         search.scan(cells[a[run[0]]], cells[b[run[0]]], k)
     return ExtentReport(

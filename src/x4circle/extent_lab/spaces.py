@@ -95,9 +95,10 @@ def validate_metric(space: SampledMetricSpace) -> None:
 
     Every space is scanned as one with a sheet swap sigma, a plain space
     with the trivial swap sigma = arange(n), by `_worst_full_slack` on d
-    in `_orbit_order(sigma)`.  A given sheet swap must be an involution of
-    the point indices with d[sigma[i], sigma[j]] == d[i, j] bit for bit;
-    it is compared TRIPLE_CHUNK entries at a time.
+    in `_orbit_order(sigma)`; the trivial swap's order is the identity, so
+    a plain space's d is read in place.  A given sheet swap must be an
+    involution of the point indices with d[sigma[i], sigma[j]] == d[i, j]
+    bit for bit; it is compared TRIPLE_CHUNK entries at a time.
 
     The random triples are drawn and checked TRIPLE_CHUNK at a time, so the
     check holds O(TRIPLE_CHUNK) extra memory however large the matrix is.
@@ -124,6 +125,9 @@ def validate_metric(space: SampledMetricSpace) -> None:
     order, passes = _orbit_order(np.arange(n) if space.sheet_swap is None else space.sheet_swap)
     if np.sum((n - 1 - passes) ** 2) > FULL_SCAN_ENTRIES:
         worst = _worst_sampled_slack(d, space.seed)
+    elif space.sheet_swap is None:
+        # the trivial swap's order is the identity: d is read in place
+        worst = _worst_full_slack(d, passes)
     else:
         worst = _worst_full_slack(d[np.ix_(order, order)], passes)
     if worst > TRIANGLE_TOL:
@@ -165,12 +169,29 @@ def _worst_full_slack(d: np.ndarray, passes: np.ndarray) -> float:
     j < i would only repeat inequalities of earlier passes.  j = k gives
     the slack 0 of a repeated point.  passes = arange(n - 1) runs every
     pass; `_orbit_order` skips those a sheet swap makes redundant.
+
+    The differences are written into one work buffer of 2 (n - 1)^2
+    entries, and passes i and i + 1, when both are asked for,
+    are one (2, m, m) call on pass i's block of side m = n - 1 - i.  Pass
+    i + 1 gains a row k = i + 1, whose slack is |x - x| - 0, and a column
+    j = i + 1, whose |d[k, i + 1] - 0| equals the d[i + 1, k] that j = k
+    already gives: every slack stays what pass i + 1 alone computes, bit
+    for bit, for the exactly symmetric d that `validate_metric` checks
+    first.
     """
+    n = len(d)
+    work = np.empty(2 * (n - 1) ** 2)
     worst = -np.inf
-    for i in passes:
-        row = d[i, i + 1 :]
-        slack = np.abs(d[i + 1 :, i + 1 :] - row).max(axis=1) - row
-        worst = max(worst, float(slack.max()))
+    t = 0
+    while t < len(passes):
+        i = int(passes[t])
+        count = 2 if t + 1 < len(passes) and passes[t + 1] == i + 1 else 1
+        rows = d[i : i + count, i + 1 :]
+        m = n - 1 - i
+        diff = work[: count * m * m].reshape(count, m, m)
+        np.abs(np.subtract(d[i + 1 :, i + 1 :], rows[:, None, :], out=diff), out=diff)
+        worst = max(worst, float((diff.max(axis=2) - rows).max()))
+        t += count
     return worst
 
 

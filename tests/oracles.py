@@ -18,8 +18,10 @@ them gathered by 2-D fancy indexing rather than from chunked draws read
 through the flattened matrix, the full triangle scan takes every ordered
 triple rather than each triangle inequality once, the scan of a space
 without a sheet swap reads d one row pair at a time in its own order
-rather than one pass per row of a copy in orbit order, unit-weight distances come from the Hopf map in np.longdouble, each
-rotation of S^2 read off the images of three probe points and each angle
+rather than one pass per row of a copy in orbit order, the per-pass
+scan takes each pass alone with two fresh temporaries rather than pairs
+of passes in one reused work buffer, unit-weight distances come from
+the Hopf map in np.longdouble, each rotation of S^2 read off the images of three probe points and each angle
 an atan2 of cross and dot products, rather than from the quadratic-form
 traces, BLAS cosine products and arccos, general-weight alignments come from
 a 256-per-weight grid with golden-section polish of every grid-local
@@ -318,6 +320,18 @@ def row_scan_slack(d: np.ndarray) -> float:
     for i in range(n - 1):
         for k in range(i + 1, n):
             worst = max(worst, float(np.abs(d[k, i + 1 :] - d[i, i + 1 :]).max() - d[i, k]))
+    return worst
+
+
+def pass_scan_slack(d: np.ndarray, passes) -> float:
+    """Worst |d[k, j] - d[i, j]| - d[i, k] over k, j > i in each pass i of
+    passes: every pass alone on its own block, two fresh m x m temporaries
+    a pass."""
+    worst = -np.inf
+    for i in passes:
+        row = d[i, i + 1 :]
+        slack = np.abs(d[i + 1 :, i + 1 :] - row).max(axis=1) - row
+        worst = max(worst, float(slack.max()))
     return worst
 
 

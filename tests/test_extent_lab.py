@@ -15,10 +15,12 @@ smallest-singular-value scan in tests/oracles.py, the exact three-point
 extent against the brute force there, and the metric check's chunked
 random triples against one draw of all of them, and its full scan against
 one that takes every ordered triple and, on plain quotients, against the
-direct row scan there bit for bit.  On branched covers, which carry
+direct row scan there bit for bit, and its paired passes against each
+pass alone there, bit for bit.  On branched covers, which carry
 their sheet swap, the scan that keeps one pass per sheet-swap orbit is
 checked against the scan of every pass.  The batched group checks on gamma
-are checked against the one-element-at-a-time loop there.
+are checked against the one-element-at-a-time loop there, and closure
+blocks of one element and of the whole group give the same verdicts.
 """
 
 import dataclasses
@@ -77,6 +79,7 @@ from oracles import (
     hopf_long,
     hopf_rotations,
     loop_validate_gamma,
+    pass_scan_slack,
     probe_kernel_count,
     row_scan_slack,
     sample_round_two_sphere,
@@ -150,6 +153,27 @@ def hopf_cover():
     base = sample_quotient(spec)
     branch = tuple(m.index for m in base.finite_isotropy_marks()[:2])
     return base.size, _build_cover(base, branch, BaseGraphs())
+
+
+@pytest.fixture(scope="module")
+def scan_matrices():
+    """(d, passes) of the complete triangle scan on the 203-point Hopf/D3*
+    quotient and the 202-point (2, 3) quotient at 200 samples, each in its
+    own order with every pass, and on a sheet-swapped Hopf/D3* cover in
+    orbit order with one pass per orbit."""
+    out = {}
+    for name, weights, gamma in (
+        ("hopf-d3", (1, 1), gamma_binary_dihedral(3)),
+        ("football-23", (2, 3), gamma_trivial()),
+    ):
+        d = sample_quotient(IsometricActionSpec(weights=weights, gamma=gamma, samples=200)).dist
+        out[name] = d, np.arange(len(d) - 1)
+    [cover, *_] = battery_covers(
+        IsometricActionSpec(weights=(1, 1), gamma=gamma_binary_dihedral(3), samples=50)
+    )
+    order, passes = spaces._orbit_order(cover.sheet_swap)
+    out["cover"] = cover.dist[np.ix_(order, order)], passes
+    return out
 
 
 def hopf_distance(x, y):
@@ -310,6 +334,16 @@ class TestActionSpec:
             assert message is None
         else:
             assert message is not None and message.startswith(start)
+
+    @pytest.mark.parametrize("case", list(GAMMA_CASES))
+    def test_closure_blocks_keep_the_verdict(self, monkeypatch, case):
+        # max(1, CLOSURE_GRAM_ENTRIES // |Gamma|^2) elements a closure call:
+        # one at a time, then all of Gamma at once
+        gammas, weights, _ = GAMMA_CASES[case]
+        message = _rejection(validate_gamma, gammas, weights)
+        for entries in (0, len(gammas) ** 3):
+            monkeypatch.setattr(actions, "CLOSURE_GRAM_ENTRIES", entries)
+            assert _rejection(validate_gamma, gammas, weights) == message
 
     def test_closure_check_memory_is_bounded(self):
         # each product meets only the elements of Gram inner product above
@@ -568,6 +602,43 @@ class TestSampling:
         assert np.array_equal(scanned, space.dist)
         assert np.array_equal(rows, np.arange(space.size - 1))
         assert worst == row_scan_slack(space.dist)
+
+    @pytest.mark.parametrize("name", ["hopf-d3", "football-23", "cover"])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_paired_passes_are_the_pass_scan(self, scan_matrices, name, planted):
+        # passes i and i + 1 run as one call on pass i's block, in one
+        # reused buffer: the same worst slack as each pass alone, bit for bit
+        d, passes = scan_matrices[name]
+        n = len(d)
+        assert n == {"hopf-d3": 203, "football-23": 202, "cover": 104}[name]
+        adjacent = np.flatnonzero(np.diff(passes) == 1)
+        assert len(adjacent)
+        if name == "cover":
+            # orbits of two points leave gaps between the kept passes
+            assert len(adjacent) < len(passes) - 1
+        if planted:
+            # one long side whose smallest point is the second pass of a pair
+            d = d.copy()
+            z, x, y = passes[adjacent[0] + 1], n - 2, n - 1
+            d[x, y] = d[y, x] = d[x, z] + d[z, y] + 2 * spaces.TRIANGLE_TOL
+        worst = spaces._worst_full_slack(d, passes)
+        assert worst == pass_scan_slack(d, passes)
+        assert (worst > spaces.TRIANGLE_TOL) == planted
+
+    def test_plain_scan_memory_is_one_work_buffer(self, scan_matrices):
+        # the 203-point quotient is read in place, through one work buffer of
+        # 2 * 202^2 doubles (0.65 MB) and the subtraction's iterator
+        # buffers; an identity-order copy and two fresh temporaries per
+        # pass traced 0.99 MB
+        d, _ = scan_matrices["hopf-d3"]
+        space = SampledMetricSpace(points=np.zeros((len(d), 4)), dist=d, marked=[])
+        tracemalloc.start()
+        try:
+            validate_metric(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.85 * 10**6
 
     @pytest.mark.parametrize("z", range(8))
     def test_violation_in_sheet_one_is_refused(self, hopf_cover, z):
@@ -1342,6 +1413,33 @@ class TestThresholdScan:
         for weights, gamma in (((2, 3), gamma_trivial()), ((2, 3), lens_group(5, 2))):
             engine, oracle = DistanceEngine(weights, gamma), MaskScanEngine(weights, gamma)
             assert_same_scans(engine, oracle, pts, range(4))
+
+    def test_high_weight_candidates_match_masked_scan(self):
+        # weights (1, 4096): each of a pair's 4096 blocks can leave a
+        # candidate while its peak is still low.  The stale ones are dropped
+        # during the scan, and `_refine` gets the masked scan's candidates.
+        # On these 780 pairs that traced 67 MB; holding every candidate to
+        # the end traced 113 MB
+        engine = DistanceEngine((1, 4096), gamma_trivial())
+        oracle = MaskScanEngine((1, 4096), gamma_trivial())
+        pts = np.random.default_rng(29).standard_normal((40, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        rows, cols = np.triu_indices(len(pts), 1)
+        assert len(cols) == 780
+        a1, a2 = (u.conj()[rows] for u in engine._complex_parts(pts))
+        v1, v2 = engine._transformed_parts(pts)
+        calls, oracle_calls = record_refines(engine), record_refines(oracle)
+        tracemalloc.start()
+        try:
+            got = engine._grid_alignments(a1, a2, v1, v2, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = oracle._grid_alignments(a1, a2, v1, v2, cols)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        assert len(calls) == len(oracle_calls) == 1
+        assert np.array_equal(calls[0], oracle_calls[0])
+        assert peak < 80 * 10**6
 
     def test_no_pairs(self):
         engine = DistanceEngine((2, 3), gamma_trivial())
